@@ -5,51 +5,68 @@ integrated numerically from the mode functions and the atom kinematics,
 then squared.  Nothing here evaluates a Gamma function or a Planck factor;
 agreement with the closed forms is therefore a real two-route test.
 
+On the real axis both amplitudes are conditionally convergent oscillatory
+integrals.  Their values are fixed by the t -> t - i0 prescription
+(adiabatic switching), under which each integrand is analytic in the upper
+half plane of its integration variable.  Each contour is therefore
+rotated a quarter turn, onto the positive imaginary axis, where the
+oscillation e^{i k v} becomes the decay e^{-k s}; the rotation contributes
+a constant factor i^{i k} = e^{-pi k / 2}.  What is left is a short set of
+absolutely convergent integrals in sigma = ln s, integrated by adaptive
+quadrature between limits set by the integrand's own decay.
+
 Probability 1 (atom accelerating past a static mirror).  With proper time
-T (units c/a) and u = e^T the amplitude splits into two half-line Mellin
-integrals with phases
+T (units c/a) and u = e^T the amplitude is 2i Im of
 
-    A1 u - A2/u - C      and      A2 u - A1/u + C,
+    e^{-i C} int_0^inf u^{i x - 1} e^{i (A1 u - A2/u)} du,
 
-where A1 = y (1 - eps/2), A2 = y eps / 2, C = y (1 - eps) zeta.  Both are
-conditionally convergent oscillatory integrals: each is damped by the
-adiabatic switching factor e^{-delta |T|} = u^{-delta sign(ln u)} for a
-decreasing ladder of regulators delta and Richardson-extrapolated to
-delta -> 0 (the switched value is analytic in delta, so polynomial
-extrapolation is exact in the limit).
+where A1 = y (1 - eps/2), A2 = y eps / 2, C = y (1 - eps) zeta.  The A2/u
+phase is the GUP correction.  Kept exponentiated it also excites a
+spurious beyond-all-orders sector oscillating as e^{i x ln(eps y/2)}: the
+mode's deformation phase winds arbitrarily fast toward the past horizon,
+outside the first-order validity of the deformed dispersion relation.
+The oracle therefore integrates that factor linearized in eps,
+e^{-i A2/u} -> 1 - i A2/u, matching the first-order meaning of the closed
+forms.  With u = i e^sigma the amplitude becomes
 
-The A2/u phase is the GUP correction.  Kept exponentiated it also excites
-a spurious beyond-all-orders sector oscillating as e^{i x ln(eps y/2)}:
-the mode's deformation phase winds arbitrarily fast toward the past
-horizon, outside the first-order validity of the deformed dispersion
-relation.  The oracle therefore integrates that factor linearized in eps,
-e^{-i A2/u} -> 1 - i A2/u, matching the first-order meaning of the
-closed forms; the resulting power integral is evaluated as a Hadamard
-finite part (elementary subtraction constants only, no special
-functions).  At eps = 0 nothing is linearized or subtracted.
+    2i Im[ e^{-i C} e^{-pi x/2} (J_0 - A2 J_1) ],
+    J_k = int e^{(i x - k) sigma - A1 e^sigma} d sigma.
+
+J_0 converges only conditionally and J_1 diverges as sigma -> -inf; both
+are taken as Hadamard finite parts.  On sigma < 0 the first k + 1 Taylor
+terms of e^{-A1 e^sigma} are subtracted (with expm1), and the subtracted
+powers contribute their elementary continuation values, 1/(i x) for J_0
+and 1/(i x - 1) - A1/(i x) for J_1.  At eps = 0 J_1 is not needed.
 
 Probability 2 (mirror accelerating away from a static atom) has no such
-sector; the exact mode is integrated as-is.  With w = zeta + t the
-second mode term becomes a half-line integral of
+sector; the exact mode is integrated as-is.  The two mode terms are exact
+reflection conjugates of one another, so the amplitude is -2i Im of
+e^{-i x zeta} times a single core integral.  With w = zeta + t,
 
-    e^{i x w} w^{i ybar} (2 zeta - w)^{-i eps y / 2},
+    core = int_0^inf e^{i x w} w^{i ybar} (2 zeta - w)^{-i eta} dw,
 
-with the w -> 0 endpoint handled by the log substitution s = ln(w)
-(absolutely convergent), an interior split at w = 2 zeta where the power
-factor's log-phase is singular, and the oscillatory tail regulated and
-extrapolated as above.  The first mode term is the exact reflection
-conjugate of the second (substitute w = zeta - t), so the full amplitude
-is 2i Im of a single core integral.
+ybar = y (1 - eps/2), eta = eps y / 2.  The prescription continues the
+power factor across w = 2 zeta with the beyond-horizon weight
+e^{-pi eta}.  With w = i s
+
+    core = i e^{-pi ybar/2} int_0^inf e^{-x s} s^{i ybar} (2 zeta - i s)^{-i eta} ds
+
+on the principal branch: 2 zeta - i s stays in the lower half plane, so
+the rotated path never meets the cut.
+
+Error control.  Each quadrature returns QUADPACK's error estimate.  Their
+sum, each scaled by the factor its piece enters the amplitude with, is
+the amplitude-scale error estimate reported as extrapolation_residual and
+gated at 100x abs_tolerance.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
 from .closed_form import p1_closed, p2_closed
 from .units import DimensionlessConfig
@@ -66,49 +83,23 @@ __all__ = [
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Raised when the regulator extrapolation cannot certify its result."""
-
-
-def _default_regulators() -> tuple[float, ...]:
-    return tuple(0.1 * 0.5**j for j in range(7))
+    """Raised when the quadrature error estimate exceeds its gate."""
 
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Controls for the oscillatory-integral oracle.
+    """Controls for the quadrature oracle.
 
-    regulator_sequence   decreasing adiabatic damping strengths delta
-    abs_tolerance        per-integral quadrature tolerance
-    extrapolation_order  polynomial order of the delta -> 0 Richardson limit
-    cutoff               optional finite upper limit for the oscillatory
-                         tails (in the post-substitution integration
-                         variable); None means the tails run to infinity
-                         under QUADPACK's self-tuning Fourier acceleration
+    abs_tolerance   amplitude-scale error budget; an evaluation whose error
+                    estimate exceeds 100x this raises
+                    QuadratureConvergenceError
     """
 
-    regulator_sequence: tuple[float, ...] = field(default_factory=_default_regulators)
     abs_tolerance: float = 1e-10
-    # Order 4 is needed (not 3) for the residual to clear the convergence
-    # gate of 100x abs_tolerance down to x ~ 0.5, where the adiabatic
-    # switching expansion has coefficients growing like x^-k.
-    extrapolation_order: int = 4
-    cutoff: float | None = None
 
     def __post_init__(self) -> None:
-        seq = tuple(self.regulator_sequence)
-        object.__setattr__(self, "regulator_sequence", seq)
-        if len(seq) < 2:
-            raise ValueError("regulator_sequence needs at least two members")
-        if any(not d > 0.0 for d in seq):
-            raise ValueError("regulators must be strictly positive")
-        if any(b >= a for a, b in zip(seq, seq[1:])):
-            raise ValueError("regulator_sequence must be strictly decreasing")
         if not self.abs_tolerance > 0.0:
             raise ValueError("abs_tolerance must be strictly positive")
-        if not 1 <= self.extrapolation_order <= len(seq) - 1:
-            raise ValueError("extrapolation_order must be in [1, len(regulator_sequence) - 1]")
-        if self.cutoff is not None and not self.cutoff > 0.0:
-            raise ValueError("cutoff must be strictly positive when given")
 
 
 @dataclass(frozen=True)
@@ -116,18 +107,14 @@ class AmplitudeResult:
     """Oracle output for one probability evaluation.
 
     probability            dimensionless P a^2 / (g^2 c^2) = |amplitude|^2 / 4
-    amplitude              extrapolated dimensionless transition amplitude
-    regulator_estimates    per-regulator probability estimates, same order
-                           as the regulator sequence
-    extrapolation_residual amplitude-scale error estimate: the final
-                           Richardson-column spread (scaled by its window
-                           factor) plus any neglected-tail bound from a
-                           finite cutoff
+    amplitude              dimensionless transition amplitude
+    extrapolation_residual amplitude-scale error estimate: the summed
+                           quadrature error estimates, each scaled by the
+                           factor its piece enters the amplitude with
     """
 
     probability: float
     amplitude: complex
-    regulator_estimates: tuple[float, ...]
     extrapolation_residual: float
 
 
@@ -135,198 +122,85 @@ class AmplitudeResult:
 # quadrature primitives
 
 _QUAD_LIMIT = 400
-_QAWF_LIMLST = 200
+# Integration limits follow from the integrand's decay: the small-s end is
+# cut where the dropped tail is below _NEGLIGIBLE, the large-s end where
+# the exponential decay has reached e^{-_DECAY}.
+_NEGLIGIBLE = 1e-17
+_DECAY = 60.0
 
 
 def _piece_tolerance(q: QuadratureSettings) -> float:
-    # abs_tolerance budgets one full amplitude integral; each amplitude is
-    # assembled from ~10 quadrature pieces, so pieces run a decade tighter.
+    # abs_tolerance budgets one full amplitude, assembled from up to eight
+    # quadratures, so each quadrature runs a decade tighter.
     return 0.1 * q.abs_tolerance
 
 
-def _quad_real(f, a, b, tol, **kw) -> float:
-    with warnings.catch_warnings():
-        # Individual pieces may trip roundoff-level warnings on strongly
-        # oscillatory stretches; accuracy is certified end to end by the
-        # regulator-extrapolation residual instead.
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, _ = quad(f, a, b, epsabs=tol, epsrel=tol, limit=_QUAD_LIMIT, **kw)
-    return value
+def _complex_quad(f, a: float, b: float, tol: float) -> tuple[complex, float]:
+    """Integral of the complex function f over (a, b), and its error estimate."""
+    re, re_err = quad(lambda t: f(t).real, a, b, epsabs=tol, epsrel=tol, limit=_QUAD_LIMIT)
+    im, im_err = quad(lambda t: f(t).imag, a, b, epsabs=tol, epsrel=tol, limit=_QUAD_LIMIT)
+    return complex(re, im), re_err + im_err
 
 
-def _complex_quad(f, a: float, b: float, tol: float) -> complex:
-    re = _quad_real(lambda t: f(t).real, a, b, tol)
-    im = _quad_real(lambda t: f(t).imag, a, b, tol)
-    return complex(re, im)
-
-
-def _fourier_tail(f, omega: float, a: float, tol: float, cutoff: float | None,
-                  neglected: list[float]) -> complex:
-    """Integral of f(t) e^{i omega t} over (a, inf), or (a, cutoff) if set.
-
-    A finite cutoff leaves the genuinely neglected tail unaccounted for by
-    the quadrature itself; its integration-by-parts estimate 2|f|/omega at
-    the truncation point is appended to `neglected` so it surfaces in the
-    extrapolation residual instead of being silently dropped.
-    """
-    if cutoff is not None:
-        if cutoff <= a:
-            neglected.append(2.0 * abs(f(a)) / omega)
-            return 0j
-        neglected.append(2.0 * abs(f(cutoff)) / omega)
-        kw_cos = {"weight": "cos", "wvar": omega}
-        kw_sin = {"weight": "sin", "wvar": omega}
-        upper = cutoff
-    else:
-        kw_cos = {"weight": "cos", "wvar": omega, "limlst": _QAWF_LIMLST}
-        kw_sin = {"weight": "sin", "wvar": omega, "limlst": _QAWF_LIMLST}
-        upper = math.inf
-    fr_c = _quad_real(lambda t: f(t).real, a, upper, tol, **kw_cos)
-    fr_s = _quad_real(lambda t: f(t).real, a, upper, tol, **kw_sin)
-    fi_c = _quad_real(lambda t: f(t).imag, a, upper, tol, **kw_cos)
-    fi_s = _quad_real(lambda t: f(t).imag, a, upper, tol, **kw_sin)
-    return complex(fr_c - fi_s, fr_s + fi_c)
-
-
-def _richardson(values: list[complex], order: int) -> tuple[complex, float]:
-    """Extrapolate a geometric-ratio-2 regulator ladder to zero.
-
-    `values` are ordered from the largest to the smallest regulator; the
-    error model is polynomial in the regulator, so each stage k removes
-    the delta^k term.  The residual estimates the error of the returned
-    finest-window entry: two neighboring entries of the final stage carry
-    errors apart by the window factor 2^(order+1), so their difference,
-    scaled by 1/(2^(order+1) - 1), bounds the finer one.
-    """
-    level = list(values)
-    previous_last = level[-1]
-    for k in range(1, order + 1):
-        factor = 2.0**k
-        level = [
-            (factor * level[i + 1] - level[i]) / (factor - 1.0) for i in range(len(level) - 1)
-        ]
-        if k < order:
-            previous_last = level[-1]
-    if len(level) >= 2:
-        residual = abs(level[-1] - level[-2]) / (2.0 ** (order + 1) - 1.0)
-    else:
-        residual = abs(level[-1] - previous_last)
-    return level[-1], residual
+def _check_convergence(residual: float, q: QuadratureSettings, what: str) -> None:
+    threshold = 100.0 * q.abs_tolerance
+    if not residual <= threshold:
+        raise QuadratureConvergenceError(
+            f"{what}: quadrature error estimate {residual:.3e} exceeds {threshold:.3e}; "
+            "abs_tolerance is below what double precision reaches at this point"
+        )
 
 
 # ---------------------------------------------------------------------------
 # probability 1: atom accelerating past a static mirror
 
-_SMALL_FREQ = 1e-12
+def _rotated_mellin(x: float, a1: float, k: int, tol: float) -> tuple[complex, float]:
+    """Finite part of int e^{(i x - k) sigma - a1 e^sigma} d sigma, k in {0, 1},
+    and its error estimate.
 
-
-def _half_line_mellin(c: float, big_a: float, big_b: float, delta: float,
-                      tol: float, cutoff: float | None,
-                      neglected: list[float]) -> complex:
-    """int_1^inf u^{i c - 1 - delta} e^{i (big_a u - big_b / u)} du.
-
-    Routing: a pure log-phase integrand (big_a == 0) is integrated in
-    T = ln u where its oscillation e^{i c T} is uniform; for small big_a
-    the stretch up to u = 1/big_a (where the linear phase has turned less
-    than a radian) is integrated in T, and the genuinely oscillatory
-    remainder is handed to the Fourier tail machinery.
+    On sigma < 0 the remainder after subtracting k + 1 Taylor terms behaves
+    as a1^{k+1} e^sigma / (k+1)!, which sets the lower limit; on sigma > 0
+    the integrand is below e^{-a1 e^sigma}, which sets the upper one.
     """
-    if big_a < _SMALL_FREQ:
-        t_cut = None
-        if cutoff is not None:
-            if cutoff <= 1.0:
-                neglected.append(2.0 / c)
-                return 0j
-            t_cut = math.log(cutoff)
-        return _fourier_tail(
-            lambda t: math.exp(-delta * t) * cmath.exp(-1j * big_b * math.exp(-t)),
-            c, 0.0, tol, t_cut, neglected,
-        )
+    lower = math.log(_NEGLIGIBLE / a1 ** (k + 1))
+    upper = max(0.0, math.log(_DECAY / a1))
 
-    def slow_zone(t: float) -> complex:
-        return cmath.exp(complex(-delta * t, c * t)) * cmath.exp(
-            1j * (big_a * math.exp(t) - big_b * math.exp(-t))
-        )
+    def remainder(s: float) -> complex:
+        z = a1 * math.exp(s)
+        return cmath.exp(complex(-k * s, x * s)) * (math.expm1(-z) + k * z)
 
-    u_split = 1.0
-    total = 0j
-    if big_a < 0.5:
-        u_split = 1.0 / big_a
-        if cutoff is not None and cutoff < u_split:
-            # truncation lands in the slowly oscillating zone, where only
-            # the log-phase e^{i c ln u} suppresses the remainder
-            neglected.append(2.0 / c)
-            if cutoff > 1.0:
-                total += _complex_quad(slow_zone, 0.0, math.log(cutoff), tol)
-            return total
-        total += _complex_quad(slow_zone, 0.0, math.log(u_split), tol)
-    total += _fourier_tail(
-        lambda u: u ** complex(-1.0 - delta, c) * cmath.exp(-1j * big_b / u),
-        big_a, u_split, tol, cutoff, neglected,
+    near, near_err = _complex_quad(remainder, lower, 0.0, tol)
+    far, far_err = _complex_quad(
+        lambda s: cmath.exp(complex(-k * s - a1 * math.exp(s), x * s)), 0.0, upper, tol
     )
-    return total
-
-
-def _base_amplitude_half(x: float, a1: float, delta: float, tol: float,
-                         cutoff: float | None, neglected: list[float]) -> complex:
-    """int_0^inf u^{i x - 1} e^{i a1 u} du under the switching regulator."""
-    forward = _half_line_mellin(x, a1, 0.0, delta, tol, cutoff, neglected)
-    backward = _half_line_mellin(x, 0.0, a1, delta, tol, cutoff, neglected)
-    return forward + backward.conjugate()
-
-
-def _gup_power_correction(x: float, a1: float, tol: float, cutoff: float | None,
-                          neglected: list[float]) -> complex:
-    """Hadamard finite part of int_0^inf u^{i x - 2} e^{i a1 u} du.
-
-    Splitting at u = 1 and subtracting the first two Taylor terms of the
-    exponential on (0, 1) leaves absolutely convergent integrals; the
-    subtracted powers contribute their elementary continuation values
-    1/(i x - 1) and i a1 / (i x).
-    """
-    sub = _complex_quad(
-        lambda s: cmath.exp(complex(-s, x * s))
-        * (cmath.exp(1j * a1 * math.exp(s)) - 1.0 - 1j * a1 * math.exp(s)),
-        -30.0, 0.0, tol,
-    )
-    constants = 1.0 / complex(-1.0, x) + 1j * a1 / complex(0.0, x)
-    tail = _fourier_tail(lambda u: u ** complex(-2.0, x), a1, 1.0, tol, cutoff, neglected)
-    return sub + constants + tail
+    subtracted = 1.0 / complex(0.0, x) if k == 0 else 1.0 / complex(-1.0, x) - a1 / complex(0.0, x)
+    return near + far + subtracted, near_err + far_err
 
 
 def p1_numeric(d: DimensionlessConfig, q: QuadratureSettings | None = None) -> AmplitudeResult:
     """Excitation probability of an atom accelerating past a static mirror,
     by direct quadrature of the transition amplitude.
 
-    Raises QuadratureConvergenceError when the regulator extrapolation
-    residual exceeds 100x abs_tolerance.
+    Raises QuadratureConvergenceError when the error estimate exceeds
+    100x abs_tolerance.
     """
     q = q or QuadratureSettings()
     tol = _piece_tolerance(q)
     a1 = d.y * (1.0 - 0.5 * d.eps)
     a2 = 0.5 * d.y * d.eps
     mirror_phase = cmath.exp(-1j * d.y * (1.0 - d.eps) * d.zeta)
-    neglected: list[float] = []
-    correction = (
-        _gup_power_correction(d.x, a1, tol, q.cutoff, neglected) if a2 > 0.0 else 0j
-    )
-    correction_bound = 2.0 * a2 * sum(neglected)
-
-    amplitudes: list[complex] = []
-    truncation_bound = correction_bound
-    for delta in q.regulator_sequence:
-        neglected = []
-        base = _base_amplitude_half(d.x, a1, delta, tol, q.cutoff, neglected)
-        half = mirror_phase * (base - 1j * a2 * correction)
-        amplitudes.append(2j * half.imag)
-        truncation_bound = max(truncation_bound, 2.0 * sum(neglected) + correction_bound)
-    amp, richardson_residual = _richardson(amplitudes, q.extrapolation_order)
-    residual = richardson_residual + truncation_bound
+    rotation = math.exp(-0.5 * math.pi * d.x)
+    half, error = _rotated_mellin(d.x, a1, 0, tol)
+    if a2 > 0.0:
+        correction, correction_error = _rotated_mellin(d.x, a1, 1, tol)
+        half -= a2 * correction
+        error += a2 * correction_error
+    amp = 2j * (mirror_phase * rotation * half).imag
+    residual = 2.0 * rotation * error
     _check_convergence(residual, q, "probability-1 amplitude")
     return AmplitudeResult(
         probability=0.25 * abs(amp) ** 2,
         amplitude=amp,
-        regulator_estimates=tuple(0.25 * abs(a) ** 2 for a in amplitudes),
         extrapolation_residual=residual,
     )
 
@@ -334,49 +208,26 @@ def p1_numeric(d: DimensionlessConfig, q: QuadratureSettings | None = None) -> A
 # ---------------------------------------------------------------------------
 # probability 2: mirror accelerating away from a static atom
 
-def _accel_mirror_core(x: float, ybar: float, eta: float, zeta: float, delta: float,
-                       tol: float, cutoff: float | None,
-                       neglected: list[float]) -> complex:
-    """int_0^inf e^{i x w} w^{i ybar} (2 zeta - w)^{-i eta} e^{-delta |w - zeta|} dw.
+def _accel_mirror_core(x: float, ybar: float, eta: float, zeta: float,
+                       tol: float) -> tuple[complex, float]:
+    """int_0^inf e^{i x w} w^{i ybar} (2 zeta - w)^{-i eta} dw, rotated to
+    w = i s, and its error estimate.
 
-    The power factor is continued across w = 2 zeta with the t -> t - i0
-    prescription, giving the beyond-horizon weight e^{-pi eta}.
+    In sigma = ln s the integrand is bounded by e^{sigma - x e^sigma},
+    which sets both limits.
     """
-    branch_weight = math.exp(-math.pi * eta)
 
-    def power_factor(w: float) -> complex:
-        if w < 2.0 * zeta:
-            return cmath.exp(-1j * eta * math.log(2.0 * zeta - w))
-        if w == 2.0 * zeta:
-            return 0j
-        return branch_weight * cmath.exp(-1j * eta * math.log(w - 2.0 * zeta))
-
-    def integrand(w: float) -> complex:
-        return (
-            cmath.exp(complex(0.0, x * w + ybar * math.log(w)))
-            * power_factor(w)
-            * math.exp(-delta * abs(w - zeta))
+    def integrand(sigma: float) -> complex:
+        s = math.exp(sigma)
+        return cmath.exp(
+            complex(sigma - x * s, ybar * sigma) - 1j * eta * cmath.log(complex(2.0 * zeta, -s))
         )
 
-    w_log = 0.5 * zeta
-    total = _complex_quad(
-        lambda s: cmath.exp(complex(s, ybar * s + x * math.exp(s)))
-        * power_factor(math.exp(s))
-        * math.exp(-delta * abs(math.exp(s) - zeta)),
-        -30.0, math.log(w_log), tol,
+    rotation = math.exp(-0.5 * math.pi * ybar)
+    value, error = _complex_quad(
+        integrand, math.log(_NEGLIGIBLE), math.log(_DECAY / x), tol
     )
-    total += _complex_quad(integrand, w_log, zeta, tol)
-    total += _complex_quad(integrand, zeta, 2.0 * zeta, tol)
-    w_tail = 2.0 * zeta + max(2.0, 10.0 / x)
-    total += _complex_quad(integrand, 2.0 * zeta, w_tail, tol)
-    total += _fourier_tail(
-        lambda w: cmath.exp(complex(0.0, ybar * math.log(w)))
-        * branch_weight
-        * cmath.exp(-1j * eta * math.log(w - 2.0 * zeta))
-        * math.exp(-delta * (w - zeta)),
-        x, w_tail, tol, cutoff, neglected,
-    )
-    return total
+    return 1j * rotation * value, rotation * error
 
 
 def p2_numeric(d: DimensionlessConfig, q: QuadratureSettings | None = None) -> AmplitudeResult:
@@ -384,42 +235,24 @@ def p2_numeric(d: DimensionlessConfig, q: QuadratureSettings | None = None) -> A
     mirror, by direct quadrature of the transition amplitude.
 
     Requires zeta < 1 (the atom must sit inside the mirror's right Rindler
-    wedge).  The two mode terms are exact reflection conjugates of one
-    another, so the amplitude is assembled from a single core integral.
+    wedge).  Raises QuadratureConvergenceError when the error estimate
+    exceeds 100x abs_tolerance.
     """
     q = q or QuadratureSettings()
     if not d.zeta < 1.0:
         raise ValueError("mirror-accelerating case requires zeta < 1")
-    tol = _piece_tolerance(q)
     ybar = d.y * (1.0 - 0.5 * d.eps)
     eta = 0.5 * d.eps * d.y
     atom_phase = cmath.exp(-1j * d.x * d.zeta)
-
-    amplitudes: list[complex] = []
-    truncation_bound = 0.0
-    for delta in q.regulator_sequence:
-        neglected: list[float] = []
-        core = _accel_mirror_core(d.x, ybar, eta, d.zeta, delta, tol, q.cutoff, neglected)
-        amplitudes.append(-2j * (atom_phase * core).imag)
-        truncation_bound = max(truncation_bound, 2.0 * sum(neglected))
-    amp, richardson_residual = _richardson(amplitudes, q.extrapolation_order)
-    residual = richardson_residual + truncation_bound
+    core, core_error = _accel_mirror_core(d.x, ybar, eta, d.zeta, _piece_tolerance(q))
+    amp = -2j * (atom_phase * core).imag
+    residual = 2.0 * core_error
     _check_convergence(residual, q, "probability-2 amplitude")
     return AmplitudeResult(
         probability=0.25 * abs(amp) ** 2,
         amplitude=amp,
-        regulator_estimates=tuple(0.25 * abs(a) ** 2 for a in amplitudes),
         extrapolation_residual=residual,
     )
-
-
-def _check_convergence(residual: float, q: QuadratureSettings, what: str) -> None:
-    threshold = 100.0 * q.abs_tolerance
-    if not residual <= threshold:
-        raise QuadratureConvergenceError(
-            f"{what}: extrapolation residual {residual:.3e} exceeds {threshold:.3e}; "
-            "tighten the regulator sequence or raise the cutoff"
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,10 @@ between the two configurations.
 
 Sign conventions for the Gamma phases (+theta, -the Omega sin Delta term,
 -kappa) are fixed by the first-principles quadrature oracle, which this
-package treats as ground truth; at eps = 0 agreement is at the 1e-9
-level.  With these conventions the x = y, eps = 0 symmetry between the
-two probabilities is exact.
+package treats as ground truth; at eps = 0 the two agree to within
+4e-14 relative on the acceptance and default verify grids.  With these
+conventions the x = y, eps = 0 symmetry between the two probabilities
+is exact.
 
 The first-order GUP terms of probability 2 inherit an additional
 approximation from the analytic evaluation (the position-dependent power

@@ -46,7 +46,7 @@ ROW_COLUMNS = (
 _DIMENSIONLESS_KEYS = ("x", "y", "zeta", "eps")
 _PHYSICAL_KEYS = ("a", "omega0", "nu", "z0", "g", "beta")
 _SWEEP_KEYS = ("sweep_param", "sweep_min", "sweep_max", "sweep_count", "sweep_spacing")
-_QUAD_KEYS = ("quad_regulators", "quad_abs_tolerance", "quad_extrapolation_order", "quad_cutoff")
+_QUAD_KEYS = ("quad_abs_tolerance",)
 _OTHER_KEYS = ("mode", "out", "freq_convention", "eta0", "workers", "grid")
 _KNOWN_KEYS = frozenset(
     _DIMENSIONLESS_KEYS + _PHYSICAL_KEYS + _SWEEP_KEYS + _QUAD_KEYS + _OTHER_KEYS
@@ -279,27 +279,14 @@ def parse_config(text: str, default_mode: str | None = None) -> RunConfig:
             pairs[sweep_present[0]][1],
         )
 
-    quad_kwargs: dict = {}
-    if "quad_regulators" in pairs:
-        raw, line = pairs["quad_regulators"]
-        try:
-            quad_kwargs["regulator_sequence"] = tuple(
-                float(part) for part in raw.split(",") if part.strip()
-            )
-        except ValueError:
-            raise ConfigError("quad_regulators: expected comma-separated numbers", line) from None
+    quadrature = QuadratureSettings()
     if "quad_abs_tolerance" in pairs:
-        quad_kwargs["abs_tolerance"] = _parse_float("quad_abs_tolerance",
-                                                    *pairs["quad_abs_tolerance"])
-    if "quad_extrapolation_order" in pairs:
-        quad_kwargs["extrapolation_order"] = _parse_int("quad_extrapolation_order",
-                                                        *pairs["quad_extrapolation_order"])
-    if "quad_cutoff" in pairs:
-        quad_kwargs["cutoff"] = _parse_float("quad_cutoff", *pairs["quad_cutoff"])
-    try:
-        quadrature = QuadratureSettings(**quad_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"quadrature settings: {exc}") from None
+        tolerance = _parse_float("quad_abs_tolerance", *pairs["quad_abs_tolerance"])
+        try:
+            quadrature = QuadratureSettings(abs_tolerance=tolerance)
+        except ValueError as exc:
+            raise ConfigError(f"quadrature settings: {exc}",
+                              pairs["quad_abs_tolerance"][1]) from None
 
     eta0 = 1.0
     if "eta0" in pairs:

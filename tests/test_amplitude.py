@@ -1,8 +1,11 @@
 """Quadrature oracle: two-route agreement, regression values, error control."""
 
+import itertools
 import math
+import warnings
 
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from gup_mirror import (
     DimensionlessConfig,
@@ -93,30 +96,17 @@ def test_mirror_phase_gauge_invariance():
     assert a.probability == pytest.approx(0.25 * abs(a.amplitude) ** 2, rel=1e-15)
 
 
-def test_regulator_estimates_shape_and_convergence():
-    d = DimensionlessConfig(x=1.0, y=1.0, zeta=0.5, eps=0.0)
-    q = QuadratureSettings()
-    result = p2_numeric(d, q)
-    assert len(result.regulator_estimates) == len(q.regulator_sequence)
-    assert result.extrapolation_residual >= 0.0
-    # extrapolation genuinely improves on the raw finest-regulator value
-    finest = result.regulator_estimates[-1]
-    closed = p2_closed(d).total
-    assert abs(result.probability - closed) < abs(finest - closed)
-    # the damped estimates approach the limit monotonically in this regime
-    errors = [abs(p - closed) for p in result.regulator_estimates]
-    assert errors[0] > errors[-1]
-
-
-def test_residual_decreases_with_extrapolation_order():
-    # abs_tolerance loosened so the convergence gate does not fire at low
-    # order; the point is the monotone improvement of the residual itself
-    d = DimensionlessConfig(x=1.0, y=1.0, zeta=0.5, eps=0.0)
-    residuals = []
-    for order in (1, 2, 4):
-        q = QuadratureSettings(extrapolation_order=order, abs_tolerance=1e-4)
-        residuals.append(p1_numeric(d, q).extrapolation_residual)
-    assert residuals[0] > residuals[1] > residuals[2]
+def test_residual_decreases_with_tolerance():
+    # the error estimate follows the requested tolerance, and stays under
+    # the gate of 100x abs_tolerance at each step
+    for point, oracle in (((1.0, 1.0, 0.5, 0.0), p1_numeric), ((1.0, 1.0, 0.5, 0.01), p1_numeric),
+                          ((1.0, 1.0, 0.5, 0.0), p2_numeric)):
+        d = DimensionlessConfig(*point)
+        residuals = [
+            oracle(d, QuadratureSettings(abs_tolerance=tol)).extrapolation_residual
+            for tol in (1e-4, 1e-8, 1e-12)
+        ]
+        assert residuals[0] > residuals[1] > residuals[2] >= 0.0
 
 
 def test_determinism():
@@ -127,13 +117,17 @@ def test_determinism():
     assert first.amplitude == second.amplitude
 
 
-def test_tiny_cutoff_flags_non_convergence():
-    d = DimensionlessConfig(x=1.0, y=1.0, zeta=0.5, eps=0.0)
-    q = QuadratureSettings(cutoff=5.0)
-    with pytest.raises(QuadratureConvergenceError):
-        p1_numeric(d, q)
-    with pytest.raises(QuadratureConvergenceError):
-        p2_numeric(d, q)
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_unreachable_tolerance_flags_non_convergence():
+    # double precision leaves an error estimate of a few 1e-15 on the
+    # amplitude, far above the gate of 1e-16 this tolerance sets
+    q = QuadratureSettings(abs_tolerance=1e-18)
+    for eps in (0.0, 0.01):
+        d = DimensionlessConfig(x=1.0, y=1.0, zeta=0.5, eps=eps)
+        with pytest.raises(QuadratureConvergenceError, match="error estimate"):
+            p1_numeric(d, q)
+        with pytest.raises(QuadratureConvergenceError, match="error estimate"):
+            p2_numeric(d, q)
 
 
 def test_p2_requires_wedge():
@@ -142,20 +136,10 @@ def test_p2_requires_wedge():
 
 
 def test_settings_validation():
-    with pytest.raises(ValueError):
-        QuadratureSettings(regulator_sequence=(0.1,))
-    with pytest.raises(ValueError):
-        QuadratureSettings(regulator_sequence=(0.1, 0.2))
-    with pytest.raises(ValueError):
-        QuadratureSettings(regulator_sequence=(0.1, -0.05))
-    with pytest.raises(ValueError):
-        QuadratureSettings(abs_tolerance=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSettings(extrapolation_order=0)
-    with pytest.raises(ValueError):
-        QuadratureSettings(extrapolation_order=7)
-    with pytest.raises(ValueError):
-        QuadratureSettings(cutoff=-2.0)
+    assert QuadratureSettings().abs_tolerance == 1e-10
+    for bad in (0.0, -1e-10, math.nan):
+        with pytest.raises(ValueError):
+            QuadratureSettings(abs_tolerance=bad)
 
 
 def test_verify_pair_at_eps_zero():
@@ -178,9 +162,21 @@ def test_verify_pair_reports_honest_deviations_at_eps():
     assert record.p2_rel_dev == pytest.approx(0.033, abs=0.01)
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_verify_pair_propagates_non_convergence():
     d = DimensionlessConfig(x=1.0, y=1.0, zeta=0.5, eps=0.0)
     with pytest.raises(QuadratureConvergenceError):
-        verify_pair(d, QuadratureSettings(cutoff=3.0))
+        verify_pair(d, QuadratureSettings(abs_tolerance=1e-18))
     with pytest.raises(ValueError, match="zeta < 1"):
         verify_pair(DimensionlessConfig(x=1.0, y=1.0, zeta=1.5, eps=0.0))
+
+
+def test_no_integration_warning_on_criterion_2_grid():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        for x, y, zeta, eps in itertools.product(
+            (0.7, 1.1, 1.9), (0.7, 1.2, 2.0), (0.35, 0.55, 0.8), (0.0, 1e-3, 1e-2)
+        ):
+            d = DimensionlessConfig(x=x, y=y, zeta=zeta, eps=eps)
+            p1_numeric(d)
+            p2_numeric(d)

@@ -1,8 +1,10 @@
 """Config parsing, run orchestration, CSV contract, exit codes."""
 
 import math
+import warnings
 
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from gup_mirror import ConfigError, parse_config, run
 from gup_mirror.cli import main
@@ -182,7 +184,9 @@ def test_verify_single_point(tmp_path):
 def test_verify_default_grid(tmp_path):
     out = tmp_path / "grid.csv"
     cfg = parse_config(f"mode = verify\ngrid = default\nout = {out}")
-    assert run(cfg) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        assert run(cfg) == 0
     lines = read(out).decode().strip().split("\n")
     assert len(lines) == 28  # header + 27 grid points
     for line in lines[1:]:
@@ -195,12 +199,24 @@ def test_verify_default_grid(tmp_path):
         )
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_exit_code_non_convergence(tmp_path):
+    # a tolerance below what double precision reaches cannot be certified
     out = tmp_path / "bad.csv"
     cfg = parse_config(
-        f"mode = verify\nx = 1\ny = 1\nzeta = 0.5\neps = 0\nquad_cutoff = 3.0\nout = {out}"
+        f"mode = verify\nx = 1\ny = 1\nzeta = 0.5\neps = 0\nquad_abs_tolerance = 1e-18\n"
+        f"out = {out}"
     )
     assert run(cfg) == 2
+
+
+@pytest.mark.parametrize("key", ["quad_regulators", "quad_extrapolation_order", "quad_cutoff"])
+def test_removed_quadrature_keys_are_unknown(tmp_path, key):
+    config = tmp_path / "old.conf"
+    config.write_text(f"mode = verify\nx = 1\ny = 1\nzeta = 0.5\n{key} = 3\n")
+    with pytest.raises(ConfigError, match=key):
+        parse_config(config.read_text())
+    assert main(["verify", "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 1
 
 
 def test_physical_block_and_freq_convention(tmp_path):
