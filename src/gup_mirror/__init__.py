@@ -55,7 +55,7 @@ from .modes import (
     mode_static_mirror,
     rindler_to_minkowski,
 )
-from .runner import ConfigError, RunConfig, SweepAxis, SweepResultRow, parse_config, run
+from .runner import ConfigError, RunConfig, SweepAxis, parse_config, run
 from .special import GammaPhaseSet, gamma_phase_set, log_gamma, planck_factor
 from .units import (
     CODATA,
@@ -85,7 +85,6 @@ __all__ = [
     "RunConfig",
     "SpacetimePoint",
     "SweepAxis",
-    "SweepResultRow",
     "TemperaturePair",
     "VerifyRecord",
     "ViolationReport",

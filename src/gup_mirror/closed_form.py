@@ -82,6 +82,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .special import _principal, digamma, gamma_phase_set, log_gamma, planck_factor
 from .units import (
@@ -89,6 +90,7 @@ from .units import (
     DimensionlessConfig,
     PhysicalConfig,
     PhysicalConstants,
+    gup_strength,
     to_dimensionless,
 )
 
@@ -103,8 +105,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProbabilityBreakdown:
+class ProbabilityBreakdown(NamedTuple):
     """Probability with its factor decomposition.
 
     total = prefactor * damping * planck * sin2 (to rounding);
@@ -134,14 +135,8 @@ class TemperaturePair:
 
 def _assemble(prefactor: float, damping: float, planck: float, phase: float) -> ProbabilityBreakdown:
     sin2 = math.sin(phase) ** 2
-    return ProbabilityBreakdown(
-        total=prefactor * damping * planck * sin2,
-        prefactor=prefactor,
-        damping=damping,
-        planck=planck,
-        phase_argument=phase,
-        sin2=sin2,
-    )
+    return ProbabilityBreakdown(prefactor * damping * planck * sin2,
+                                prefactor, damping, planck, phase, sin2)
 
 
 def p1_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
@@ -267,7 +262,7 @@ def temperatures(p: PhysicalConfig, k: PhysicalConstants = CODATA) -> Temperatur
     far beyond any perturbatively meaningful value, and is rejected there.
     """
     unruh = k.hbar * p.a / (2.0 * math.pi * k.k_B * k.c)
-    eps = p.beta * k.hbar**2 * p.nu**2 / k.c**2
+    eps = gup_strength(p, k)
     if eps >= 2.0:
         raise ValueError(f"eps={eps!r} reaches the modified-temperature pole at 2")
     return TemperaturePair(unruh=unruh, modified=unruh / (1.0 - 0.5 * eps))

@@ -3,18 +3,18 @@
 Runs are described by a line-oriented key = value file ('#' starts a
 comment, unknown keys are errors) plus a mode.  Physics modes emit a CSV
 with one row per evaluated point in a fixed column order; the bound and
-temperatures modes emit small mode-specific tables.  Identical run
-configurations produce byte-identical CSV regardless of worker count:
-rows are computed by a pool but written by a single writer in axis order,
-and floats are rendered with 17 significant digits.
+temperatures modes emit small mode-specific tables.  Rows are computed
+on one thread, in axis order, and floats are rendered with 17
+significant digits, so identical run configurations produce
+byte-identical CSV.  The `workers` key is still accepted and validated
+but has no effect: rows are pure Python and hold the interpreter lock,
+so threads cannot compute them in parallel.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,14 +22,13 @@ import numpy as np
 from .amplitude import QuadratureConvergenceError, QuadratureSettings, p1_numeric, p2_numeric
 from .closed_form import p1_closed, p2_closed, temperatures
 from .equivalence import beta_bound, q_parameter
-from .units import CODATA, DimensionlessConfig, PhysicalConfig, to_dimensionless
+from .units import CODATA, DimensionlessConfig, PhysicalConfig, gup_strength, to_dimensionless
 
 __all__ = [
     "MODES",
     "ConfigError",
     "SweepAxis",
     "RunConfig",
-    "SweepResultRow",
     "parse_config",
     "run",
     "ROW_COLUMNS",
@@ -89,26 +88,7 @@ class RunConfig:
     out: str | None = None
     freq_convention: str = "angular"
     eta0: float = 1.0
-    workers: int | None = None
     default_grid: bool = False
-
-
-@dataclass(frozen=True)
-class SweepResultRow:
-    """One grid point; None fields render as empty CSV cells."""
-
-    x: float
-    y: float
-    zeta: float
-    eps: float
-    p1_closed: float | None = None
-    p2_closed: float | None = None
-    p1_numeric: float | None = None
-    p2_numeric: float | None = None
-    phase1: float | None = None
-    phase2: float | None = None
-    q_value: float | None = None
-    ratio: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +274,9 @@ def parse_config(text: str, default_mode: str | None = None) -> RunConfig:
         if not eta0 > 0.0:
             raise ConfigError("eta0 must be strictly positive", pairs["eta0"][1])
 
-    workers = None
+    # Accepted for existing configuration files; rows are computed on one thread.
     if "workers" in pairs:
-        workers = _parse_int("workers", *pairs["workers"])
-        if workers < 1:
+        if _parse_int("workers", *pairs["workers"]) < 1:
             raise ConfigError("workers must be at least 1", pairs["workers"][1])
 
     out = pairs["out"][0] if "out" in pairs else None
@@ -311,7 +290,6 @@ def parse_config(text: str, default_mode: str | None = None) -> RunConfig:
         out=out,
         freq_convention=convention,
         eta0=eta0,
-        workers=workers,
         default_grid=default_grid,
     )
     _validate_base_point(cfg)
@@ -328,18 +306,8 @@ def _materialize(cfg: RunConfig, overrides: dict[str, float] | None = None) -> D
             return DimensionlessConfig(**values)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    values = dict(cfg.physical or {})
-    values.update(overrides)
-    scale = 2.0 * math.pi if cfg.freq_convention == "ordinary" else 1.0
+    p = _physical_config(cfg, overrides)
     try:
-        p = PhysicalConfig(
-            a=values["a"],
-            omega0=values["omega0"] * scale,
-            nu=values["nu"] * scale,
-            z0=values["z0"],
-            g=values.get("g", 1.0),
-            beta=values.get("beta", 0.0),
-        )
         return to_dimensionless(p)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -353,7 +321,7 @@ def _validate_base_point(cfg: RunConfig) -> None:
                 if not values.get(key, 0.0) > 0.0:
                     raise ConfigError(f"key '{key}' must be strictly positive")
         if cfg.mode == "temperatures":
-            _temperature_config(cfg)
+            _physical_config(cfg)
         return
     base = _materialize(cfg)
     if cfg.mode in ("p2", "verify") and not base.zeta < 1.0:
@@ -365,8 +333,10 @@ def _validate_base_point(cfg: RunConfig) -> None:
             _materialize(cfg, {cfg.sweep.param: endpoint})
 
 
-def _temperature_config(cfg: RunConfig) -> PhysicalConfig:
+def _physical_config(cfg: RunConfig, overrides: dict[str, float] | None = None) -> PhysicalConfig:
+    """The SI block with overrides applied, frequencies scaled to rad/s."""
     values = dict(cfg.physical or {})
+    values.update(overrides or {})
     scale = 2.0 * math.pi if cfg.freq_convention == "ordinary" else 1.0
     try:
         return PhysicalConfig(
@@ -390,7 +360,8 @@ _DEFAULT_GRID_ZETA = (0.3, 0.5, 0.9)
 
 
 def _evaluate_row(d: DimensionlessConfig, want_p1: bool, want_p2: bool,
-                  numeric: bool, settings: QuadratureSettings) -> SweepResultRow:
+                  numeric: bool, settings: QuadratureSettings) -> tuple:
+    """One grid point in ROW_COLUMNS order; None renders as an empty cell."""
     one = p1_closed(d) if want_p1 else None
     two = p2_closed(d) if want_p2 and d.zeta < 1.0 else None
     num1 = p1_numeric(d, settings).probability if numeric and want_p1 else None
@@ -400,19 +371,16 @@ def _evaluate_row(d: DimensionlessConfig, want_p1: bool, want_p2: bool,
         else None
     )
     q_value = q_parameter(d.eps, d.zeta)
-    return SweepResultRow(
-        x=d.x,
-        y=d.y,
-        zeta=d.zeta,
-        eps=d.eps,
-        p1_closed=one.total if one else None,
-        p2_closed=two.total if two else None,
-        p1_numeric=num1,
-        p2_numeric=num2,
-        phase1=one.phase_argument if one else None,
-        phase2=two.phase_argument if two else None,
-        q_value=q_value,
-        ratio=1.0 + q_value,
+    return (
+        d.x, d.y, d.zeta, d.eps,
+        one.total if one else None,
+        two.total if two else None,
+        num1,
+        num2,
+        one.phase_argument if one else None,
+        two.phase_argument if two else None,
+        q_value,
+        1.0 + q_value,
     )
 
 
@@ -432,20 +400,16 @@ def _grid_points(cfg: RunConfig) -> list[DimensionlessConfig]:
     return [_materialize(cfg)]
 
 
-def _format_cell(value: float | str | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return f"{value:.17g}"
-
-
 def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
+    """Cells: None as empty, str as is, numbers with 17 significant digits."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(",".join(header) + "\n")
             for row in rows:
-                handle.write(",".join(_format_cell(cell) for cell in row) + "\n")
+                handle.write(",".join([
+                    "" if cell is None else cell if isinstance(cell, str) else f"{cell:.17g}"
+                    for cell in row
+                ]) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write output file {path!r}: {exc}") from exc
 
@@ -483,19 +447,9 @@ def _physics_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple]]:
     want_p1 = cfg.mode in ("p1", "compare", "sweep", "verify")
     want_p2 = cfg.mode in ("p2", "compare", "sweep", "verify")
     numeric = cfg.mode == "verify"
-    points = _grid_points(cfg)
-    max_workers = cfg.workers or min(32, os.cpu_count() or 1)
-
-    def job(d: DimensionlessConfig) -> SweepResultRow:
-        return _evaluate_row(d, want_p1, want_p2, numeric, cfg.quadrature)
-
-    if max_workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(job, points))
-    else:
-        rows = [job(d) for d in points]
     return ROW_COLUMNS, [
-        tuple(getattr(row, column) for column in ROW_COLUMNS) for row in rows
+        _evaluate_row(d, want_p1, want_p2, numeric, cfg.quadrature)
+        for d in _grid_points(cfg)
     ]
 
 
@@ -523,7 +477,6 @@ _TEMPERATURE_COLUMNS = ("a_m_s2", "eps", "unruh_K", "modified_K")
 
 
 def _temperature_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple]]:
-    p = _temperature_config(cfg)
+    p = _physical_config(cfg)
     pair = temperatures(p)
-    eps = p.beta * CODATA.hbar**2 * p.nu**2 / CODATA.c**2
-    return _TEMPERATURE_COLUMNS, [(p.a, eps, pair.unruh, pair.modified)]
+    return _TEMPERATURE_COLUMNS, [(p.a, gup_strength(p), pair.unruh, pair.modified)]

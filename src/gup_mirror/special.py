@@ -6,6 +6,17 @@ factor 1/(e^{2 pi w} - 1).  log-Gamma and digamma are implemented here
 (Lanczos approximation with reflection; recurrence and asymptotic
 series) so the whole package has identical Gamma behavior everywhere,
 independent of platform library quirks.
+
+log_gamma, digamma and gamma_phase_set are memoised with a small
+bounded LRU cache each.  A zeta sweep repeats the same (x, ybar) in
+every row, and an omega0 sweep the same ybar, so most rows reuse the
+Gamma values of the row before.  All three are pure functions of their
+float or complex arguments and return immutable values, so a cached
+result is bit-identical to a fresh one; exceptions are not cached.
+Arguments that compare equal share an entry, and the only such pairs
+that are different numbers are signed zeros: log_gamma and digamma
+read a zero imaginary part as +0, so the entry does not depend on which
+sign came first.  `cache_clear()` on each function empties its cache.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = ["GammaPhaseSet", "log_gamma", "digamma", "gamma_phase_set", "planck_factor"]
 
@@ -31,6 +43,11 @@ _LANCZOS_COEFFS = (
     1.5056327351493116e-7,
 )
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_TWO_I = complex(math.log(2.0), 0.5 * math.pi)  # log(2i); log(-2i) is its conjugate
+# Entries per cache.  A sweep row asks log_gamma for at most three distinct
+# arguments and the other two for one each, so the values one row needs are
+# still cached when the next row asks for them.
+_CACHE_SIZE = 64
 
 
 def _log_gamma_right(z: complex) -> complex:
@@ -43,6 +60,7 @@ def _log_gamma_right(z: complex) -> complex:
     return _HALF_LOG_TWO_PI + (zm1 + 0.5) * cmath.log(t) - t + cmath.log(series)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def log_gamma(z: complex) -> complex:
     """log Gamma(z): log|Gamma| as real part, argument as imaginary part.
 
@@ -50,22 +68,41 @@ def log_gamma(z: complex) -> complex:
     |Re z| <= 20, |Im z| <= 50.  Reflection is used for Re z < 0.5.
     The imaginary part is continuous on the right half plane; across the
     reflection seam it may differ from the principal log-Gamma branch by a
-    multiple of 2*pi*i, which exp() cannot see.
+    multiple of 2*pi*i, which exp() cannot see.  Where sin(pi z) in the
+    reflection overflows (|Im z| above about 226), log sin(pi z) is taken
+    from its exponential form instead.
 
     Raises ValueError at the poles (nonpositive integers).
     """
-    z = complex(z)
+    z = complex(z.real, z.imag + 0.0)  # -0.0 + 0.0 is +0.0
     if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
         raise ValueError(f"log_gamma pole at z={z}")
     if z.real < 0.5:
         # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        s = cmath.sin(cmath.pi * z)
+        try:
+            s = cmath.sin(cmath.pi * z)
+        except OverflowError:
+            return math.log(math.pi) - _log_sin_pi_far(z) - _log_gamma_right(1.0 - z)
         if s == 0:
             raise ValueError(f"log_gamma pole at z={z}")
         return math.log(math.pi) - cmath.log(s) - _log_gamma_right(1.0 - z)
     return _log_gamma_right(z)
 
 
+def _log_sin_pi_far(z: complex) -> complex:
+    """log sin(pi z) for large |Im z|, where sin(pi z) itself overflows.
+
+    log sin(pi z) = +-i pi z - log(+-2i) + log1p(-e^{-+2 i pi z}), upper
+    signs for Im z < 0.  The log1p term has modulus e^{-2 pi |Im z|},
+    below the smallest double wherever sin overflows, so it is dropped.
+    """
+    w = cmath.pi * z
+    if z.imag < 0.0:
+        return 1j * w - _LOG_TWO_I
+    return -1j * w - _LOG_TWO_I.conjugate()
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def digamma(z: complex) -> complex:
     """psi(z) = d log Gamma(z) / dz for Re z > 0.
 
@@ -73,7 +110,7 @@ def digamma(z: complex) -> complex:
     Re z >= 7, where the asymptotic series through z^-12 is accurate to
     ~2e-13 absolute.
     """
-    z = complex(z)
+    z = complex(z.real, z.imag + 0.0)  # -0.0 + 0.0 is +0.0
     if not z.real > 0.0:
         raise ValueError("digamma needs Re z > 0")
     shift = 0j
@@ -126,6 +163,7 @@ class GammaPhaseSet:
         return self.omega_ratio * math.sin(self.delta_phase)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def gamma_phase_set(x: float, ybar: float) -> GammaPhaseSet:
     """Evaluate the Gamma phases at atom frequency x and photon frequency ybar."""
     if not x > 0.0:

@@ -24,6 +24,7 @@ __all__ = [
     "CODATA",
     "PhysicalConfig",
     "DimensionlessConfig",
+    "gup_strength",
     "to_dimensionless",
     "physical_from_dimensionless",
     "validate_physical",
@@ -135,6 +136,11 @@ def validate_physical(p: PhysicalConfig, k: PhysicalConstants = CODATA) -> list[
     return problems
 
 
+def gup_strength(p: PhysicalConfig, k: PhysicalConstants = CODATA) -> float:
+    """Dimensionless GUP strength eps = beta hbar^2 nu^2 / c^2."""
+    return p.beta * k.hbar**2 * p.nu**2 / k.c**2
+
+
 def to_dimensionless(p: PhysicalConfig, k: PhysicalConstants = CODATA) -> DimensionlessConfig:
     """Reduce SI parameters to the four dimensionless groups.
 
@@ -150,7 +156,7 @@ def to_dimensionless(p: PhysicalConfig, k: PhysicalConstants = CODATA) -> Dimens
         x=p.omega0 * k.c / p.a,
         y=p.nu * k.c / p.a,
         zeta=p.a * p.z0 / k.c**2,
-        eps=p.beta * k.hbar**2 * p.nu**2 / k.c**2,
+        eps=gup_strength(p, k),
     )
 
 
@@ -180,12 +186,3 @@ def physical_from_dimensionless(
         beta=beta,
     )
 
-
-def nu_tilde(d: DimensionlessConfig) -> float:
-    """GUP-shifted mode frequency y*(1 - eps), in units of a/c."""
-    return d.y * (1.0 - d.eps)
-
-
-def nu_bar(d: DimensionlessConfig) -> float:
-    """GUP-shifted photon frequency y*(1 - eps/2), in units of a/c."""
-    return d.y * (1.0 - 0.5 * d.eps)

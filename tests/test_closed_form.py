@@ -112,6 +112,14 @@ def test_p2_small_zeta_warning():
     assert p2_numeric(d).probability == pytest.approx(b.total, rel=2e-5)
 
 
+def test_closed_forms_finite_at_large_frequency():
+    # log Gamma(-i x) and log Gamma(i ybar) past the sin(pi z) overflow
+    one = p1_closed(DimensionlessConfig(x=230.0, y=1.0, zeta=0.5, eps=0.01))
+    two = p2_closed(DimensionlessConfig(x=1.0, y=230.0, zeta=0.5, eps=0.01))
+    for breakdown in (one, two):
+        assert all(math.isfinite(value) for value in breakdown)
+
+
 def test_phase_arguments_are_raw():
     # raw phase grows linearly with zeta while the reduced one stays in [0, pi)
     d1 = DimensionlessConfig(x=1.0, y=1.0, zeta=0.2, eps=0.0)

@@ -172,3 +172,12 @@ def test_p2_closed_si_at_large_atom_frequency():
     assert value == pytest.approx(scale * limit, rel=1e-9)
     # the next term of L, O(|a|^2 / (x zeta)^2), moves the damping by ~1e-10
     assert p2_closed(d).damping == pytest.approx(damping, rel=1e-9)
+
+
+@pytest.mark.parametrize("z", [-230j, complex(-1.0, -230.0), 230j, complex(0.25, 1000.0)])
+def test_log_gamma_where_reflection_sine_overflows(z):
+    # sin(pi z) overflows for |Im z| above about 226; log Gamma must not
+    lg = log_gamma(z)
+    reference = complex(mpmath.loggamma(z))
+    turns = round((lg - reference).imag / (2.0 * math.pi))
+    assert abs(lg - reference - 2j * math.pi * turns) <= 1e-14 * abs(reference)

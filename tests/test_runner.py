@@ -1,12 +1,27 @@
 """Config parsing, run orchestration, CSV contract, exit codes."""
 
 import math
+import threading
 import warnings
 
+import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
-from gup_mirror import ConfigError, parse_config, run
+from gup_mirror import (
+    ConfigError,
+    DimensionlessConfig,
+    PhysicalConfig,
+    gamma_phase_set,
+    log_gamma,
+    p1_closed,
+    p2_closed,
+    parse_config,
+    q_parameter,
+    run,
+    to_dimensionless,
+)
+from gup_mirror.special import digamma
 from gup_mirror.cli import main
 from gup_mirror.runner import ROW_COLUMNS
 
@@ -120,6 +135,76 @@ def test_sweep_deterministic_across_worker_counts(tmp_path):
     assert read(out1) == read(out4)
     lines = read(out1).decode().strip().split("\n")
     assert len(lines) == 26
+
+
+def test_workers_key_starts_no_thread(tmp_path, monkeypatch):
+    def refuse(self):
+        raise RuntimeError("sweep rows must be computed on the calling thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    out = tmp_path / "w4.csv"
+    text = "mode = sweep\nx = 1\ny = 1\nzeta = 0.5\neps = 0.01\nworkers = 4\n" \
+           f"sweep_param = zeta\nsweep_min = 0.1\nsweep_max = 0.9\nsweep_count = 25\nout = {out}"
+    assert run(parse_config(text)) == 0
+    assert len(read(out).decode().strip().split("\n")) == 26
+
+
+def _scalar_csv(points):
+    """The closed-form sweep CSV rendered from scalar calls, Gamma caches
+    emptied before each point, so no value comes from an earlier row."""
+    lines = [",".join(ROW_COLUMNS)]
+    for d in points:
+        for cached in (log_gamma, digamma, gamma_phase_set):
+            cached.cache_clear()
+        one, two = p1_closed(d), p2_closed(d)
+        q = q_parameter(d.eps, d.zeta)
+        cells = (d.x, d.y, d.zeta, d.eps, one.total, two.total, None, None,
+                 one.phase_argument, two.phase_argument, q, 1.0 + q)
+        lines.append(",".join("" if cell is None else f"{cell:.17g}" for cell in cells))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_zeta_sweep_matches_uncached_scalar_calls(tmp_path):
+    for cached in (log_gamma, digamma, gamma_phase_set):
+        cached.cache_clear()
+    out = tmp_path / "zeta.csv"
+    text = "mode = sweep\nx = 1.3\ny = 0.8\nzeta = 0.5\neps = 0.005\nsweep_param = zeta\n" \
+           f"sweep_min = 0.05\nsweep_max = 0.95\nsweep_count = 300\nsweep_spacing = log\nout = {out}"
+    assert run(parse_config(text)) == 0
+    # each Gamma value computed once: one phase set (three log Gamma
+    # values, kappa shared with p2) and one digamma for all 300 rows
+    assert gamma_phase_set.cache_info().misses == 1
+    assert log_gamma.cache_info().misses == 3
+    assert digamma.cache_info().misses == 1
+    points = [DimensionlessConfig(x=1.3, y=0.8, zeta=float(zeta), eps=0.005)
+              for zeta in np.geomspace(0.05, 0.95, 300)]
+    assert read(out) == _scalar_csv(points)
+
+
+def test_si_omega0_sweep_matches_uncached_scalar_calls(tmp_path):
+    out = tmp_path / "si.csv"
+    text = "mode = sweep\nfreq_convention = ordinary\na = 3e20\nomega0 = 8e10\nnu = 2e11\n" \
+           "z0 = 1.8e-4\nbeta = 2e57\nsweep_param = omega0\nsweep_min = 8e10\n" \
+           f"sweep_max = 6e11\nsweep_count = 300\nout = {out}"
+    assert run(parse_config(text)) == 0
+    points = [
+        to_dimensionless(PhysicalConfig(a=3e20, omega0=float(omega0) * (2.0 * math.pi),
+                                        nu=2e11 * (2.0 * math.pi), z0=1.8e-4, beta=2e57))
+        for omega0 in np.linspace(8e10, 6e11, 300)
+    ]
+    assert 0.0 < points[0].eps < 0.1 and points[0].zeta < 1.0
+    assert read(out) == _scalar_csv(points)
+
+
+def test_sweep_past_log_gamma_overflow(tmp_path):
+    # log Gamma(-i x) overflowed sin(pi z) in its reflection for x >= ~227
+    out = tmp_path / "far.csv"
+    text = "mode = sweep\nx = 100\ny = 1\nzeta = 0.5\neps = 0.01\nsweep_param = x\n" \
+           f"sweep_min = 100\nsweep_max = 400\nsweep_count = 31\nout = {out}"
+    assert run(parse_config(text)) == 0
+    rows = read(out).decode().strip().split("\n")[1:]
+    assert len(rows) == 31
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(",") if cell)
 
 
 def test_sweep_rows_follow_axis_order(tmp_path):

@@ -27,6 +27,19 @@ def test_log_gamma_at_i():
     assert math.pi / math.sinh(math.pi) == pytest.approx(0.27202905498213316, rel=1e-14)
 
 
+def test_cached_value_independent_of_signed_zero():
+    # -0.0 == 0.0, so both signs share a cache entry: the value stored must
+    # not depend on which sign was asked for first.  On the negative real
+    # axis sin(pi z) has a signed-zero imaginary part, and the two signs
+    # give logs 2 pi i apart unless -0.0 is read as +0.0.
+    for fn, z in ((log_gamma, complex(-0.5, 0.0)), (digamma, complex(2.5, 0.0))):
+        values = []
+        for imag in (0.0, -0.0):
+            fn.cache_clear()
+            values.append(repr(fn(complex(z.real, imag))))
+        assert values[0] == values[1]
+
+
 def test_log_gamma_poles():
     for z in (0.0, -1.0, -3.0, -7.0 + 0.0j):
         with pytest.raises(ValueError, match="pole"):
