@@ -1,11 +1,11 @@
 """Command-line entry point.
 
-    gup-mirror <mode> --config <path> --out <path> [--freq-convention angular|ordinary]
+    gup-mirror <mode> --config <path> [--out <path>]
 
 The mode selects what gets computed (p1, p2, compare, sweep, verify,
-bound, temperatures); all physics parameters live in the config file so a
-run is reproducible from that single document.  Flags only pick the mode,
-the output path, and the frequency convention.
+bound, temperatures); all physics parameters, the frequency convention
+included, live in the config file so a run is reproducible from that
+single document.  Flags only pick the mode and the output path.
 """
 
 from __future__ import annotations
@@ -31,11 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("mode", choices=MODES, help="what to compute")
     parser.add_argument("--config", required=True, help="key = value run configuration file")
     parser.add_argument("--out", help="output CSV path (overrides 'out' in the config)")
-    parser.add_argument(
-        "--freq-convention",
-        choices=("angular", "ordinary"),
-        help="interpret omega0/nu inputs as rad/s (angular) or Hz (ordinary, multiplied by 2 pi)",
-    )
     return parser
 
 
@@ -52,13 +47,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error in {args.config!r}: {exc}", file=sys.stderr)
         return 1
-    updates = {}
     if args.out is not None:
-        updates["out"] = args.out
-    if args.freq_convention is not None:
-        updates["freq_convention"] = args.freq_convention
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
+        cfg = dataclasses.replace(cfg, out=args.out)
     return run(cfg)
 
 

@@ -16,7 +16,10 @@ Probability 1, atom accelerating past a static mirror:
 with theta = Arg Gamma(-i x), Omega and Delta the Gamma magnitude ratio
 and phase difference at -i x - 1 versus -i x.  The thermal factor is set
 by the atom frequency; the GUP enters the interference only as constant
-phase shifts and a constant damping.
+phase shifts and a constant damping.  The damping exponent is
+eps y^2 / (1 + x^2) >= 0 and grows without bound in y, so p1_closed
+rejects it at EPS_GUARD or above, where the first-order form has no
+meaning.
 
 Probability 2, static atom facing an accelerating mirror (zeta < 1):
 
@@ -53,19 +56,6 @@ photon frequency, and the interference acquires a position-dependent
 GUP term: the signature that breaks the symmetry between the two
 configurations.
 
-Earlier versions of this module treated the position-dependent power
-factor as a pure frequency shift.  Term by term:
-
-    term               earlier                     now
-    damping exponent   -eps y / (x zeta)           2 eta Im L  -> -eps y / (2 x zeta)
-    phase, log         (eps y / 2) ln zeta         eta ln(2 zeta)
-    phase, constant    eps y / 2                   (none; Re L -> 0 as x zeta -> inf)
-    phase, 1/(x zeta)  eps y^2 / (2 x zeta)        eta Re L    -> eps y ybar / (4 x zeta)
-
-The earlier terms were off at first order: 2e-4 to 1.4e-1 relative at
-eps = 1e-2 on the acceptance grid, with dP/deps of the wrong sign in 15
-of its 27 cells, and diverging as zeta -> 0.
-
 Sign conventions for the Gamma phases (+theta, -the Omega sin Delta term,
 -kappa) are fixed by the first-principles quadrature oracle, which this
 package treats as ground truth; at eps = 0 the two agree to within
@@ -91,6 +81,7 @@ from .units import (
     PhysicalConfig,
     PhysicalConstants,
     gup_strength,
+    require_perturbative,
     to_dimensionless,
 )
 
@@ -140,10 +131,16 @@ def _assemble(prefactor: float, damping: float, planck: float, phase: float) -> 
 
 
 def p1_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
-    """Closed-form probability for the accelerating atom, static mirror."""
+    """Closed-form probability for the accelerating atom, static mirror.
+
+    Raises ValueError when the damping exponent eps y^2 / (1 + x^2) is
+    not below EPS_GUARD.
+    """
     phases = gamma_phase_set(d.x, d.y * (1.0 - 0.5 * d.eps))
     prefactor = 2.0 * math.pi / d.x
-    damping = math.exp(-d.eps * d.y**2 * phases.omega_cos_delta)
+    exponent = -d.eps * d.y**2 * phases.omega_cos_delta
+    require_perturbative(exponent, "eps y^2/(1 + x^2)")
+    damping = math.exp(exponent)
     phase = (
         d.y * (1.0 - d.eps) * d.zeta
         + d.x * math.log(d.y)

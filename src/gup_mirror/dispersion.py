@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .units import EPS_GUARD
+from .units import require_perturbative
 
 __all__ = [
     "Wavenumber",
@@ -48,10 +48,7 @@ class Wavenumber:
 
 def wavenumber_perturbative(eps: float) -> Wavenumber:
     """First-order propagating root k = 1 - eps (the one the modes use)."""
-    if not 0.0 <= eps < EPS_GUARD:
-        raise ValueError(
-            f"eps={eps!r}: perturbative regime violated (need 0 <= eps < {EPS_GUARD})"
-        )
+    require_perturbative(eps)
     return Wavenumber(k=1.0 - eps, eps=eps)
 
 

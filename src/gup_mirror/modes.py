@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .dispersion import wavenumber_perturbative
-from .units import EPS_GUARD
+from .units import require_perturbative
 
 __all__ = [
     "SpacetimePoint",
@@ -60,10 +60,7 @@ class ModeSpec:
     def __post_init__(self) -> None:
         if not self.y > 0.0:
             raise ValueError("y must be strictly positive")
-        if not 0.0 <= self.eps < EPS_GUARD:
-            raise ValueError(
-                f"eps={self.eps!r}: perturbative regime violated (need 0 <= eps < {EPS_GUARD})"
-            )
+        require_perturbative(self.eps)
 
     @property
     def y_tilde(self) -> float:

@@ -51,6 +51,17 @@ _KNOWN_KEYS = frozenset(
     _DIMENSIONLESS_KEYS + _PHYSICAL_KEYS + _SWEEP_KEYS + _QUAD_KEYS + _OTHER_KEYS
 )
 
+# Keys read in one mode only; in any other they would have no effect.
+_MODE_ONLY_KEYS = {
+    "grid": "verify",
+    "quad_abs_tolerance": "verify",
+    "eta0": "bound",
+    **dict.fromkeys(_SWEEP_KEYS, "sweep"),
+}
+
+# freq_convention -> factor taking omega0 and nu to rad/s.
+_FREQ_SCALE = {"angular": 1.0, "ordinary": 2.0 * math.pi}
+
 _SWEEP_COUNT_MAX = 10**6
 
 
@@ -142,10 +153,7 @@ def parse_config(text: str, default_mode: str | None = None) -> RunConfig:
     """
     pairs = _scan_pairs(text)
 
-    def take(key: str) -> tuple[str, int] | None:
-        return pairs.get(key)
-
-    mode_entry = take("mode")
+    mode_entry = pairs.get("mode")
     if mode_entry is not None:
         mode, mode_line = mode_entry
         if mode not in MODES:
@@ -158,6 +166,9 @@ def parse_config(text: str, default_mode: str | None = None) -> RunConfig:
         mode = default_mode
     else:
         raise ConfigError("mode is required (set 'mode = ...' or pass it on the command line)")
+    for key, only in _MODE_ONLY_KEYS.items():
+        if key in pairs and mode != only:
+            raise ConfigError(f"key '{key}' is only valid in {only} mode", pairs[key][1])
 
     dim_present = [k for k in _DIMENSIONLESS_KEYS if k in pairs]
     phys_present = [k for k in _PHYSICAL_KEYS if k in pairs]
@@ -167,12 +178,10 @@ def parse_config(text: str, default_mode: str | None = None) -> RunConfig:
             "exactly one block is allowed"
         )
 
-    grid_entry = take("grid")
+    grid_entry = pairs.get("grid")
     default_grid = False
     if grid_entry is not None:
         value, line = grid_entry
-        if mode != "verify":
-            raise ConfigError("key 'grid' is only valid in verify mode", line)
         if value != "default":
             raise ConfigError(f"key 'grid': only 'default' is supported, got {value!r}", line)
         if dim_present or phys_present:
@@ -180,12 +189,17 @@ def parse_config(text: str, default_mode: str | None = None) -> RunConfig:
         default_grid = True
 
     convention = "angular"
-    conv_entry = take("freq_convention")
-    if conv_entry is not None:
-        convention, line = conv_entry
-        if convention not in ("angular", "ordinary"):
+    if "freq_convention" in pairs:
+        convention, line = pairs["freq_convention"]
+        if convention not in _FREQ_SCALE:
             raise ConfigError(
-                f"key 'freq_convention': expected angular or ordinary, got {convention!r}", line
+                f"key 'freq_convention': expected {' or '.join(_FREQ_SCALE)}, got {convention!r}",
+                line,
+            )
+        if not phys_present or mode == "bound":
+            raise ConfigError(
+                "key 'freq_convention' applies only to a physical block outside bound mode "
+                "(bound reports both readings)", line
             )
 
     dimensionless = None
@@ -220,7 +234,6 @@ def parse_config(text: str, default_mode: str | None = None) -> RunConfig:
         raise ConfigError(f"mode '{mode}' needs a dimensionless or physical parameter block")
 
     sweep = None
-    sweep_present = [k for k in _SWEEP_KEYS if k in pairs]
     if mode == "sweep":
         required = ("sweep_param", "sweep_min", "sweep_max", "sweep_count")
         missing = [k for k in required if k not in pairs]
@@ -253,11 +266,6 @@ def parse_config(text: str, default_mode: str | None = None) -> RunConfig:
             raise ConfigError("log spacing requires sweep_min > 0", pairs["sweep_min"][1])
         sweep = SweepAxis(param=param, minimum=minimum, maximum=maximum,
                           count=count, spacing=spacing)
-    elif sweep_present:
-        raise ConfigError(
-            f"sweep keys {sweep_present} are only valid in sweep mode",
-            pairs[sweep_present[0]][1],
-        )
 
     quadrature = QuadratureSettings()
     if "quad_abs_tolerance" in pairs:
@@ -292,7 +300,10 @@ def parse_config(text: str, default_mode: str | None = None) -> RunConfig:
         eta0=eta0,
         default_grid=default_grid,
     )
-    _validate_base_point(cfg)
+    try:
+        _validate_base_point(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return cfg
 
 
@@ -302,30 +313,20 @@ def _materialize(cfg: RunConfig, overrides: dict[str, float] | None = None) -> D
     if cfg.dimensionless is not None:
         values = dict(cfg.dimensionless)
         values.update(overrides)
-        try:
-            return DimensionlessConfig(**values)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    p = _physical_config(cfg, overrides)
-    try:
-        return to_dimensionless(p)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        return DimensionlessConfig(**values)
+    return to_dimensionless(_physical_config(cfg, overrides))
 
 
 def _validate_base_point(cfg: RunConfig) -> None:
-    if cfg.mode in ("bound", "temperatures") or cfg.default_grid:
-        if cfg.mode == "bound":
-            values = cfg.physical or {}
-            for key in ("a", "omega0", "nu", "z0"):
-                if not values.get(key, 0.0) > 0.0:
-                    raise ConfigError(f"key '{key}' must be strictly positive")
-        if cfg.mode == "temperatures":
-            _physical_config(cfg)
+    """Raise ValueError for a base point, or sweep endpoint, no row can use."""
+    if cfg.mode in ("bound", "temperatures"):
+        _physical_config(cfg)
+        return
+    if cfg.default_grid:
         return
     base = _materialize(cfg)
     if cfg.mode in ("p2", "verify") and not base.zeta < 1.0:
-        raise ConfigError(
+        raise ValueError(
             f"mode '{cfg.mode}' requires zeta < 1 (atom inside the mirror wedge); got {base.zeta!r}"
         )
     if cfg.sweep is not None:
@@ -337,18 +338,15 @@ def _physical_config(cfg: RunConfig, overrides: dict[str, float] | None = None) 
     """The SI block with overrides applied, frequencies scaled to rad/s."""
     values = dict(cfg.physical or {})
     values.update(overrides or {})
-    scale = 2.0 * math.pi if cfg.freq_convention == "ordinary" else 1.0
-    try:
-        return PhysicalConfig(
-            a=values["a"],
-            omega0=values["omega0"] * scale,
-            nu=values["nu"] * scale,
-            z0=values["z0"],
-            g=values.get("g", 1.0),
-            beta=values.get("beta", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    scale = _FREQ_SCALE[cfg.freq_convention]
+    return PhysicalConfig(
+        a=values["a"],
+        omega0=values["omega0"] * scale,
+        nu=values["nu"] * scale,
+        z0=values["z0"],
+        g=values.get("g", 1.0),
+        beta=values.get("beta", 0.0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +416,9 @@ def run(cfg: RunConfig, stderr=None) -> int:
     """Execute a validated run configuration.
 
     Returns 0 on success, 1 on configuration or I/O errors, 2 on
-    quadrature non-convergence.  Output is written to cfg.out.
+    quadrature non-convergence.  A ValueError raised while computing the
+    rows (an input outside a formula's domain) is a configuration error;
+    no output is written then.  Output is written to cfg.out.
     """
     stderr = stderr if stderr is not None else sys.stderr
     try:
@@ -431,7 +431,7 @@ def run(cfg: RunConfig, stderr=None) -> int:
         else:
             header, rows = _physics_rows(cfg)
         _write_csv(cfg.out, header, rows)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=stderr)
         return 1
     except QuadratureConvergenceError as exc:
@@ -462,7 +462,7 @@ _BOUND_COLUMNS = (
 def _bound_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple]]:
     values = cfg.physical or {}
     rows = []
-    for convention, scale in (("angular", 1.0), ("ordinary", 2.0 * math.pi)):
+    for convention, scale in _FREQ_SCALE.items():
         omega0 = values["omega0"] * scale
         nu = values["nu"] * scale
         bound = beta_bound(values["a"], omega0, nu, values["z0"], CODATA, cfg.eta0)

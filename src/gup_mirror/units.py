@@ -10,9 +10,12 @@ Every formula in this package collapses to four dimensionless groups,
 so SI quantities appear only at this boundary.  All downstream physics
 consumes :class:`DimensionlessConfig`.
 
-The first-order treatment of the GUP deformation is trusted only for
-eps well below one; construction of a :class:`DimensionlessConfig`
-enforces eps < 0.1.
+Each input rule is written here once.  The SI sign rule is applied by
+the :class:`PhysicalConfig` constructor and reported in full by
+:func:`validate_physical`.  The perturbative guard 0 <= eps < 0.1 is
+:func:`require_perturbative`, which every consumer of eps calls: the
+first-order treatment of the GUP deformation is trusted only for eps
+well below one.
 """
 
 from __future__ import annotations
@@ -28,12 +31,25 @@ __all__ = [
     "to_dimensionless",
     "physical_from_dimensionless",
     "validate_physical",
+    "require_perturbative",
     "EPS_GUARD",
 ]
 
 # Hard validity guard on the dimensionless GUP strength: the wavenumber and
 # the closed forms are first-order in eps and not trustworthy beyond this.
 EPS_GUARD = 0.1
+
+
+def require_perturbative(value: float, name: str = "eps") -> None:
+    """Raise ValueError unless 0 <= value < EPS_GUARD.
+
+    `name` says which first-order quantity `value` is; it is formatted
+    into the message only when the check fails.
+    """
+    if not 0.0 <= value < EPS_GUARD:
+        raise ValueError(
+            f"{name}={value!r}: perturbative regime violated (need 0 <= {name} < {EPS_GUARD})"
+        )
 
 
 @dataclass(frozen=True)
@@ -81,13 +97,26 @@ class PhysicalConfig:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        # Hard invariants only; the case-specific wedge bound z0 < c^2/a is
+        # The sign rule only; the case-specific wedge bound z0 < c^2/a is
         # reported by validate_physical and enforced where it applies.
-        for name in ("a", "omega0", "nu", "z0", "g"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-        if not self.beta >= 0.0:
-            raise ValueError("beta must be nonnegative")
+        problems = _sign_problems(self)
+        if problems:
+            raise ValueError(problems[0])
+
+
+_POSITIVE_FIELDS = ("a", "omega0", "nu", "z0", "g")
+
+
+def _sign_problems(p: PhysicalConfig) -> list[str]:
+    """The SI sign rule: a, omega0, nu, z0, g > 0 and beta >= 0."""
+    problems = [
+        f"{name}={getattr(p, name)!r} violates {name} > 0"
+        for name in _POSITIVE_FIELDS
+        if not getattr(p, name) > 0.0
+    ]
+    if not p.beta >= 0.0:
+        problems.append(f"beta={p.beta!r} violates beta >= 0")
+    return problems
 
 
 @dataclass(frozen=True)
@@ -106,10 +135,7 @@ class DimensionlessConfig:
             raise ValueError("y must be strictly positive")
         if not self.zeta > 0.0:
             raise ValueError("zeta must be strictly positive")
-        if not 0.0 <= self.eps < EPS_GUARD:
-            raise ValueError(
-                f"eps={self.eps!r}: perturbative regime violated (need 0 <= eps < {EPS_GUARD})"
-            )
+        require_perturbative(self.eps)
 
 
 def validate_physical(p: PhysicalConfig, k: PhysicalConstants = CODATA) -> list[str]:
@@ -122,13 +148,7 @@ def validate_physical(p: PhysicalConfig, k: PhysicalConstants = CODATA) -> list[
     where the static atom must sit inside the right Rindler wedge of the
     mirror trajectory.
     """
-    problems: list[str] = []
-    for name in ("a", "omega0", "nu", "z0", "g"):
-        value = getattr(p, name)
-        if not value > 0.0:
-            problems.append(f"{name}={value!r} violates {name} > 0")
-    if not p.beta >= 0.0:
-        problems.append(f"beta={p.beta!r} violates beta >= 0")
+    problems = _sign_problems(p)
     if p.a > 0.0 and p.z0 > 0.0 and not p.z0 < k.c**2 / p.a:
         problems.append(
             f"z0={p.z0!r} violates z0 < c^2/a = {k.c**2 / p.a!r} (mirror-accelerating case)"
@@ -144,14 +164,10 @@ def gup_strength(p: PhysicalConfig, k: PhysicalConstants = CODATA) -> float:
 def to_dimensionless(p: PhysicalConfig, k: PhysicalConstants = CODATA) -> DimensionlessConfig:
     """Reduce SI parameters to the four dimensionless groups.
 
-    Rejects nonpositive inputs; rejects eps >= 0.1 with a perturbative-regime
-    error (raised by the DimensionlessConfig constructor).
+    The PhysicalConfig constructor has already applied the sign rule;
+    eps >= 0.1 is rejected with a perturbative-regime error (raised by
+    the DimensionlessConfig constructor).
     """
-    for name in ("a", "omega0", "nu", "z0", "g"):
-        if not getattr(p, name) > 0.0:
-            raise ValueError(f"{name} must be strictly positive")
-    if not p.beta >= 0.0:
-        raise ValueError("beta must be nonnegative")
     return DimensionlessConfig(
         x=p.omega0 * k.c / p.a,
         y=p.nu * k.c / p.a,

@@ -61,6 +61,16 @@ def test_p1_damping_at_unit_frequencies():
     assert p1_closed(d).damping == pytest.approx(math.exp(0.005), rel=1e-12)
 
 
+def test_p1_damping_exponent_guard():
+    # the exponent eps y^2 / (1 + x^2) grows without bound in y; at x = 1,
+    # eps = 0.09 it reaches the 0.1 guard at y = 1.4907
+    below = p1_closed(DimensionlessConfig(x=1.0, y=1.49, zeta=0.5, eps=0.09))
+    assert below.damping == pytest.approx(math.exp(0.09 * 1.49**2 / 2.0), rel=1e-12)
+    for y in (1.5, 100.0, 130.0):
+        with pytest.raises(ValueError, match="perturbative regime violated"):
+            p1_closed(DimensionlessConfig(x=1.0, y=y, zeta=0.5, eps=0.09))
+
+
 def test_p2_eps_zero_damping_is_one():
     d = DimensionlessConfig(x=1.3, y=0.8, zeta=0.6, eps=0.0)
     assert p2_closed(d).damping == 1.0

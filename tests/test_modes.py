@@ -175,3 +175,45 @@ def test_spacetime_point_requires_finite():
         ModeSpec(y=-1.0)
     with pytest.raises(ValueError, match="perturbative"):
         ModeSpec(y=1.0, eps=0.5)
+
+
+# (y, zeta, eps) at which the oracle's real-axis integrands are checked
+# against the mode functions.  The atom factor e^{i x tau} (e^{i x w} for
+# probability 2) multiplies both sides alike, so x does not enter.
+_ORACLE_POINTS = [(1.2, 0.55, 0.0), (0.7, 0.35, 0.01), (2.0, 0.8, 0.05)]
+
+
+@pytest.mark.parametrize("y, zeta, eps", _ORACLE_POINTS)
+def test_p1_oracle_integrand_is_static_mirror_mode_on_worldline(y, zeta, eps):
+    # amplitude docstring: on the worldline t = sinh tau, z = cosh tau the
+    # probability-1 integrand is e^{i x tau} (f(tau) - conj(f(-tau))), with
+    # f(tau) = e^{-i C} exp(i (A1 e^tau - A2 e^-tau))
+    a1 = y * (1.0 - 0.5 * eps)
+    a2 = 0.5 * y * eps
+    c = y * (1.0 - eps) * zeta
+
+    def f(tau):
+        return cmath.exp(-1j * c) * cmath.exp(1j * (a1 * math.exp(tau) - a2 * math.exp(-tau)))
+
+    m = ModeSpec(y=y, eps=eps, zeta0=zeta)
+    for tau in np.linspace(-3.0, 3.0, 61):
+        mode = mode_static_mirror(atom_trajectory(tau), m).conjugate()
+        assert abs(mode - (f(tau) - f(-tau).conjugate())) <= 1e-13
+
+
+@pytest.mark.parametrize("y, zeta, eps", _ORACLE_POINTS)
+def test_p2_oracle_integrand_is_accel_mirror_mode_at_atom(y, zeta, eps):
+    # amplitude docstring: at the atom, z = zeta, with w = zeta + t the
+    # probability-2 integrand is e^{i x w} (conj(h(2 zeta - w)) - h(w)), with
+    # h(w) = w^{i ybar} (2 zeta - w)^{-i eta}, the core integrand
+    ybar = y * (1.0 - 0.5 * eps)
+    eta = 0.5 * eps * y
+
+    def h(w):
+        return cmath.exp(1j * ybar * math.log(w) - 1j * eta * math.log(2.0 * zeta - w))
+
+    m = ModeSpec(y=y, eps=eps)
+    for t in np.linspace(-zeta, zeta, 43)[1:-1]:
+        w = zeta + t
+        mode = mode_accel_mirror(SpacetimePoint(t=t, z=zeta), m).conjugate()
+        assert abs(mode - (h(2.0 * zeta - w).conjugate() - h(w))) <= 1e-13

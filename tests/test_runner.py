@@ -3,6 +3,7 @@
 import math
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +83,39 @@ def test_parse_rejections():
         parse_config("mode = p2\nx = 1\ny = 1\nzeta = 1.5")
     with pytest.raises(ConfigError, match="perturbative"):
         parse_config("mode = compare\nx = 1\ny = 1\nzeta = 0.5\neps = 0.5")
+
+
+_BOUND_BLOCK = "a = 9.8\nomega0 = 1e9\nnu = 1e9\nz0 = 1e10\n"
+_POINT_BLOCK = "x = 1\ny = 1\nzeta = 0.5\n"
+
+
+@pytest.mark.parametrize("text, key", [
+    pytest.param("mode = bound\n" + _BOUND_BLOCK + "freq_convention = ordinary",
+                 "freq_convention", id="freq_convention-bound"),
+    pytest.param("mode = compare\n" + _POINT_BLOCK + "freq_convention = angular",
+                 "freq_convention", id="freq_convention-dimensionless"),
+    pytest.param("mode = verify\ngrid = default\nfreq_convention = ordinary",
+                 "freq_convention", id="freq_convention-grid"),
+    pytest.param("mode = compare\n" + _POINT_BLOCK + "eta0 = 0.5", "eta0", id="eta0-compare"),
+    pytest.param("mode = temperatures\n" + _BOUND_BLOCK + "eta0 = 0.5", "eta0",
+                 id="eta0-temperatures"),
+    pytest.param("mode = compare\n" + _POINT_BLOCK + "quad_abs_tolerance = 1e-8",
+                 "quad_abs_tolerance", id="quad_abs_tolerance-compare"),
+    pytest.param("mode = p1\n" + _POINT_BLOCK + "grid = default", "grid", id="grid-p1"),
+])
+def test_keys_without_effect_in_mode_rejected(text, key):
+    with pytest.raises(ConfigError, match=key) as err:
+        parse_config(text)
+    assert f"line {text.count(chr(10)) + 1}:" in str(err.value)
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(example)
+    assert cfg.mode == "sweep" and cfg.out == "sweep.csv"
+    assert cfg.dimensionless == {"x": 1.0, "y": 1.0, "zeta": 0.5, "eps": 0.01}
+    assert (cfg.sweep.param, cfg.sweep.count, cfg.sweep.spacing) == ("zeta", 81, "log")
 
 
 def test_comments_and_blanks_ignored():
@@ -368,6 +402,51 @@ def test_cli_end_to_end(tmp_path):
     assert main(["p1", "--config", str(config), "--out", str(out)]) == 1
     # missing config file
     assert main(["compare", "--config", str(tmp_path / "nope.conf"), "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize("mode, block, message", [
+    # p1 damping exponent eps y^2 / (1 + x^2) = 450 at the first row
+    pytest.param("sweep", "x = 1\ny = 100\nzeta = 0.5\neps = 0.09\nsweep_param = y\n"
+                          "sweep_min = 100\nsweep_max = 200\nsweep_count = 11\n",
+                 "perturbative regime violated", id="p1-damping"),
+    pytest.param("temperatures", "a = 9.8\nomega0 = 1\nnu = 1\nz0 = 1\nbeta = 1e90\n",
+                 "modified-temperature pole", id="temperature-pole"),
+])
+def test_domain_error_is_one_line_exit_1(tmp_path, capsys, mode, block, message):
+    config = tmp_path / "run.conf"
+    out = tmp_path / "out.csv"
+    config.write_text(block)
+    assert main([mode, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_bound_mode_applies_si_sign_rule(tmp_path, capsys):
+    config = tmp_path / "bound.conf"
+    config.write_text("a = 0\nomega0 = 1e9\nnu = 1e9\nz0 = 1\n")
+    assert main(["bound", "--config", str(config), "--out", str(tmp_path / "b.csv")]) == 1
+    assert "a=0.0 violates a > 0" in capsys.readouterr().err
+
+
+def test_freq_convention_read_from_config_only(tmp_path, capsys):
+    # the angular reading of these SI inputs gives eps = 0.05, the ordinary
+    # reading 4 pi^2 times that
+    si = "a = 3e20\nomega0 = 1e11\nnu = 1e11\nz0 = 100\nbeta = 4.040723082860887e61\n"
+    config = tmp_path / "si.conf"
+    out = tmp_path / "si.csv"
+    args = ["compare", "--config", str(config), "--out", str(out)]
+    config.write_text("freq_convention = ordinary\n" + si)
+    with pytest.raises(SystemExit) as exit_:
+        main(args + ["--freq-convention", "angular"])
+    assert exit_.value.code == 2
+    assert main(args) == 1
+    assert "eps=1.97" in capsys.readouterr().err
+    config.write_text("freq_convention = angular\n" + si)
+    assert main(args) == 0
+    row = dict(zip(ROW_COLUMNS, read(out).decode().strip().split("\n")[1].split(",")))
+    assert float(row["eps"]) == pytest.approx(0.05, rel=1e-12)
 
 
 def test_cli_mode_from_command_line_only(tmp_path):

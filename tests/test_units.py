@@ -9,11 +9,13 @@ import pytest
 from gup_mirror import (
     CODATA,
     DimensionlessConfig,
+    ModeSpec,
     PhysicalConfig,
     PhysicalConstants,
     physical_from_dimensionless,
     to_dimensionless,
     validate_physical,
+    wavenumber_perturbative,
 )
 
 
@@ -87,6 +89,34 @@ def test_constructor_rejects_invalid():
         DimensionlessConfig(x=0.0, y=1.0, zeta=0.5)
     with pytest.raises(ValueError):
         DimensionlessConfig(x=1.0, y=1.0, zeta=-0.5)
+
+
+def test_constructor_raises_first_problem_validate_physical_reports():
+    bad = object.__new__(PhysicalConfig)
+    fields = {"a": -1.0, "omega0": 1.0, "nu": 0.0, "z0": 1.0, "g": 1.0, "beta": -2.0}
+    for name, value in fields.items():
+        object.__setattr__(bad, name, value)
+    problems = validate_physical(bad)
+    assert problems == ["a=-1.0 violates a > 0", "nu=0.0 violates nu > 0",
+                        "beta=-2.0 violates beta >= 0"]
+    with pytest.raises(ValueError) as err:
+        PhysicalConfig(**fields)
+    assert str(err.value) == problems[0]
+    # an unchecked instance still cannot pass the reduction
+    with pytest.raises(ValueError, match="x must be strictly positive"):
+        to_dimensionless(bad)
+
+
+@pytest.mark.parametrize("build", [
+    lambda eps: DimensionlessConfig(x=1.0, y=1.0, zeta=0.5, eps=eps),
+    lambda eps: ModeSpec(y=1.0, eps=eps),
+    wavenumber_perturbative,
+], ids=["DimensionlessConfig", "ModeSpec", "wavenumber_perturbative"])
+@pytest.mark.parametrize("eps", [0.1, 0.5, -1e-3, math.nan])
+def test_eps_guard_shared(build, eps):
+    with pytest.raises(ValueError) as err:
+        build(eps)
+    assert str(err.value) == f"eps={eps!r}: perturbative regime violated (need 0 <= eps < 0.1)"
 
 
 def test_eps_guard_message():
