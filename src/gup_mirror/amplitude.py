@@ -66,8 +66,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .closed_form import p1_closed, p2_closed
 from .units import DimensionlessConfig
 
@@ -133,6 +131,17 @@ def _piece_tolerance(q: QuadratureSettings) -> float:
     # abs_tolerance budgets one full amplitude, assembled from up to eight
     # quadratures, so each quadrature runs a decade tighter.
     return 0.1 * q.abs_tolerance
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call.
+
+    Only the oracle integrates, so importing the package, and every
+    closed-form run, leaves scipy unloaded.
+    """
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 def _complex_quad(f, a: float, b: float, tol: float) -> tuple[complex, float]:

@@ -72,6 +72,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .special import _principal, digamma, gamma_phase_set, log_gamma, planck_factor
@@ -165,14 +166,38 @@ _ASYMPTOTIC_SLOPE = 1.5
 _L_TOLERANCE = 1e-8
 
 
+class _SeriesTerms(dict):
+    """The parts of L's series that depend on ybar alone: a = 1 + i ybar,
+    the r from which the asymptotic series is summed, psi(a), and, keyed
+    by n, the shifts (n - a, n + a), each added when a series first
+    reaches n.  The larger r is, the more shifts a series needs."""
+
+    def __init__(self, ybar: float):
+        super().__init__()
+        self.a = complex(1.0, ybar)
+        self.asymptotic_from = _ASYMPTOTIC_MIN_Z + _ASYMPTOTIC_SLOPE * abs(self.a)
+        self.psi = digamma(self.a)
+
+    def __missing__(self, n: int) -> tuple[complex, complex]:
+        shifts = self[n] = (n - self.a, n + self.a)
+        return shifts
+
+
+@lru_cache(maxsize=64)
+def _series_terms(ybar: float) -> _SeriesTerms:
+    """The table for ybar; a sweep at fixed y and eps reuses one for all its rows."""
+    return _SeriesTerms(ybar)
+
+
 def _gup_coefficient(ybar: float, r: float, log_gamma_iy: complex) -> complex:
     """L(a, z) = z^a dU(a, b, z)/db at b = a + 1, a = 1 + i ybar, z = i r.
 
     log_gamma_iy is log Gamma(i ybar); Gamma(-a) = -conj(Gamma(i ybar)) / a.
     """
-    a = complex(1.0, ybar)
+    terms = _series_terms(ybar)
+    a = terms.a
     z = complex(0.0, r)
-    if r >= _ASYMPTOTIC_MIN_Z + _ASYMPTOTIC_SLOPE * abs(a):
+    if r >= terms.asymptotic_from:
         # sum_{n>=1} (-1)^{n+1} (a)_n / (n z^n), cut before its terms grow
         total = 0j
         term = -1.0 + 0j
@@ -199,11 +224,12 @@ def _gup_coefficient(ybar: float, r: float, log_gamma_iy: complex) -> complex:
     n = 0
     while size >= _L_TOLERANCE:
         n += 1
-        power *= z / (n - a)
+        below, above = terms[n]
+        power *= z / below
         kummer *= z / n
-        total += kummer / (n + a) - power / n
+        total += kummer / above - power / n
         size *= r / n
-    return digamma(a) - log_z + total
+    return terms.psi - log_z + total
 
 
 def p2_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:

@@ -9,10 +9,17 @@ significant digits, so identical run configurations produce
 byte-identical CSV.  The `workers` key is still accepted and validated
 but has no effect: rows are pure Python and hold the interpreter lock,
 so threads cannot compute them in parallel.
+
+All rows are computed before the output file is opened, so a run that
+fails writes nothing.  Each row is then written from one `%` template:
+a column whose cells are all equal (and not zero) is rendered once, into
+the template, and the other cells are formatted per row.  Only `verify`
+integrates, and only it loads scipy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -390,24 +397,52 @@ def _grid_points(cfg: RunConfig) -> list[DimensionlessConfig]:
             for y in _DEFAULT_GRID_Y
             for zeta in _DEFAULT_GRID_ZETA
         ]
-    if cfg.sweep is not None:
-        return [
-            _materialize(cfg, {cfg.sweep.param: float(value)})
-            for value in cfg.sweep.values()
-        ]
-    return [_materialize(cfg)]
+    if cfg.sweep is None:
+        return [_materialize(cfg)]
+    param = cfg.sweep.param
+    axis = cfg.sweep.values().tolist()
+    if cfg.dimensionless is None:
+        return [_materialize(cfg, {param: value}) for value in axis]
+    values = dict(cfg.dimensionless)
+    points = []
+    for value in axis:
+        values[param] = value
+        points.append(DimensionlessConfig(**values))
+    return points
+
+
+def _render(cell) -> str:
+    return "" if cell is None else cell if isinstance(cell, str) else f"{cell:.17g}"
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
-    """Cells: None as empty, str as is, numbers with 17 significant digits."""
+    """Cells: None as empty, str as is, numbers with 17 significant digits.
+
+    Every row is written from one `%` template.  A column whose cells are
+    all equal is rendered once, into the template; a column of floats is
+    a `%.17g` field; any other column is rendered cell by cell into a `%s`
+    field.  0.0 and -0.0 compare equal but render as 0 and -0, so a
+    column of zeros is never taken as equal.
+    """
+    count = len(rows)
+    fields = []
+    varying = []
+    for column in zip(*rows):
+        first = column[0]
+        if (first is None or first) and column == (first,) * count:
+            fields.append(_render(first).replace("%", "%%"))
+        elif set(map(type, column)) == {float}:
+            fields.append("%.17g")
+            varying.append(column)
+        else:
+            fields.append("%s")
+            varying.append(map(_render, column))
+    template = ",".join(fields) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(",".join(header) + "\n")
-            for row in rows:
-                handle.write(",".join([
-                    "" if cell is None else cell if isinstance(cell, str) else f"{cell:.17g}"
-                    for cell in row
-                ]) + "\n")
+            for cells in zip(*varying) if varying else itertools.repeat((), count):
+                handle.write(template % cells)
     except OSError as exc:
         raise OSError(f"cannot write output file {path!r}: {exc}") from exc
 

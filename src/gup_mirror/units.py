@@ -20,6 +20,7 @@ well below one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -129,12 +130,13 @@ class DimensionlessConfig:
     eps: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.x > 0.0:
-            raise ValueError("x must be strictly positive")
-        if not self.y > 0.0:
-            raise ValueError("y must be strictly positive")
-        if not self.zeta > 0.0:
-            raise ValueError("zeta must be strictly positive")
+        # NaN fails both comparisons
+        if not 0.0 < self.x < math.inf:
+            raise ValueError(f"x must be strictly positive and finite, got {self.x!r}")
+        if not 0.0 < self.y < math.inf:
+            raise ValueError(f"y must be strictly positive and finite, got {self.y!r}")
+        if not 0.0 < self.zeta < math.inf:
+            raise ValueError(f"zeta must be strictly positive and finite, got {self.zeta!r}")
         require_perturbative(self.eps)
 
 
@@ -157,8 +159,15 @@ def validate_physical(p: PhysicalConfig, k: PhysicalConstants = CODATA) -> list[
 
 
 def gup_strength(p: PhysicalConfig, k: PhysicalConstants = CODATA) -> float:
-    """Dimensionless GUP strength eps = beta hbar^2 nu^2 / c^2."""
-    return p.beta * k.hbar**2 * p.nu**2 / k.c**2
+    """Dimensionless GUP strength eps = beta hbar^2 nu^2 / c^2.
+
+    Raises ValueError when nu^2 overflows a double (nu above about
+    1.3e154 rad/s).
+    """
+    try:
+        return p.beta * k.hbar**2 * p.nu**2 / k.c**2
+    except OverflowError:
+        raise ValueError(f"nu={p.nu!r}: nu^2 overflows a double") from None
 
 
 def to_dimensionless(p: PhysicalConfig, k: PhysicalConstants = CODATA) -> DimensionlessConfig:

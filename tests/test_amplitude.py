@@ -2,11 +2,16 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from scipy.integrate import IntegrationWarning
 
+import gup_mirror
 from gup_mirror import (
     DimensionlessConfig,
     QuadratureConvergenceError,
@@ -184,3 +189,13 @@ def test_no_integration_warning_on_criterion_2_grid():
             d = DimensionlessConfig(x=x, y=y, zeta=zeta, eps=eps)
             p1_numeric(d)
             p2_numeric(d)
+
+
+def test_import_leaves_scipy_unloaded():
+    # only the oracle integrates; closed-form runs never pay for scipy
+    code = "import sys, gup_mirror; print('scipy' in sys.modules)"
+    path = os.pathsep.join(p for p in (str(Path(gup_mirror.__file__).resolve().parents[1]),
+                                       os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path), timeout=60, check=True)
+    assert result.stdout.strip() == "False"

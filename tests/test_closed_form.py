@@ -1,5 +1,6 @@
 """Closed-form probabilities: factorization, symmetry, temperatures."""
 
+import cmath
 import math
 import warnings
 
@@ -20,6 +21,8 @@ from gup_mirror import (
     temperatures,
     to_dimensionless,
 )
+from gup_mirror.closed_form import _L_TOLERANCE, _gup_coefficient, _series_terms
+from gup_mirror.special import digamma, log_gamma
 
 GRID_XY = (0.5, 1.0, 2.0)
 GRID_ZETA = (0.3, 0.5, 0.9)
@@ -175,3 +178,41 @@ def test_temperature_pole_rejected():
     p = PhysicalConfig(a=9.8, omega0=1.0e9, nu=nu, z0=1.0, beta=beta)
     with pytest.raises(ValueError, match="pole"):
         temperatures(p)
+
+
+def _convergent_l(ybar, r, log_gamma_iy):
+    """L's convergent series with every shift built in the loop."""
+    a = complex(1.0, ybar)
+    z = complex(0.0, r)
+    log_z = complex(math.log(r), 0.5 * math.pi)
+    power = 1.0 + 0j
+    kummer = cmath.exp(log_gamma_iy.conjugate() + a * log_z)
+    total = kummer / a
+    size = abs(kummer) + 1.0
+    n = 0
+    while size >= _L_TOLERANCE:
+        n += 1
+        power *= z / (n - a)
+        kummer *= z / n
+        total += kummer / (n + a) - power / n
+        size *= r / n
+    return digamma(a) - log_z + total, n
+
+
+@pytest.mark.parametrize("ybar", [0.02, 0.8, 7.0, 120.0])
+def test_tabled_series_keeps_its_bits(ybar):
+    _series_terms.cache_clear()
+    log_gamma_iy = log_gamma(complex(0.0, ybar))
+    terms = _series_terms(ybar)
+    # radii up to the asymptotic switch, out of order, so later calls
+    # reuse shifts that earlier ones added and extend the table past them
+    radii = np.geomspace(1e-3, 0.999 * terms.asymptotic_from, 40)
+    most = 0
+    for r in np.concatenate([radii[::2], radii[1::2][::-1]]).tolist():
+        expected, needed = _convergent_l(ybar, r, log_gamma_iy)
+        assert _gup_coefficient(ybar, r, log_gamma_iy) == expected
+        most = max(most, needed)
+    assert len(terms) == most
+    if ybar > 100.0:
+        assert most > 200
+

@@ -1,6 +1,8 @@
 """Config parsing, run orchestration, CSV contract, exit codes."""
 
 import math
+import random
+import struct
 import threading
 import warnings
 from pathlib import Path
@@ -24,7 +26,8 @@ from gup_mirror import (
 )
 from gup_mirror.special import digamma
 from gup_mirror.cli import main
-from gup_mirror.runner import ROW_COLUMNS
+from gup_mirror.closed_form import _series_terms
+from gup_mirror.runner import ROW_COLUMNS, _physics_rows, _write_csv
 
 
 def test_parse_compare_example():
@@ -183,33 +186,88 @@ def test_workers_key_starts_no_thread(tmp_path, monkeypatch):
     assert len(read(out).decode().strip().split("\n")) == 26
 
 
-def _scalar_csv(points):
-    """The closed-form sweep CSV rendered from scalar calls, Gamma caches
-    emptied before each point, so no value comes from an earlier row."""
-    lines = [",".join(ROW_COLUMNS)]
-    for d in points:
-        for cached in (log_gamma, digamma, gamma_phase_set):
-            cached.cache_clear()
-        one, two = p1_closed(d), p2_closed(d)
-        q = q_parameter(d.eps, d.zeta)
-        cells = (d.x, d.y, d.zeta, d.eps, one.total, two.total, None, None,
-                 one.phase_argument, two.phase_argument, q, 1.0 + q)
-        lines.append(",".join("" if cell is None else f"{cell:.17g}" for cell in cells))
+_MEMOS = (log_gamma, digamma, gamma_phase_set, _series_terms)
+
+
+def _reference_csv(header, rows):
+    """The CSV contract rendered cell by cell."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            "" if cell is None else cell if isinstance(cell, str) else f"{cell:.17g}"
+            for cell in row
+        ))
     return ("\n".join(lines) + "\n").encode()
 
 
+def _scalar_csv(points):
+    """The closed-form sweep CSV rendered from scalar calls, caches emptied
+    before each point, so no value comes from an earlier row."""
+    rows = []
+    for d in points:
+        for cached in _MEMOS:
+            cached.cache_clear()
+        one, two = p1_closed(d), p2_closed(d)
+        q = q_parameter(d.eps, d.zeta)
+        rows.append((d.x, d.y, d.zeta, d.eps, one.total, two.total, None, None,
+                     one.phase_argument, two.phase_argument, q, 1.0 + q))
+    return _reference_csv(ROW_COLUMNS, rows)
+
+
+def _random_double(rng):
+    return struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+
+
+def test_writer_matches_cell_by_cell_rendering(tmp_path):
+    rng = random.Random(5)
+    header = ("constant", "zeros", "negative_zeros", "mixed", "label", "random", "empty")
+    rows = [
+        (
+            float("1.25"),  # equal cells that are distinct objects
+            (0.0, -0.0)[i % 2],
+            -0.0,
+            None if i % 3 == 0 else float(i),
+            ("a%b", "c")[i % 2],
+            _random_double(rng),
+            None,
+        )
+        for i in range(200)
+    ]
+    rows[7] = rows[7][:5] + (math.nan,) + rows[7][6:]
+    rows[8] = rows[8][:5] + (-math.inf,) + rows[8][6:]
+    rows[9] = rows[9][:5] + (5e-324,) + rows[9][6:]
+    out = tmp_path / "cells.csv"
+    for chosen in (rows, rows[:1], [rows[3]] * 3, [(0.0,) * 7, (-0.0,) * 7]):
+        _write_csv(str(out), header, chosen)
+        assert read(out) == _reference_csv(header, chosen)
+
+
+def test_zeta_sweep_across_wedge_matches_cell_by_cell_rendering(tmp_path):
+    # p2 cells turn empty at zeta >= 1, so that column mixes floats and None
+    out = tmp_path / "across.csv"
+    cfg = parse_config("mode = sweep\nx = 0.7\ny = 1.4\nzeta = 0.5\neps = 0.02\n"
+                       "sweep_param = zeta\nsweep_min = 0.3\nsweep_max = 1.7\n"
+                       f"sweep_count = 57\nout = {out}")
+    assert run(cfg) == 0
+    _, rows = _physics_rows(cfg)
+    assert rows[0][5] is not None and rows[-1][5] is None
+    assert read(out) == _reference_csv(ROW_COLUMNS, rows)
+
+
 def test_zeta_sweep_matches_uncached_scalar_calls(tmp_path):
-    for cached in (log_gamma, digamma, gamma_phase_set):
+    for cached in _MEMOS:
         cached.cache_clear()
     out = tmp_path / "zeta.csv"
     text = "mode = sweep\nx = 1.3\ny = 0.8\nzeta = 0.5\neps = 0.005\nsweep_param = zeta\n" \
            f"sweep_min = 0.05\nsweep_max = 0.95\nsweep_count = 300\nsweep_spacing = log\nout = {out}"
     assert run(parse_config(text)) == 0
     # each Gamma value computed once: one phase set (three log Gamma
-    # values, kappa shared with p2) and one digamma for all 300 rows
+    # values, kappa shared with p2), one digamma and one table of series
+    # terms for all 300 rows
     assert gamma_phase_set.cache_info().misses == 1
     assert log_gamma.cache_info().misses == 3
     assert digamma.cache_info().misses == 1
+    assert _series_terms.cache_info().misses == 1
     points = [DimensionlessConfig(x=1.3, y=0.8, zeta=float(zeta), eps=0.005)
               for zeta in np.geomspace(0.05, 0.95, 300)]
     assert read(out) == _scalar_csv(points)
@@ -419,6 +477,24 @@ def test_domain_error_is_one_line_exit_1(tmp_path, capsys, mode, block, message)
     assert main([mode, "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("block, message", [
+    # nu^2 overflows a double
+    pytest.param("a = 1\nomega0 = 1\nnu = 1e308\nz0 = 1\n", "nu=1e+308", id="nu"),
+    # x = omega0 c / a overflows to inf
+    pytest.param("a = 1\nomega0 = 1e308\nnu = 1\nz0 = 1\n",
+                 "x must be strictly positive and finite, got inf", id="omega0"),
+])
+def test_overflowing_si_input_is_one_line_exit_1(tmp_path, capsys, block, message):
+    config = tmp_path / "run.conf"
+    out = tmp_path / "out.csv"
+    config.write_text(block)
+    assert main(["compare", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error in ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
 

@@ -89,6 +89,11 @@ def test_constructor_rejects_invalid():
         DimensionlessConfig(x=0.0, y=1.0, zeta=0.5)
     with pytest.raises(ValueError):
         DimensionlessConfig(x=1.0, y=1.0, zeta=-0.5)
+    for name in ("x", "y", "zeta"):
+        for value in (math.inf, math.nan):
+            values = {"x": 1.0, "y": 1.0, "zeta": 0.5, name: value}
+            with pytest.raises(ValueError, match=f"{name} must be strictly positive and finite"):
+                DimensionlessConfig(**values)
 
 
 def test_constructor_raises_first_problem_validate_physical_reports():
