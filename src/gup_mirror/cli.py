@@ -39,7 +39,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config file {args.config!r}: {exc}", file=sys.stderr)
         return 1
     try:

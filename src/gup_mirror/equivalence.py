@@ -77,12 +77,26 @@ class BetaBound:
 
 
 def q_parameter(eps: float, zeta: float) -> float:
-    """Spatial-mismatch parameter Q(zeta, eps); exactly linear in eps."""
+    """Spatial-mismatch parameter Q(zeta, eps); exactly linear in eps.
+
+    Q is 0 at eps = 0 for every zeta, also where zeta^2 leaves the double
+    range.  For eps > 0, raises ValueError when Q is not a finite double:
+    below about zeta = 5e-155 sqrt(eps), where eps / (2 zeta^2) overflows,
+    and above about zeta = 1.3e154, where zeta^2 does.
+    """
     if not zeta > 0.0:
         raise ValueError("zeta must be strictly positive")
     if not eps >= 0.0:
         raise ValueError("eps must be nonnegative")
-    return eps / (2.0 * zeta**2) + (eps / (2.0 * zeta)) * math.log(zeta)
+    try:
+        q_value = eps / (2.0 * zeta**2) + (eps / (2.0 * zeta)) * math.log(zeta)
+    except (ZeroDivisionError, OverflowError):  # zeta^2 underflows to 0 or overflows
+        q_value = math.nan
+    if math.isfinite(q_value):
+        return q_value
+    if eps == 0.0:
+        return 0.0
+    raise ValueError(f"zeta={zeta!r}, eps={eps!r}: Q is not a finite double")
 
 
 def violation_parameter(d: DimensionlessConfig) -> ViolationReport:
@@ -126,14 +140,30 @@ def beta_bound(
     the bound is a factor 2 stricter than the closed form needs; it is
     kept as the paper's formula.  Frequencies are angular (rad/s); apply
     the 2 pi conversion first when inputs are ordinary frequencies.
+
+    Raises ValueError naming the cause when nu^3 overflows, when
+    hbar^2 nu^3 underflows to zero, or when the bound is not a finite
+    double.
     """
     for name, value in (("a", a), ("omega0", omega0), ("nu", nu), ("z0", z0), ("eta0", eta0)):
         if not value > 0.0:
             raise ValueError(f"{name} must be strictly positive")
-    beta_si = eta0 * a * z0 * omega0 / (k.hbar**2 * nu**3)
+    try:
+        denominator = k.hbar**2 * nu**3
+    except OverflowError:
+        raise ValueError(f"nu={nu!r}: nu^3 overflows a double") from None
+    if denominator == 0.0:
+        raise ValueError(f"nu={nu!r}: hbar^2 nu^3 underflows to zero")
+    beta_si = eta0 * a * z0 * omega0 / denominator
+    beta_planck = beta_si * (k.planck_mass * k.c) ** 2
+    if not math.isfinite(beta_planck):
+        raise ValueError(
+            f"eta0 a z0 omega0 / (hbar^2 nu^3) overflows a double "
+            f"(eta0={eta0!r}, a={a!r}, z0={z0!r}, omega0={omega0!r}, nu={nu!r})"
+        )
     return BetaBound(
         beta_max_si=beta_si,
-        beta_max_planck_units=beta_si * (k.planck_mass * k.c) ** 2,
+        beta_max_planck_units=beta_planck,
         tolerance_factor=eta0,
     )
 

@@ -10,6 +10,13 @@ byte-identical CSV.  The `workers` key is still accepted and validated
 but has no effect: rows are pure Python and hold the interpreter lock,
 so threads cannot compute them in parallel.
 
+A run holds one parameter block, dimensionless or SI.  `_points` is the
+one path from either block to `DimensionlessConfig`s: the base point and
+the sweep endpoints that `parse_config` checks, and every row of a
+physics run.  `_physical_config` is the one place an SI block becomes a
+`PhysicalConfig`, with omega0 and nu scaled to rad/s by the frequency
+convention; the bound and temperatures rows are built from it too.
+
 All rows are computed before the output file is opened, so a run that
 fails writes nothing.  Each row is then written from one `%` template:
 a column whose cells are all equal (and not zero) is rendered once, into
@@ -50,7 +57,7 @@ ROW_COLUMNS = (
 )
 
 _DIMENSIONLESS_KEYS = ("x", "y", "zeta", "eps")
-_PHYSICAL_KEYS = ("a", "omega0", "nu", "z0", "g", "beta")
+_PHYSICAL_KEYS = ("a", "omega0", "nu", "z0", "beta")
 _SWEEP_KEYS = ("sweep_param", "sweep_min", "sweep_max", "sweep_count", "sweep_spacing")
 _QUAD_KEYS = ("quad_abs_tolerance",)
 _OTHER_KEYS = ("mode", "out", "freq_convention", "eta0", "workers", "grid")
@@ -152,6 +159,12 @@ def _scan_pairs(text: str) -> dict[str, tuple[str, int]]:
     return pairs
 
 
+def _require(pairs: dict[str, tuple[str, int]], keys: tuple[str, ...], what: str) -> None:
+    missing = [k for k in keys if k not in pairs]
+    if missing:
+        raise ConfigError(f"{what} requires keys {', '.join(missing)}")
+
+
 def parse_config(text: str, default_mode: str | None = None) -> RunConfig:
     """Parse and validate a run configuration document.
 
@@ -209,43 +222,26 @@ def parse_config(text: str, default_mode: str | None = None) -> RunConfig:
                 "(bound reports both readings)", line
             )
 
+    si_only = mode in ("bound", "temperatures")
+    if si_only and dim_present:
+        raise ConfigError(f"mode '{mode}' takes SI inputs, not a dimensionless block")
+    if mode == "bound" and "beta" in pairs:
+        raise ConfigError("mode 'bound' does not take beta (it computes the bound on it)",
+                          pairs["beta"][1])
     dimensionless = None
     physical = None
-    if mode in ("bound", "temperatures"):
-        if dim_present:
-            raise ConfigError(f"mode '{mode}' takes SI inputs, not a dimensionless block")
-        if mode == "bound" and "beta" in pairs:
-            raise ConfigError("mode 'bound' does not take beta (it computes the bound on it)",
-                              pairs["beta"][1])
-        required = ("a", "omega0", "nu", "z0")
-        missing = [k for k in required if k not in pairs]
-        if missing:
-            raise ConfigError(f"mode '{mode}' requires keys {', '.join(missing)}")
-        physical = {k: _parse_float(k, *pairs[k]) for k in phys_present}
-    elif default_grid:
-        pass
-    elif dim_present:
-        missing = [k for k in ("x", "y", "zeta") if k not in pairs]
-        if missing:
-            raise ConfigError(f"dimensionless block requires keys {', '.join(missing)}")
+    if dim_present:
+        _require(pairs, ("x", "y", "zeta"), "dimensionless block")
         dimensionless = {k: _parse_float(k, *pairs[k]) for k in dim_present}
-        dimensionless.setdefault("eps", 0.0)
-    elif phys_present:
-        missing = [k for k in ("a", "omega0", "nu", "z0") if k not in pairs]
-        if missing:
-            raise ConfigError(f"physical block requires keys {', '.join(missing)}")
+    elif phys_present or si_only:
+        _require(pairs, ("a", "omega0", "nu", "z0"), "physical block")
         physical = {k: _parse_float(k, *pairs[k]) for k in phys_present}
-        physical.setdefault("g", 1.0)
-        physical.setdefault("beta", 0.0)
-    else:
+    elif not default_grid:
         raise ConfigError(f"mode '{mode}' needs a dimensionless or physical parameter block")
 
     sweep = None
     if mode == "sweep":
-        required = ("sweep_param", "sweep_min", "sweep_max", "sweep_count")
-        missing = [k for k in required if k not in pairs]
-        if missing:
-            raise ConfigError(f"sweep mode requires keys {', '.join(missing)}")
+        _require(pairs, ("sweep_param", "sweep_min", "sweep_max", "sweep_count"), "sweep mode")
         param, param_line = pairs["sweep_param"]
         block_keys = _DIMENSIONLESS_KEYS if dimensionless is not None else _PHYSICAL_KEYS
         if param not in block_keys:
@@ -314,55 +310,66 @@ def parse_config(text: str, default_mode: str | None = None) -> RunConfig:
     return cfg
 
 
-def _materialize(cfg: RunConfig, overrides: dict[str, float] | None = None) -> DimensionlessConfig:
-    """Build the dimensionless config for one grid point."""
-    overrides = overrides or {}
-    if cfg.dimensionless is not None:
-        values = dict(cfg.dimensionless)
-        values.update(overrides)
-        return DimensionlessConfig(**values)
-    return to_dimensionless(_physical_config(cfg, overrides))
-
-
 def _validate_base_point(cfg: RunConfig) -> None:
     """Raise ValueError for a base point, or sweep endpoint, no row can use."""
     if cfg.mode in ("bound", "temperatures"):
-        _physical_config(cfg)
+        _physical_config(cfg.physical, cfg.freq_convention)
         return
     if cfg.default_grid:
         return
-    base = _materialize(cfg)
+    (base,) = _points(cfg)
     if cfg.mode in ("p2", "verify") and not base.zeta < 1.0:
         raise ValueError(
             f"mode '{cfg.mode}' requires zeta < 1 (atom inside the mirror wedge); got {base.zeta!r}"
         )
     if cfg.sweep is not None:
-        for endpoint in (cfg.sweep.minimum, cfg.sweep.maximum):
-            _materialize(cfg, {cfg.sweep.param: endpoint})
+        _points(cfg, [cfg.sweep.minimum, cfg.sweep.maximum])
 
 
-def _physical_config(cfg: RunConfig, overrides: dict[str, float] | None = None) -> PhysicalConfig:
-    """The SI block with overrides applied, frequencies scaled to rad/s."""
-    values = dict(cfg.physical or {})
-    values.update(overrides or {})
-    scale = _FREQ_SCALE[cfg.freq_convention]
-    return PhysicalConfig(
-        a=values["a"],
-        omega0=values["omega0"] * scale,
-        nu=values["nu"] * scale,
-        z0=values["z0"],
-        g=values.get("g", 1.0),
-        beta=values.get("beta", 0.0),
-    )
+def _physical_config(values: dict[str, float], convention: str) -> PhysicalConfig:
+    """An SI block as a PhysicalConfig, omega0 and nu scaled to rad/s."""
+    scale = _FREQ_SCALE[convention]
+    return PhysicalConfig(**{**values, "omega0": values["omega0"] * scale,
+                             "nu": values["nu"] * scale})
 
-
-# ---------------------------------------------------------------------------
-# row evaluation
 
 _DEFAULT_GRID_X = (0.5, 1.0, 2.0)
 _DEFAULT_GRID_Y = (0.5, 1.0, 2.0)
 _DEFAULT_GRID_ZETA = (0.3, 0.5, 0.9)
 
+
+def _points(cfg: RunConfig, sweep_values: list[float] | None = None) -> list[DimensionlessConfig]:
+    """The dimensionless points of a physics run, from either block.
+
+    Without `sweep_values`: the block as written, or the default grid.
+    With them: one point per value, the sweep parameter set to it.
+    """
+    if cfg.default_grid:
+        return [
+            DimensionlessConfig(x=x, y=y, zeta=zeta)
+            for x in _DEFAULT_GRID_X
+            for y in _DEFAULT_GRID_Y
+            for zeta in _DEFAULT_GRID_ZETA
+        ]
+    if cfg.dimensionless is not None:
+        values = dict(cfg.dimensionless)
+        point = DimensionlessConfig
+    else:
+        values = dict(cfg.physical)
+
+        def point(**si: float) -> DimensionlessConfig:
+            return to_dimensionless(_physical_config(si, cfg.freq_convention))
+    if sweep_values is None:
+        return [point(**values)]
+    points = []
+    for value in sweep_values:
+        values[cfg.sweep.param] = value
+        points.append(point(**values))
+    return points
+
+
+# ---------------------------------------------------------------------------
+# row evaluation
 
 def _evaluate_row(d: DimensionlessConfig, want_p1: bool, want_p2: bool,
                   numeric: bool, settings: QuadratureSettings) -> tuple:
@@ -387,28 +394,6 @@ def _evaluate_row(d: DimensionlessConfig, want_p1: bool, want_p2: bool,
         q_value,
         1.0 + q_value,
     )
-
-
-def _grid_points(cfg: RunConfig) -> list[DimensionlessConfig]:
-    if cfg.default_grid:
-        return [
-            DimensionlessConfig(x=x, y=y, zeta=zeta, eps=0.0)
-            for x in _DEFAULT_GRID_X
-            for y in _DEFAULT_GRID_Y
-            for zeta in _DEFAULT_GRID_ZETA
-        ]
-    if cfg.sweep is None:
-        return [_materialize(cfg)]
-    param = cfg.sweep.param
-    axis = cfg.sweep.values().tolist()
-    if cfg.dimensionless is None:
-        return [_materialize(cfg, {param: value}) for value in axis]
-    values = dict(cfg.dimensionless)
-    points = []
-    for value in axis:
-        values[param] = value
-        points.append(DimensionlessConfig(**values))
-    return points
 
 
 def _render(cell) -> str:
@@ -482,9 +467,10 @@ def _physics_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple]]:
     want_p1 = cfg.mode in ("p1", "compare", "sweep", "verify")
     want_p2 = cfg.mode in ("p2", "compare", "sweep", "verify")
     numeric = cfg.mode == "verify"
+    axis = cfg.sweep.values().tolist() if cfg.sweep is not None else None
     return ROW_COLUMNS, [
         _evaluate_row(d, want_p1, want_p2, numeric, cfg.quadrature)
-        for d in _grid_points(cfg)
+        for d in _points(cfg, axis)
     ]
 
 
@@ -495,14 +481,12 @@ _BOUND_COLUMNS = (
 
 
 def _bound_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple]]:
-    values = cfg.physical or {}
     rows = []
-    for convention, scale in _FREQ_SCALE.items():
-        omega0 = values["omega0"] * scale
-        nu = values["nu"] * scale
-        bound = beta_bound(values["a"], omega0, nu, values["z0"], CODATA, cfg.eta0)
+    for convention in _FREQ_SCALE:
+        p = _physical_config(cfg.physical, convention)
+        bound = beta_bound(p.a, p.omega0, p.nu, p.z0, CODATA, cfg.eta0)
         rows.append(
-            (convention, omega0, nu, bound.beta_max_si,
+            (convention, p.omega0, p.nu, bound.beta_max_si,
              bound.beta_max_planck_units, bound.tolerance_factor)
         )
     return _BOUND_COLUMNS, rows
@@ -512,6 +496,6 @@ _TEMPERATURE_COLUMNS = ("a_m_s2", "eps", "unruh_K", "modified_K")
 
 
 def _temperature_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple]]:
-    p = _physical_config(cfg)
+    p = _physical_config(cfg.physical, cfg.freq_convention)
     pair = temperatures(p)
     return _TEMPERATURE_COLUMNS, [(p.a, gup_strength(p), pair.unruh, pair.modified)]

@@ -15,6 +15,7 @@ from gup_mirror import (
     ConfigError,
     DimensionlessConfig,
     PhysicalConfig,
+    beta_bound,
     gamma_phase_set,
     log_gamma,
     p1_closed,
@@ -105,9 +106,11 @@ _POINT_BLOCK = "x = 1\ny = 1\nzeta = 0.5\n"
     pytest.param("mode = compare\n" + _POINT_BLOCK + "quad_abs_tolerance = 1e-8",
                  "quad_abs_tolerance", id="quad_abs_tolerance-compare"),
     pytest.param("mode = p1\n" + _POINT_BLOCK + "grid = default", "grid", id="grid-p1"),
+    # g, the atom-field coupling, scales no column of any mode
+    pytest.param("mode = compare\n" + _BOUND_BLOCK + "g = 1", "g", id="g-compare"),
 ])
 def test_keys_without_effect_in_mode_rejected(text, key):
-    with pytest.raises(ConfigError, match=key) as err:
+    with pytest.raises(ConfigError, match=f"'{key}'") as err:
         parse_config(text)
     assert f"line {text.count(chr(10)) + 1}:" in str(err.value)
 
@@ -273,18 +276,31 @@ def test_zeta_sweep_matches_uncached_scalar_calls(tmp_path):
     assert read(out) == _scalar_csv(points)
 
 
-def test_si_omega0_sweep_matches_uncached_scalar_calls(tmp_path):
+_SI_BLOCK = {"a": 3e20, "omega0": 8e10, "nu": 2e11, "z0": 1.8e-4, "beta": 2e57}
+
+
+@pytest.mark.parametrize("convention", ["angular", "ordinary"])
+@pytest.mark.parametrize("param, lo, hi", [
+    pytest.param("a", 1e20, 4.5e20, id="a"),
+    pytest.param("omega0", 8e10, 6e11, id="omega0"),
+    pytest.param("nu", 5e10, 6e11, id="nu"),
+    pytest.param("z0", 1e-5, 2.9e-4, id="z0"),
+    pytest.param("beta", 1e56, 2e58, id="beta"),
+])
+def test_si_sweep_matches_uncached_scalar_calls(tmp_path, param, lo, hi, convention):
     out = tmp_path / "si.csv"
-    text = "mode = sweep\nfreq_convention = ordinary\na = 3e20\nomega0 = 8e10\nnu = 2e11\n" \
-           "z0 = 1.8e-4\nbeta = 2e57\nsweep_param = omega0\nsweep_min = 8e10\n" \
-           f"sweep_max = 6e11\nsweep_count = 300\nout = {out}"
+    block = "".join(f"{key} = {value!r}\n" for key, value in _SI_BLOCK.items())
+    text = f"mode = sweep\nfreq_convention = {convention}\n{block}sweep_param = {param}\n" \
+           f"sweep_min = {lo!r}\nsweep_max = {hi!r}\nsweep_count = 300\nout = {out}"
     assert run(parse_config(text)) == 0
-    points = [
-        to_dimensionless(PhysicalConfig(a=3e20, omega0=float(omega0) * (2.0 * math.pi),
-                                        nu=2e11 * (2.0 * math.pi), z0=1.8e-4, beta=2e57))
-        for omega0 in np.linspace(8e10, 6e11, 300)
-    ]
-    assert 0.0 < points[0].eps < 0.1 and points[0].zeta < 1.0
+    scale = 2.0 * math.pi if convention == "ordinary" else 1.0
+    points = []
+    for value in np.linspace(lo, hi, 300):
+        si = {**_SI_BLOCK, param: float(value)}
+        points.append(to_dimensionless(PhysicalConfig(
+            a=si["a"], omega0=si["omega0"] * scale, nu=si["nu"] * scale,
+            z0=si["z0"], beta=si["beta"])))
+    assert all(0.0 < d.eps < 0.1 and d.zeta < 1.0 for d in (points[0], points[-1]))
     assert read(out) == _scalar_csv(points)
 
 
@@ -430,6 +446,14 @@ def test_bound_mode_reports_both_conventions(tmp_path):
     assert angular[0] == "angular" and ordinary[0] == "ordinary"
     assert float(angular[4]) == pytest.approx(3.440499457e68, rel=1e-8)
     assert float(ordinary[4]) == pytest.approx(8.714886933e66, rel=1e-8)
+    rows = []
+    for convention, scale in (("angular", 1.0), ("ordinary", 2.0 * math.pi)):
+        bound = beta_bound(9.8, 1e9 * scale, 1e9 * scale, k_c**2 / 9.8)
+        rows.append((convention, 1e9 * scale, 1e9 * scale, bound.beta_max_si,
+                     bound.beta_max_planck_units, bound.tolerance_factor))
+    header = ("convention", "omega0_rad_s", "nu_rad_s",
+              "beta_max_si", "beta_max_planck_units", "tolerance_factor")
+    assert read(out) == _reference_csv(header, rows)
 
 
 def test_temperatures_mode(tmp_path):
@@ -469,6 +493,17 @@ def test_cli_end_to_end(tmp_path):
                  "perturbative regime violated", id="p1-damping"),
     pytest.param("temperatures", "a = 9.8\nomega0 = 1\nnu = 1\nz0 = 1\nbeta = 1e90\n",
                  "modified-temperature pole", id="temperature-pole"),
+    pytest.param("bound", "a = 9.8\nomega0 = 1e9\nnu = 1e110\nz0 = 1\n",
+                 "nu=1e+110: nu^3 overflows", id="bound-nu-overflow"),
+    pytest.param("bound", "a = 9.8\nomega0 = 1e9\nnu = 1e-110\nz0 = 1\n",
+                 "nu=1e-110: hbar^2 nu^3 underflows to zero", id="bound-nu-underflow"),
+    pytest.param("bound", "a = 9.8\nomega0 = 1e308\nnu = 1e9\nz0 = 1\n",
+                 "omega0=1e+308", id="bound-omega0-overflow"),
+    pytest.param("bound", "a = 9.8\nomega0 = 1e9\nnu = 1e9\nz0 = 1\neta0 = 1e300\n",
+                 "eta0=1e+300", id="bound-eta0-overflow"),
+    # eps / (2 zeta^2) overflows
+    pytest.param("compare", "x = 1\ny = 1\nzeta = 1e-160\neps = 0.01\n",
+                 "zeta=1e-160, eps=0.01: Q is not a finite double", id="q-tiny-zeta"),
 ])
 def test_domain_error_is_one_line_exit_1(tmp_path, capsys, mode, block, message):
     config = tmp_path / "run.conf"
@@ -497,6 +532,25 @@ def test_overflowing_si_input_is_one_line_exit_1(tmp_path, capsys, block, messag
     assert err.startswith("configuration error in ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+def test_q_value_zero_at_eps0_where_zeta_squared_underflows(tmp_path):
+    config = tmp_path / "run.conf"
+    out = tmp_path / "out.csv"
+    config.write_text("x = 1\ny = 1\nzeta = 1e-170\neps = 0\n")
+    assert main(["compare", "--config", str(config), "--out", str(out)]) == 0
+    row = dict(zip(ROW_COLUMNS, read(out).decode().strip().split("\n")[1].split(",")))
+    assert (row["q_value"], row["ratio"]) == ("0", "1")
+
+
+def test_config_not_utf8_is_read_error(tmp_path, capsys):
+    config = tmp_path / "latin1.conf"
+    config.write_bytes(b"x = 1\ny = 1\nzeta = 0.5\n# \xff\n")
+    assert main(["compare", "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read config file {str(config)!r}: ") and "0xff" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_bound_mode_applies_si_sign_rule(tmp_path, capsys):
