@@ -57,7 +57,10 @@ the rotated path never meets the cut.
 Error control.  Each quadrature returns QUADPACK's error estimate.  Their
 sum, each scaled by the factor its piece enters the amplitude with, is
 the amplitude-scale error estimate reported as extrapolation_residual and
-gated at 100x abs_tolerance.
+gated at 100x abs_tolerance.  The real and imaginary parts of each piece
+are integrated by separate passes over the same interval, which share
+most of their nodes; each complex integrand value is computed once per
+node and used by both passes.
 """
 
 from __future__ import annotations
@@ -145,9 +148,27 @@ def quad(*args, **kwargs):
 
 
 def _complex_quad(f, a: float, b: float, tol: float) -> tuple[complex, float]:
-    """Integral of the complex function f over (a, b), and its error estimate."""
-    re, re_err = quad(lambda t: f(t).real, a, b, epsabs=tol, epsrel=tol, limit=_QUAD_LIMIT)
-    im, im_err = quad(lambda t: f(t).imag, a, b, epsabs=tol, epsrel=tol, limit=_QUAD_LIMIT)
+    """Integral of the complex function f over (a, b), and its error estimate.
+
+    The real and imaginary parts are integrated by separate QUADPACK passes.
+    Both bisect the same interval with the same arithmetic, so most nodes
+    of the second pass are nodes of the first: the real pass keeps each
+    value f(t), keyed by the float t, and the imaginary pass reuses it.
+    """
+    values: dict[float, complex] = {}
+
+    def real_part(t: float) -> float:
+        value = values[t] = f(t)
+        return value.real
+
+    def imag_part(t: float) -> float:
+        value = values.get(t)
+        if value is None:
+            value = f(t)
+        return value.imag
+
+    re, re_err = quad(real_part, a, b, epsabs=tol, epsrel=tol, limit=_QUAD_LIMIT)
+    im, im_err = quad(imag_part, a, b, epsabs=tol, epsrel=tol, limit=_QUAD_LIMIT)
     return complex(re, im), re_err + im_err
 
 

@@ -126,7 +126,9 @@ def _parse_float(key: str, raw: str, line: int) -> float:
         raise ConfigError(f"key '{key}': not a number: {raw!r}", line) from None
     if not math.isfinite(value):
         raise ConfigError(f"key '{key}': value must be finite", line)
-    return value
+    # -0.0 passes every sign rule (-0.0 >= 0.0) and would print as -0;
+    # adding 0.0 maps it to 0.0 and leaves every other double as it is
+    return value + 0.0
 
 
 def _parse_int(key: str, raw: str, line: int) -> int:

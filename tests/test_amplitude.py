@@ -1,5 +1,6 @@
 """Quadrature oracle: two-route agreement, regression values, error control."""
 
+import cmath
 import itertools
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 from scipy.integrate import IntegrationWarning
 
 import gup_mirror
+from gup_mirror import amplitude
 from gup_mirror import (
     DimensionlessConfig,
     QuadratureConvergenceError,
@@ -189,6 +191,57 @@ def test_no_integration_warning_on_criterion_2_grid():
             d = DimensionlessConfig(x=x, y=y, zeta=zeta, eps=eps)
             p1_numeric(d)
             p2_numeric(d)
+
+
+def _two_pass_complex_quad(f, a, b, tol):
+    # _complex_quad without the shared node values: each pass evaluates f afresh
+    kwargs = dict(epsabs=tol, epsrel=tol, limit=amplitude._QUAD_LIMIT)
+    re, re_err = amplitude.quad(lambda t: f(t).real, a, b, **kwargs)
+    im, im_err = amplitude.quad(lambda t: f(t).imag, a, b, **kwargs)
+    return complex(re, im), re_err + im_err
+
+
+@pytest.mark.parametrize("a, b, f", [
+    # the probability-1 remainder at x = 1.1, a1 = 0.7: the imaginary pass
+    # bisects further than the real one, so it has nodes of its own
+    (math.log(1e-17 / 0.7), 0.0,
+     lambda s: cmath.exp(complex(0.0, 1.1 * s)) * math.expm1(-0.7 * math.exp(s))),
+    # an interval of width 1e-11, whose nodes lie closer than 1e-12
+    (1.0, 1.0 + 1e-11,
+     lambda t: cmath.exp(complex(-1e11 * (t - 1.0), 3e11 * (t - 1.0) ** 0.5))),
+])
+def test_complex_quad_evaluates_each_node_once(a, b, f):
+    tol = 1e-11
+    # the real pass of -i f has the nodes of f's imaginary pass: values kept
+    # beyond one call would reach the call under test
+    amplitude._complex_quad(lambda t: -1j * f(t), a, b, tol)
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return f(t)
+
+    value, error = amplitude._complex_quad(counted, a, b, tol)
+    nodes = []
+    reference, reference_error = _two_pass_complex_quad(
+        lambda t: nodes.append(t) or f(t), a, b, tol)
+
+    assert len(calls) == len(set(calls))
+    assert set(calls) == set(nodes)
+    assert len(calls) < len(nodes)
+    assert (value.real.hex(), value.imag.hex(), error.hex()) == (
+        reference.real.hex(), reference.imag.hex(), reference_error.hex())
+
+
+def test_shared_nodes_keep_oracle_results_on_criterion_2_grid(monkeypatch):
+    cells = [DimensionlessConfig(x=x, y=y, zeta=zeta, eps=eps) for x, y, zeta, eps in
+             itertools.product((0.7, 1.1, 1.9), (0.7, 1.2, 2.0), (0.35, 0.55, 0.8),
+                               (0.0, 1e-3, 1e-2))]
+    shared = [(p1_numeric(d), p2_numeric(d)) for d in cells]
+    monkeypatch.setattr(amplitude, "_complex_quad", _two_pass_complex_quad)
+    reference = [(p1_numeric(d), p2_numeric(d)) for d in cells]
+    assert len(cells) == 81
+    assert shared == reference
 
 
 def test_import_leaves_scipy_unloaded():

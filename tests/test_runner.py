@@ -543,6 +543,23 @@ def test_q_value_zero_at_eps0_where_zeta_squared_underflows(tmp_path):
     assert (row["q_value"], row["ratio"]) == ("0", "1")
 
 
+@pytest.mark.parametrize("mode, text", [
+    ("compare", "x = 1\ny = 1\nzeta = 1.5\neps = -0\n"),
+    ("compare", "a = 9.8\nomega0 = 1e9\nnu = 1e9\nz0 = 1e17\nbeta = -0\n"),
+    ("sweep", "x = 1\ny = 1\nzeta = 1.5\neps = 0.01\nsweep_param = eps\n"
+              "sweep_min = -0\nsweep_max = 0.01\nsweep_count = 3\n"),
+])
+def test_signed_zero_input_renders_as_zero(tmp_path, mode, text):
+    # -0 passes the sign rules; it must reach the CSV as 0, not -0
+    config = tmp_path / "run.conf"
+    out = tmp_path / "out.csv"
+    config.write_text(text)
+    assert main([mode, "--config", str(config), "--out", str(out)]) == 0
+    row = dict(zip(ROW_COLUMNS, read(out).decode().split("\n")[1].split(",")))
+    assert (row["eps"], row["q_value"]) == ("0", "0")
+    assert "-0" not in row.values()
+
+
 def test_config_not_utf8_is_read_error(tmp_path, capsys):
     config = tmp_path / "latin1.conf"
     config.write_bytes(b"x = 1\ny = 1\nzeta = 0.5\n# \xff\n")
