@@ -72,7 +72,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from .special import _principal, digamma, gamma_phase_set, log_gamma, planck_factor
@@ -125,21 +124,29 @@ class TemperaturePair:
     modified: float
 
 
-def _assemble(prefactor: float, damping: float, planck: float, phase: float) -> ProbabilityBreakdown:
-    sin2 = math.sin(phase) ** 2
-    return ProbabilityBreakdown(prefactor * damping * planck * sin2,
-                                prefactor, damping, planck, phase, sin2)
+def _assemble(name: str, d: DimensionlessConfig, prefactor: float, damping: float,
+              planck: float, phase: float) -> ProbabilityBreakdown:
+    """The breakdown of probability `name` at d; a ValueError unless it is a finite double."""
+    sin2 = math.sin(phase) ** 2 if math.isfinite(phase) else math.nan
+    total = prefactor * damping * planck * sin2
+    if not math.isfinite(total):
+        raise ValueError(f"{name} is not a finite double at {d}")
+    return ProbabilityBreakdown(total, prefactor, damping, planck, phase, sin2)
 
 
 def p1_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
     """Closed-form probability for the accelerating atom, static mirror.
 
     Raises ValueError when the damping exponent eps y^2 / (1 + x^2) is
-    not below EPS_GUARD.
+    not below EPS_GUARD, or when eps > 0 and y^2 overflows a double.
     """
-    phases = gamma_phase_set(d.x, d.y * (1.0 - 0.5 * d.eps))
+    phases = gamma_phase_set(d.x)
     prefactor = 2.0 * math.pi / d.x
-    exponent = -d.eps * d.y**2 * phases.omega_cos_delta
+    try:  # the GUP terms vanish at eps = 0, where y^2 is not needed
+        y_squared = d.y**2 if d.eps > 0.0 else 0.0
+    except OverflowError:
+        raise ValueError(f"y={d.y!r}: y^2 overflows a double") from None
+    exponent = -d.eps * y_squared * phases.omega_cos_delta
     require_perturbative(exponent, "eps y^2/(1 + x^2)")
     damping = math.exp(exponent)
     phase = (
@@ -147,9 +154,9 @@ def p1_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
         + d.x * math.log(d.y)
         - 0.5 * d.eps * d.x
         + phases.theta
-        - 0.5 * d.eps * d.y**2 * phases.omega_sin_delta
+        - 0.5 * d.eps * y_squared * phases.omega_sin_delta
     )
-    return _assemble(prefactor, damping, planck_factor(d.x), phase)
+    return _assemble("p1", d, prefactor, damping, planck_factor(d.x), phase)
 
 
 # L is summed from its asymptotic series once |z| >= 17 + 1.5 |a|.  The
@@ -166,38 +173,14 @@ _ASYMPTOTIC_SLOPE = 1.5
 _L_TOLERANCE = 1e-8
 
 
-class _SeriesTerms(dict):
-    """The parts of L's series that depend on ybar alone: a = 1 + i ybar,
-    the r from which the asymptotic series is summed, psi(a), and, keyed
-    by n, the shifts (n - a, n + a), each added when a series first
-    reaches n.  The larger r is, the more shifts a series needs."""
-
-    def __init__(self, ybar: float):
-        super().__init__()
-        self.a = complex(1.0, ybar)
-        self.asymptotic_from = _ASYMPTOTIC_MIN_Z + _ASYMPTOTIC_SLOPE * abs(self.a)
-        self.psi = digamma(self.a)
-
-    def __missing__(self, n: int) -> tuple[complex, complex]:
-        shifts = self[n] = (n - self.a, n + self.a)
-        return shifts
-
-
-@lru_cache(maxsize=64)
-def _series_terms(ybar: float) -> _SeriesTerms:
-    """The table for ybar; a sweep at fixed y and eps reuses one for all its rows."""
-    return _SeriesTerms(ybar)
-
-
 def _gup_coefficient(ybar: float, r: float, log_gamma_iy: complex) -> complex:
     """L(a, z) = z^a dU(a, b, z)/db at b = a + 1, a = 1 + i ybar, z = i r.
 
     log_gamma_iy is log Gamma(i ybar); Gamma(-a) = -conj(Gamma(i ybar)) / a.
     """
-    terms = _series_terms(ybar)
-    a = terms.a
+    a = complex(1.0, ybar)
     z = complex(0.0, r)
-    if r >= terms.asymptotic_from:
+    if r >= _ASYMPTOTIC_MIN_Z + _ASYMPTOTIC_SLOPE * abs(a):
         # sum_{n>=1} (-1)^{n+1} (a)_n / (n z^n), cut before its terms grow
         total = 0j
         term = -1.0 + 0j
@@ -224,12 +207,11 @@ def _gup_coefficient(ybar: float, r: float, log_gamma_iy: complex) -> complex:
     n = 0
     while size >= _L_TOLERANCE:
         n += 1
-        below, above = terms[n]
-        power *= z / below
+        power *= z / (n - a)
         kummer *= z / n
-        total += kummer / above - power / n
+        total += kummer / (n + a) - power / n
         size *= r / n
-    return terms.psi - log_z + total
+    return digamma(a) - log_z + total
 
 
 def p2_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
@@ -237,7 +219,8 @@ def p2_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
 
     Requires zeta < 1: the atom must sit inside the mirror's right Rindler
     wedge.  The GUP terms are first order in eta = eps y / 2 and stay
-    finite at every zeta in (0, 1).
+    finite at every zeta in (0, 1).  Raises ValueError when x^2 overflows
+    a double or underflows to zero.
     """
     if not d.zeta < 1.0:
         raise ValueError("mirror-accelerating case requires zeta < 1")
@@ -250,9 +233,12 @@ def p2_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
         coefficient = _gup_coefficient(ybar, 2.0 * d.zeta * d.x, log_gamma_iy)
         damping = math.exp(2.0 * eta * coefficient.imag)
         gup_phase = eta * (math.log(2.0 * d.zeta) + coefficient.real)
-    prefactor = 2.0 * math.pi * ybar / d.x**2
+    try:
+        prefactor = 2.0 * math.pi * ybar / d.x**2
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"x={d.x!r}: x^2 overflows a double or underflows to zero") from None
     phase = d.x * d.zeta + ybar * math.log(d.x) + gup_phase - _principal(log_gamma_iy.imag)
-    return _assemble(prefactor, damping, planck_factor(ybar), phase)
+    return _assemble("p2", d, prefactor, damping, planck_factor(ybar), phase)
 
 
 def p1_closed_si(p: PhysicalConfig, k: PhysicalConstants = CODATA) -> float:
@@ -281,11 +267,10 @@ def temperatures(p: PhysicalConfig, k: PhysicalConstants = CODATA) -> Temperatur
     """Unruh temperature hbar a / (2 pi k_B c) and its GUP modification.
 
     The modified temperature rescales by 1/(1 - eps/2) with
-    eps = beta hbar^2 nu^2 / c^2; the formula has a pole at eps = 2,
-    far beyond any perturbatively meaningful value, and is rejected there.
+    eps = beta hbar^2 nu^2 / c^2, first order in eps like every GUP
+    formula here, so eps outside the perturbative guard is rejected.
     """
     unruh = k.hbar * p.a / (2.0 * math.pi * k.k_B * k.c)
     eps = gup_strength(p, k)
-    if eps >= 2.0:
-        raise ValueError(f"eps={eps!r} reaches the modified-temperature pole at 2")
+    require_perturbative(eps)
     return TemperaturePair(unruh=unruh, modified=unruh / (1.0 - 0.5 * eps))

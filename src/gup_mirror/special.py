@@ -8,11 +8,12 @@ series) so the whole package has identical Gamma behavior everywhere,
 independent of platform library quirks.
 
 log_gamma, digamma and gamma_phase_set are memoised with a small
-bounded LRU cache each.  A zeta sweep repeats the same (x, ybar) in
-every row, and an omega0 sweep the same ybar, so most rows reuse the
-Gamma values of the row before.  All three are pure functions of their
-float or complex arguments and return immutable values, so a cached
-result is bit-identical to a fresh one; exceptions are not cached.
+bounded LRU cache each; gamma_phase_set is keyed by x alone.  A zeta
+sweep repeats the same x and ybar in every row, and an omega0 sweep the
+same ybar, so most rows reuse the Gamma values of the row before.  All
+three are pure functions of their float or complex arguments and return
+immutable values, so a cached result is bit-identical to a fresh one;
+exceptions are not cached.
 Arguments that compare equal share an entry, and the only such pairs
 that are different numbers are signed zeros: log_gamma and digamma
 read a zero imaginary part as +0, so the entry does not depend on which
@@ -133,53 +134,35 @@ def _principal(angle: float) -> float:
 
 @dataclass(frozen=True)
 class GammaPhaseSet:
-    """Gamma phases and the magnitude ratio entering both closed forms.
+    """The Gamma quantities the accelerating-atom closed form reads.
 
-    theta       Arg Gamma(-i x)
-    theta1      Arg Gamma(-i x - 1)
-    delta_phase theta1 - theta
-    omega_ratio |Gamma(-i x - 1)| / |Gamma(-i x)|
-    kappa       Arg Gamma(i ybar)
+    theta           Arg Gamma(-i x)
+    omega_cos_delta Omega cos Delta; equals -1/(1+x^2) analytically
+    omega_sin_delta Omega sin Delta; equals x/(1+x^2) analytically
 
-    All phases are principal-branch arguments of the evaluated Gamma
-    values; only cos/sin of phase combinations enter probabilities, so the
-    branch choice is free but must be reproducible.
+    with Omega = |Gamma(-i x - 1)| / |Gamma(-i x)| and Delta the difference
+    of the principal-branch arguments of Gamma(-i x - 1) and Gamma(-i x).
+    Only cos/sin of phase combinations enter probabilities, so the branch
+    choice is free but must be reproducible.
     """
 
     theta: float
-    theta1: float
-    delta_phase: float
-    omega_ratio: float
-    kappa: float
-
-    @property
-    def omega_cos_delta(self) -> float:
-        """omega_ratio * cos(delta_phase); equals -1/(1+x^2) analytically."""
-        return self.omega_ratio * math.cos(self.delta_phase)
-
-    @property
-    def omega_sin_delta(self) -> float:
-        """omega_ratio * sin(delta_phase); equals x/(1+x^2) analytically."""
-        return self.omega_ratio * math.sin(self.delta_phase)
+    omega_cos_delta: float
+    omega_sin_delta: float
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def gamma_phase_set(x: float, ybar: float) -> GammaPhaseSet:
-    """Evaluate the Gamma phases at atom frequency x and photon frequency ybar."""
+def gamma_phase_set(x: float) -> GammaPhaseSet:
+    """Evaluate the Gamma phases at atom frequency x."""
     if not x > 0.0:
         raise ValueError("x must be strictly positive")
-    if not ybar > 0.0:
-        raise ValueError("ybar must be strictly positive")
     lg_x = log_gamma(complex(0.0, -x))
     lg_x1 = log_gamma(complex(-1.0, -x))
-    lg_k = log_gamma(complex(0.0, ybar))
-    return GammaPhaseSet(
-        theta=_principal(lg_x.imag),
-        theta1=_principal(lg_x1.imag),
-        delta_phase=_principal(lg_x1.imag) - _principal(lg_x.imag),
-        omega_ratio=math.exp(lg_x1.real - lg_x.real),
-        kappa=_principal(lg_k.imag),
-    )
+    theta = _principal(lg_x.imag)
+    delta_phase = _principal(lg_x1.imag) - theta
+    omega_ratio = math.exp(lg_x1.real - lg_x.real)
+    return GammaPhaseSet(theta, omega_ratio * math.cos(delta_phase),
+                         omega_ratio * math.sin(delta_phase))
 
 
 def planck_factor(w: float) -> float:

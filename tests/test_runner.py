@@ -27,7 +27,6 @@ from gup_mirror import (
 )
 from gup_mirror.special import digamma
 from gup_mirror.cli import main
-from gup_mirror.closed_form import _series_terms
 from gup_mirror.runner import ROW_COLUMNS, _physics_rows, _write_csv
 
 
@@ -189,7 +188,7 @@ def test_workers_key_starts_no_thread(tmp_path, monkeypatch):
     assert len(read(out).decode().strip().split("\n")) == 26
 
 
-_MEMOS = (log_gamma, digamma, gamma_phase_set, _series_terms)
+_MEMOS = (log_gamma, digamma, gamma_phase_set)
 
 
 def _reference_csv(header, rows):
@@ -264,16 +263,24 @@ def test_zeta_sweep_matches_uncached_scalar_calls(tmp_path):
     text = "mode = sweep\nx = 1.3\ny = 0.8\nzeta = 0.5\neps = 0.005\nsweep_param = zeta\n" \
            f"sweep_min = 0.05\nsweep_max = 0.95\nsweep_count = 300\nsweep_spacing = log\nout = {out}"
     assert run(parse_config(text)) == 0
-    # each Gamma value computed once: one phase set (three log Gamma
-    # values, kappa shared with p2), one digamma and one table of series
-    # terms for all 300 rows
+    # each Gamma value computed once for all 300 rows: one phase set (two
+    # log Gamma values for p1), one log Gamma(i ybar) for p2, one digamma
     assert gamma_phase_set.cache_info().misses == 1
     assert log_gamma.cache_info().misses == 3
     assert digamma.cache_info().misses == 1
-    assert _series_terms.cache_info().misses == 1
     points = [DimensionlessConfig(x=1.3, y=0.8, zeta=float(zeta), eps=0.005)
               for zeta in np.geomspace(0.05, 0.95, 300)]
     assert read(out) == _scalar_csv(points)
+
+
+def test_cold_p1_run_evaluates_log_gamma_twice(tmp_path):
+    # Gamma(-i x) and Gamma(-i x - 1); p1 needs no Gamma(i ybar)
+    for cached in _MEMOS:
+        cached.cache_clear()
+    out = tmp_path / "p1.csv"
+    text = f"mode = p1\nx = 1.3\ny = 0.8\nzeta = 0.5\neps = 0.005\nout = {out}"
+    assert run(parse_config(text)) == 0
+    assert log_gamma.cache_info().misses == 2
 
 
 _SI_BLOCK = {"a": 3e20, "omega0": 8e10, "nu": 2e11, "z0": 1.8e-4, "beta": 2e57}
@@ -492,7 +499,11 @@ def test_cli_end_to_end(tmp_path):
                           "sweep_min = 100\nsweep_max = 200\nsweep_count = 11\n",
                  "perturbative regime violated", id="p1-damping"),
     pytest.param("temperatures", "a = 9.8\nomega0 = 1\nnu = 1\nz0 = 1\nbeta = 1e90\n",
-                 "modified-temperature pole", id="temperature-pole"),
+                 "perturbative regime violated", id="temperature-pole"),
+    # eps = 0.495, which compare on the same block rejects as well
+    pytest.param("temperatures", "a = 9.8\nomega0 = 1e9\nnu = 1e9\nz0 = 1\nbeta = 4e66\n",
+                 "eps=0.49496091639716444: perturbative regime violated",
+                 id="temperature-eps-guard"),
     pytest.param("bound", "a = 9.8\nomega0 = 1e9\nnu = 1e110\nz0 = 1\n",
                  "nu=1e+110: nu^3 overflows", id="bound-nu-overflow"),
     pytest.param("bound", "a = 9.8\nomega0 = 1e9\nnu = 1e-110\nz0 = 1\n",
@@ -504,6 +515,28 @@ def test_cli_end_to_end(tmp_path):
     # eps / (2 zeta^2) overflows
     pytest.param("compare", "x = 1\ny = 1\nzeta = 1e-160\neps = 0.01\n",
                  "zeta=1e-160, eps=0.01: Q is not a finite double", id="q-tiny-zeta"),
+    # p2's prefactor 2 pi ybar / x^2
+    pytest.param("compare", "x = 1e300\ny = 1\nzeta = 0.5\n",
+                 "x=1e+300: x^2 overflows a double or underflows to zero", id="p2-huge-x"),
+    pytest.param("p2", "x = 1e-300\ny = 1\nzeta = 0.5\n",
+                 "x=1e-300: x^2 overflows a double or underflows to zero", id="p2-tiny-x"),
+    # p1's GUP terms need y^2 at eps > 0
+    pytest.param("p1", "x = 1\ny = 1e200\nzeta = 0.5\neps = 0.01\n",
+                 "y=1e+200: y^2 overflows a double", id="p1-huge-y"),
+    # prefactor times Planck factor overflows: 2 pi / x^2 for p1, 2 pi ybar / x^2 for p2
+    pytest.param("compare", "x = 1e-160\ny = 1\nzeta = 0.5\n",
+                 "p1 is not a finite double at DimensionlessConfig(x=1e-160, y=1.0, zeta=0.5, "
+                 "eps=0.0)",
+                 id="p1-infinite"),
+    pytest.param("p2", "x = 1e-160\ny = 1\nzeta = 0.5\n",
+                 "p2 is not a finite double at DimensionlessConfig(x=1e-160, y=1.0, zeta=0.5, "
+                 "eps=0.0)",
+                 id="p2-infinite"),
+    # the phase y (1 - eps) zeta overflows, so sin^2 has no value
+    pytest.param("p1", "x = 1\ny = 1e200\nzeta = 1e200\n",
+                 "p1 is not a finite double at DimensionlessConfig(x=1.0, y=1e+200, zeta=1e+200, "
+                 "eps=0.0)",
+                 id="p1-infinite-phase"),
 ])
 def test_domain_error_is_one_line_exit_1(tmp_path, capsys, mode, block, message):
     config = tmp_path / "run.conf"
@@ -514,6 +547,17 @@ def test_domain_error_is_one_line_exit_1(tmp_path, capsys, mode, block, message)
     assert err.startswith("configuration error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+def test_huge_y_at_eps0_is_finite(tmp_path):
+    # p1 needs y^2 only for its GUP terms, which vanish at eps = 0
+    out = tmp_path / "out.csv"
+    assert run(parse_config(f"mode = compare\nx = 1\ny = 1e200\nzeta = 0.5\nout = {out}")) == 0
+    header, row = read(out).decode().strip().split("\n")
+    cells = dict(zip(header.split(","), row.split(",")))
+    d = DimensionlessConfig(x=1.0, y=1e200, zeta=0.5)
+    assert float(cells["p1_closed"]) == p1_closed(d).total
+    assert float(cells["p2_closed"]) == p2_closed(d).total
 
 
 @pytest.mark.parametrize("block, message", [
