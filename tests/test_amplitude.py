@@ -1,6 +1,5 @@
 """Quadrature oracle: two-route agreement, regression values, error control."""
 
-import cmath
 import itertools
 import math
 import os
@@ -182,6 +181,24 @@ def test_verify_pair_propagates_non_convergence():
         verify_pair(DimensionlessConfig(x=1.0, y=1.0, zeta=1.5, eps=0.0))
 
 
+def test_verify_pair_where_closed_form_underflows_to_zero():
+    # the Planck factor rounds to 0 from x of about 118.6, so p1_closed is
+    # exactly 0 at x = 120 while the oracle leaves a tiny nonzero value
+    d = DimensionlessConfig(x=120.0, y=1.0, zeta=0.5, eps=0.0)
+    record = verify_pair(d)
+    assert record.p1_closed == 0.0 and record.p1_numeric > 0.0
+    assert record.p1_rel_dev == math.inf
+    assert not record.p1_within and not record.all_within
+    assert record.p2_within
+    # from x of about 474.4 the oracle's rotation factor rounds to 0 as
+    # well; its quadrature exhausts the subdivision limit there
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        far = verify_pair(DimensionlessConfig(x=500.0, y=1.0, zeta=0.5, eps=0.0))
+    assert far.p1_closed == far.p1_numeric == 0.0
+    assert far.p1_rel_dev == 0.0 and far.p1_within
+
+
 def test_no_integration_warning_on_criterion_2_grid():
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
@@ -193,55 +210,29 @@ def test_no_integration_warning_on_criterion_2_grid():
             p2_numeric(d)
 
 
-def _two_pass_complex_quad(f, a, b, tol):
-    # _complex_quad without the shared node values: each pass evaluates f afresh
-    kwargs = dict(epsabs=tol, epsrel=tol, limit=amplitude._QUAD_LIMIT)
-    re, re_err = amplitude.quad(lambda t: f(t).real, a, b, **kwargs)
-    im, im_err = amplitude.quad(lambda t: f(t).imag, a, b, **kwargs)
-    return complex(re, im), re_err + im_err
+@pytest.mark.parametrize("oracle, point, calls", [
+    (p1_numeric, (1.0, 1.0, 0.5, 0.0), 2),
+    (p1_numeric, (1.0, 1.0, 0.5, 0.01), 2),
+    (p2_numeric, (1.0, 1.0, 0.5, 0.0), 1),
+    (p2_numeric, (1.0, 1.0, 0.5, 0.01), 1),
+], ids=["p1-eps0", "p1-eps", "p2-eps0", "p2-eps"])
+def test_one_real_quadrature_per_contour_piece(monkeypatch, oracle, point, calls):
+    # each contour piece is one quad call over the real projection the
+    # amplitude reads, whatever eps is: every callback returns that real
+    # integrand's value, so one callback is one integrand evaluation
+    original = amplitude.quad
+    seen = []
 
+    def counted(f, *args, **kwargs):
+        values = []
+        result = original(lambda t: values.append(f(t)) or values[-1], *args, **kwargs)
+        seen.append(values)
+        return result
 
-@pytest.mark.parametrize("a, b, f", [
-    # the probability-1 remainder at x = 1.1, a1 = 0.7: the imaginary pass
-    # bisects further than the real one, so it has nodes of its own
-    (math.log(1e-17 / 0.7), 0.0,
-     lambda s: cmath.exp(complex(0.0, 1.1 * s)) * math.expm1(-0.7 * math.exp(s))),
-    # an interval of width 1e-11, whose nodes lie closer than 1e-12
-    (1.0, 1.0 + 1e-11,
-     lambda t: cmath.exp(complex(-1e11 * (t - 1.0), 3e11 * (t - 1.0) ** 0.5))),
-])
-def test_complex_quad_evaluates_each_node_once(a, b, f):
-    tol = 1e-11
-    # the real pass of -i f has the nodes of f's imaginary pass: values kept
-    # beyond one call would reach the call under test
-    amplitude._complex_quad(lambda t: -1j * f(t), a, b, tol)
-    calls = []
-
-    def counted(t):
-        calls.append(t)
-        return f(t)
-
-    value, error = amplitude._complex_quad(counted, a, b, tol)
-    nodes = []
-    reference, reference_error = _two_pass_complex_quad(
-        lambda t: nodes.append(t) or f(t), a, b, tol)
-
-    assert len(calls) == len(set(calls))
-    assert set(calls) == set(nodes)
-    assert len(calls) < len(nodes)
-    assert (value.real.hex(), value.imag.hex(), error.hex()) == (
-        reference.real.hex(), reference.imag.hex(), reference_error.hex())
-
-
-def test_shared_nodes_keep_oracle_results_on_criterion_2_grid(monkeypatch):
-    cells = [DimensionlessConfig(x=x, y=y, zeta=zeta, eps=eps) for x, y, zeta, eps in
-             itertools.product((0.7, 1.1, 1.9), (0.7, 1.2, 2.0), (0.35, 0.55, 0.8),
-                               (0.0, 1e-3, 1e-2))]
-    shared = [(p1_numeric(d), p2_numeric(d)) for d in cells]
-    monkeypatch.setattr(amplitude, "_complex_quad", _two_pass_complex_quad)
-    reference = [(p1_numeric(d), p2_numeric(d)) for d in cells]
-    assert len(cells) == 81
-    assert shared == reference
+    monkeypatch.setattr(amplitude, "quad", counted)
+    oracle(DimensionlessConfig(*point))
+    assert len(seen) == calls
+    assert all(values and all(type(v) is float for v in values) for values in seen)
 
 
 def test_import_leaves_scipy_unloaded():

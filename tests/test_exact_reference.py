@@ -88,14 +88,20 @@ def test_oracle_matches_exact_reference_on_grids(grid):
     assert worst1 <= 1e-10 and worst2 <= 1e-10, (worst1, worst2)
 
 
-def test_error_estimate_bounds_true_error():
-    points = [(1.0, 1.0, 0.5, 0.0), (1.0, 1.0, 0.5, 0.01), (0.7, 2.0, 0.8, 0.01), (5.0, 8.0, 0.3, 0.0)]
-    for oracle, reference in ((p1_numeric, p1_reference), (p2_numeric, p2_reference)):
-        for point in points:
-            d = DimensionlessConfig(*point)
-            result = oracle(d)
-            assert result.extrapolation_residual >= 0.0
-            assert abs(result.amplitude - reference(d)) <= result.extrapolation_residual, point
+ESTIMATE_POINTS = [(1.0, 1.0, 0.5, 0.0), (1.0, 1.0, 0.5, 0.01), (0.7, 2.0, 0.8, 0.01),
+                   (5.0, 8.0, 0.3, 0.0)]
+ESTIMATE_POINTS += [p for p in ((d.x, d.y, d.zeta, d.eps) for d in CRITERION_2_GRID + DEFAULT_GRID)
+                    if p not in ESTIMATE_POINTS]
+
+
+@pytest.mark.parametrize("x, y, zeta, eps", ESTIMATE_POINTS)
+@pytest.mark.parametrize("oracle, reference", [(p1_numeric, p1_reference), (p2_numeric, p2_reference)],
+                         ids=["p1", "p2"])
+def test_error_estimate_bounds_true_error(oracle, reference, x, y, zeta, eps):
+    d = DimensionlessConfig(x=x, y=y, zeta=zeta, eps=eps)
+    result = oracle(d)
+    assert result.extrapolation_residual >= 0.0
+    assert abs(result.amplitude - reference(d)) <= result.extrapolation_residual
 
 
 def test_benchmark_seed_610_point_converges():
