@@ -16,7 +16,6 @@ quantifies along with the resulting bound on the GUP parameter.
 from .amplitude import (
     AmplitudeResult,
     QuadratureConvergenceError,
-    QuadratureSettings,
     VerifyRecord,
     p1_numeric,
     p2_numeric,
@@ -81,7 +80,6 @@ __all__ = [
     "PhysicalConstants",
     "ProbabilityBreakdown",
     "QuadratureConvergenceError",
-    "QuadratureSettings",
     "RunConfig",
     "SpacetimePoint",
     "SweepAxis",

@@ -65,7 +65,9 @@ Error control.  Each quadrature integrates the real projection that the
 amplitude reads, and returns QUADPACK's error estimate for it.  Their
 sum, scaled by the factor the pieces enter the amplitude with, is the
 error estimate of the amplitude itself, reported as
-extrapolation_residual and gated at 100x abs_tolerance.
+extrapolation_residual.  An estimate above 1e-8 (100x the amplitude's
+error budget of 1e-10) raises QuadratureConvergenceError.  The budget
+and the gate are fixed: nothing sets them.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ from .closed_form import p1_closed, p2_closed
 from .units import DimensionlessConfig
 
 __all__ = [
-    "QuadratureSettings",
     "AmplitudeResult",
     "VerifyRecord",
     "QuadratureConvergenceError",
@@ -90,22 +91,6 @@ __all__ = [
 
 class QuadratureConvergenceError(RuntimeError):
     """Raised when the quadrature error estimate exceeds its gate."""
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Controls for the quadrature oracle.
-
-    abs_tolerance   amplitude-scale error budget; an evaluation whose error
-                    estimate exceeds 100x this raises
-                    QuadratureConvergenceError
-    """
-
-    abs_tolerance: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not self.abs_tolerance > 0.0:
-            raise ValueError("abs_tolerance must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -134,12 +119,12 @@ _QUAD_LIMIT = 400
 # the exponential decay has reached e^{-_DECAY}.
 _NEGLIGIBLE = 1e-17
 _DECAY = 60.0
-
-
-def _piece_tolerance(q: QuadratureSettings) -> float:
-    # abs_tolerance budgets one full amplitude, assembled from one or two
-    # quadratures, so each quadrature runs a decade tighter.
-    return 0.1 * q.abs_tolerance
+# 1e-10 budgets one full amplitude, assembled from one or two quadratures,
+# so each quadrature runs a decade tighter; an amplitude whose error
+# estimate exceeds 100x the budget is not certified.
+_PIECE_TOLERANCE = 0.1 * 1e-10
+_GATE = 100.0 * 1e-10
+_QUAD_OPTIONS = {"epsabs": _PIECE_TOLERANCE, "epsrel": _PIECE_TOLERANCE, "limit": _QUAD_LIMIT}
 
 
 def quad(*args, **kwargs):
@@ -153,20 +138,17 @@ def quad(*args, **kwargs):
     return scipy_quad(*args, **kwargs)
 
 
-def _check_convergence(residual: float, q: QuadratureSettings, what: str) -> None:
-    threshold = 100.0 * q.abs_tolerance
-    if not residual <= threshold:
+def _check_convergence(residual: float, what: str) -> None:
+    if not residual <= _GATE:
         raise QuadratureConvergenceError(
-            f"{what}: quadrature error estimate {residual:.3e} exceeds {threshold:.3e}; "
-            "abs_tolerance is below what double precision reaches at this point"
+            f"{what}: quadrature error estimate {residual:.3e} exceeds {_GATE:.3e}"
         )
 
 
 # ---------------------------------------------------------------------------
 # probability 1: atom accelerating past a static mirror
 
-def _rotated_mellin(x: float, a1: float, a2: float, c: float,
-                    tol: float) -> tuple[float, float]:
+def _rotated_mellin(x: float, a1: float, a2: float, c: float) -> tuple[float, float]:
     """Im of e^{-i c} times the finite part of
     int e^{i x sigma - a1 e^sigma} (1 - a2 e^{-sigma}) d sigma, and its error
     estimate.
@@ -187,28 +169,27 @@ def _rotated_mellin(x: float, a1: float, a2: float, c: float,
     def tail(s: float) -> float:
         return math.sin(x * s - c) * math.exp(-a1 * math.exp(s)) * (1.0 - a2 * math.exp(-s))
 
-    near, near_err = quad(remainder, lower, 0.0, epsabs=tol, epsrel=tol, limit=_QUAD_LIMIT)
-    far, far_err = quad(tail, 0.0, upper, epsabs=tol, epsrel=tol, limit=_QUAD_LIMIT)
+    near, near_err = quad(remainder, lower, 0.0, **_QUAD_OPTIONS)
+    far, far_err = quad(tail, 0.0, upper, **_QUAD_OPTIONS)
     subtracted = 1.0 / complex(0.0, x) - a2 * (1.0 / complex(-1.0, x) - a1 / complex(0.0, x))
     return near + far + (cmath.exp(-1j * c) * subtracted).imag, near_err + far_err
 
 
-def p1_numeric(d: DimensionlessConfig, q: QuadratureSettings | None = None) -> AmplitudeResult:
+def p1_numeric(d: DimensionlessConfig) -> AmplitudeResult:
     """Excitation probability of an atom accelerating past a static mirror,
     by direct quadrature of the transition amplitude.
 
     Raises QuadratureConvergenceError when the error estimate exceeds
-    100x abs_tolerance.
+    the gate of 1e-8.
     """
-    q = q or QuadratureSettings()
     a1 = d.y * (1.0 - 0.5 * d.eps)
     a2 = 0.5 * d.y * d.eps
     mirror_phase = d.y * (1.0 - d.eps) * d.zeta
     rotation = math.exp(-0.5 * math.pi * d.x)
-    half, error = _rotated_mellin(d.x, a1, a2, mirror_phase, _piece_tolerance(q))
+    half, error = _rotated_mellin(d.x, a1, a2, mirror_phase)
     amp = 2j * rotation * half
     residual = 2.0 * rotation * error
-    _check_convergence(residual, q, "probability-1 amplitude")
+    _check_convergence(residual, "probability-1 amplitude")
     return AmplitudeResult(
         probability=0.25 * abs(amp) ** 2,
         amplitude=amp,
@@ -219,8 +200,7 @@ def p1_numeric(d: DimensionlessConfig, q: QuadratureSettings | None = None) -> A
 # ---------------------------------------------------------------------------
 # probability 2: mirror accelerating away from a static atom
 
-def _accel_mirror_core(x: float, ybar: float, eta: float, zeta: float,
-                       tol: float) -> tuple[float, float]:
+def _accel_mirror_core(x: float, ybar: float, eta: float, zeta: float) -> tuple[float, float]:
     """Re of e^{-i x zeta} int_0^inf e^{-x s} s^{i ybar} (2 zeta - i s)^{-i eta} ds,
     the core integral rotated to w = i s without its factor i e^{-pi ybar/2},
     and its error estimate.
@@ -237,28 +217,26 @@ def _accel_mirror_core(x: float, ybar: float, eta: float, zeta: float,
             - 1j * eta * cmath.log(complex(2.0 * zeta, -s))
         ).real
 
-    return quad(integrand, math.log(_NEGLIGIBLE), math.log(_DECAY / x),
-                epsabs=tol, epsrel=tol, limit=_QUAD_LIMIT)
+    return quad(integrand, math.log(_NEGLIGIBLE), math.log(_DECAY / x), **_QUAD_OPTIONS)
 
 
-def p2_numeric(d: DimensionlessConfig, q: QuadratureSettings | None = None) -> AmplitudeResult:
+def p2_numeric(d: DimensionlessConfig) -> AmplitudeResult:
     """Excitation probability of a static atom facing an accelerating
     mirror, by direct quadrature of the transition amplitude.
 
     Requires zeta < 1 (the atom must sit inside the mirror's right Rindler
     wedge).  Raises QuadratureConvergenceError when the error estimate
-    exceeds 100x abs_tolerance.
+    exceeds the gate of 1e-8.
     """
-    q = q or QuadratureSettings()
     if not d.zeta < 1.0:
         raise ValueError("mirror-accelerating case requires zeta < 1")
     ybar = d.y * (1.0 - 0.5 * d.eps)
     eta = 0.5 * d.eps * d.y
     rotation = math.exp(-0.5 * math.pi * ybar)
-    core, core_error = _accel_mirror_core(d.x, ybar, eta, d.zeta, _piece_tolerance(q))
+    core, core_error = _accel_mirror_core(d.x, ybar, eta, d.zeta)
     amp = -2j * rotation * core
     residual = 2.0 * rotation * core_error
-    _check_convergence(residual, q, "probability-2 amplitude")
+    _check_convergence(residual, "probability-2 amplitude")
     return AmplitudeResult(
         probability=0.25 * abs(amp) ** 2,
         amplitude=amp,
@@ -268,6 +246,12 @@ def p2_numeric(d: DimensionlessConfig, q: QuadratureSettings | None = None) -> A
 
 # ---------------------------------------------------------------------------
 # two-route comparison
+
+# Relative deviation allowed between the two routes: 1e-3 at eps = 0, and
+# 1e-2 at eps > 0, where the closed forms are first order in eps.
+_BOUND_EPS0 = 1e-3
+_BOUND_GUP = 1e-2
+
 
 @dataclass(frozen=True)
 class VerifyRecord:
@@ -304,27 +288,21 @@ def _relative_deviation(numeric: float, closed: float) -> float:
     return abs(numeric - closed) / abs(closed)
 
 
-def verify_pair(
-    d: DimensionlessConfig,
-    q: QuadratureSettings | None = None,
-    bound_p1: float | None = None,
-    bound_p2: float | None = None,
-) -> VerifyRecord:
+def verify_pair(d: DimensionlessConfig) -> VerifyRecord:
     """Run both routes for both probabilities and compare.
 
-    Default deviation bounds are 1e-3 at eps = 0 and 1e-2 at eps > 0.
+    The deviation bound is 1e-3 at eps = 0 and 1e-2 at eps > 0, for both
+    probabilities.
     Where a closed form is exactly 0, its deviation is 0 if the numeric
     value is 0 too, and inf otherwise.
     Requires zeta < 1 so the accelerating-mirror case is defined.
     Quadrature non-convergence propagates.
     """
-    default = 1e-3 if d.eps == 0.0 else 1e-2
-    bound_p1 = default if bound_p1 is None else bound_p1
-    bound_p2 = default if bound_p2 is None else bound_p2
+    bound = _BOUND_EPS0 if d.eps == 0.0 else _BOUND_GUP
     closed1 = p1_closed(d).total
     closed2 = p2_closed(d).total
-    numeric1 = p1_numeric(d, q).probability
-    numeric2 = p2_numeric(d, q).probability
+    numeric1 = p1_numeric(d).probability
+    numeric2 = p2_numeric(d).probability
     return VerifyRecord(
         config=d,
         p1_closed=closed1,
@@ -333,6 +311,6 @@ def verify_pair(
         p2_numeric=numeric2,
         p1_rel_dev=_relative_deviation(numeric1, closed1),
         p2_rel_dev=_relative_deviation(numeric2, closed2),
-        p1_bound=bound_p1,
-        p2_bound=bound_p2,
+        p1_bound=bound,
+        p2_bound=bound,
     )

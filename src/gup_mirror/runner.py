@@ -29,11 +29,11 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import QuadratureConvergenceError, QuadratureSettings, p1_numeric, p2_numeric
+from .amplitude import QuadratureConvergenceError, p1_numeric, p2_numeric
 from .closed_form import p1_closed, p2_closed, temperatures
 from .equivalence import beta_bound, q_parameter
 from .units import CODATA, DimensionlessConfig, PhysicalConfig, gup_strength, to_dimensionless
@@ -59,16 +59,12 @@ ROW_COLUMNS = (
 _DIMENSIONLESS_KEYS = ("x", "y", "zeta", "eps")
 _PHYSICAL_KEYS = ("a", "omega0", "nu", "z0", "beta")
 _SWEEP_KEYS = ("sweep_param", "sweep_min", "sweep_max", "sweep_count", "sweep_spacing")
-_QUAD_KEYS = ("quad_abs_tolerance",)
 _OTHER_KEYS = ("mode", "out", "freq_convention", "eta0", "workers", "grid")
-_KNOWN_KEYS = frozenset(
-    _DIMENSIONLESS_KEYS + _PHYSICAL_KEYS + _SWEEP_KEYS + _QUAD_KEYS + _OTHER_KEYS
-)
+_KNOWN_KEYS = frozenset(_DIMENSIONLESS_KEYS + _PHYSICAL_KEYS + _SWEEP_KEYS + _OTHER_KEYS)
 
 # Keys read in one mode only; in any other they would have no effect.
 _MODE_ONLY_KEYS = {
     "grid": "verify",
-    "quad_abs_tolerance": "verify",
     "eta0": "bound",
     **dict.fromkeys(_SWEEP_KEYS, "sweep"),
 }
@@ -109,7 +105,6 @@ class RunConfig:
     dimensionless: dict[str, float] | None = None
     physical: dict[str, float] | None = None
     sweep: SweepAxis | None = None
-    quadrature: QuadratureSettings = field(default_factory=QuadratureSettings)
     out: str | None = None
     freq_convention: str = "angular"
     eta0: float = 1.0
@@ -272,15 +267,6 @@ def parse_config(text: str, default_mode: str | None = None) -> RunConfig:
         sweep = SweepAxis(param=param, minimum=minimum, maximum=maximum,
                           count=count, spacing=spacing)
 
-    quadrature = QuadratureSettings()
-    if "quad_abs_tolerance" in pairs:
-        tolerance = _parse_float("quad_abs_tolerance", *pairs["quad_abs_tolerance"])
-        try:
-            quadrature = QuadratureSettings(abs_tolerance=tolerance)
-        except ValueError as exc:
-            raise ConfigError(f"quadrature settings: {exc}",
-                              pairs["quad_abs_tolerance"][1]) from None
-
     eta0 = 1.0
     if "eta0" in pairs:
         eta0 = _parse_float("eta0", *pairs["eta0"])
@@ -299,7 +285,6 @@ def parse_config(text: str, default_mode: str | None = None) -> RunConfig:
         dimensionless=dimensionless,
         physical=physical,
         sweep=sweep,
-        quadrature=quadrature,
         out=out,
         freq_convention=convention,
         eta0=eta0,
@@ -373,14 +358,13 @@ def _points(cfg: RunConfig, sweep_values: list[float] | None = None) -> list[Dim
 # ---------------------------------------------------------------------------
 # row evaluation
 
-def _evaluate_row(d: DimensionlessConfig, want_p1: bool, want_p2: bool,
-                  numeric: bool, settings: QuadratureSettings) -> tuple:
+def _evaluate_row(d: DimensionlessConfig, want_p1: bool, want_p2: bool, numeric: bool) -> tuple:
     """One grid point in ROW_COLUMNS order; None renders as an empty cell."""
     one = p1_closed(d) if want_p1 else None
     two = p2_closed(d) if want_p2 and d.zeta < 1.0 else None
-    num1 = p1_numeric(d, settings).probability if numeric and want_p1 else None
+    num1 = p1_numeric(d).probability if numeric and want_p1 else None
     num2 = (
-        p2_numeric(d, settings).probability
+        p2_numeric(d).probability
         if numeric and want_p2 and d.zeta < 1.0
         else None
     )
@@ -471,7 +455,7 @@ def _physics_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple]]:
     numeric = cfg.mode == "verify"
     axis = cfg.sweep.values().tolist() if cfg.sweep is not None else None
     return ROW_COLUMNS, [
-        _evaluate_row(d, want_p1, want_p2, numeric, cfg.quadrature)
+        _evaluate_row(d, want_p1, want_p2, numeric)
         for d in _points(cfg, axis)
     ]
 

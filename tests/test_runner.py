@@ -102,8 +102,6 @@ _POINT_BLOCK = "x = 1\ny = 1\nzeta = 0.5\n"
     pytest.param("mode = compare\n" + _POINT_BLOCK + "eta0 = 0.5", "eta0", id="eta0-compare"),
     pytest.param("mode = temperatures\n" + _BOUND_BLOCK + "eta0 = 0.5", "eta0",
                  id="eta0-temperatures"),
-    pytest.param("mode = compare\n" + _POINT_BLOCK + "quad_abs_tolerance = 1e-8",
-                 "quad_abs_tolerance", id="quad_abs_tolerance-compare"),
     pytest.param("mode = p1\n" + _POINT_BLOCK + "grid = default", "grid", id="grid-p1"),
     # g, the atom-field coupling, scales no column of any mode
     pytest.param("mode = compare\n" + _BOUND_BLOCK + "g = 1", "g", id="g-compare"),
@@ -399,18 +397,20 @@ def test_verify_default_grid(tmp_path):
         )
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-def test_exit_code_non_convergence(tmp_path):
-    # a tolerance below what double precision reaches cannot be certified
+def test_exit_code_non_convergence(tmp_path, capsys, quad_above_gate):
+    # an oracle error estimate above the gate cannot be certified: exit 2,
+    # one line on stderr, no CSV
+    config = tmp_path / "verify.conf"
     out = tmp_path / "bad.csv"
-    cfg = parse_config(
-        f"mode = verify\nx = 1\ny = 1\nzeta = 0.5\neps = 0\nquad_abs_tolerance = 1e-18\n"
-        f"out = {out}"
-    )
-    assert run(cfg) == 2
+    config.write_text("x = 1\ny = 1\nzeta = 0.5\neps = 0\n")
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("quadrature did not converge") and err.count("\n") == 1
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["quad_regulators", "quad_extrapolation_order", "quad_cutoff"])
+@pytest.mark.parametrize("key", ["quad_regulators", "quad_extrapolation_order", "quad_cutoff",
+                                 "quad_abs_tolerance"])
 def test_removed_quadrature_keys_are_unknown(tmp_path, key):
     config = tmp_path / "old.conf"
     config.write_text(f"mode = verify\nx = 1\ny = 1\nzeta = 0.5\n{key} = 3\n")
@@ -612,6 +612,20 @@ def test_config_not_utf8_is_read_error(tmp_path, capsys):
     assert err.startswith(f"cannot read config file {str(config)!r}: ") and "0xff" in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_config_with_utf8_bom_reads_as_without(tmp_path):
+    # editors on some systems prefix a byte order mark; it is not part of
+    # the first key
+    text = "mode = compare\nx = 1\ny = 1\nzeta = 0.5\neps = 0.01\n"
+    outputs = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        config = tmp_path / f"{name}.conf"
+        config.write_bytes(prefix + text.encode())
+        out = tmp_path / f"{name}.csv"
+        assert main(["compare", "--config", str(config), "--out", str(out)]) == 0
+        outputs.append(read(out))
+    assert outputs[0] == outputs[1]
 
 
 def test_bound_mode_applies_si_sign_rule(tmp_path, capsys):
