@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -386,6 +388,10 @@ def _render(cell) -> str:
     return "" if cell is None else cell if isinstance(cell, str) else f"{cell:.17g}"
 
 
+def _open_in_place(path: str, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
     """Cells: None as empty, str as is, numbers with 17 significant digits.
 
@@ -394,6 +400,13 @@ def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
     a `%.17g` field; any other column is rendered cell by cell into a `%s`
     field.  0.0 and -0.0 compare equal but render as 0 and -0, so a
     column of zeros is never taken as equal.
+
+    An existing file is overwritten in place and then cut to the length
+    written, which leaves the bytes of a fresh write; truncating it to
+    zero first costs far more on some filesystems.  If the write fails
+    partway, the file is cut where the new bytes end, so no old bytes
+    remain after them.  Only a regular file is cut, so a device or a pipe
+    takes the output too.
     """
     count = len(rows)
     fields = []
@@ -410,10 +423,17 @@ def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
             varying.append(map(_render, column))
     template = ",".join(fields) + "\n"
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(",".join(header) + "\n")
-            for cells in zip(*varying) if varying else itertools.repeat((), count):
-                handle.write(template % cells)
+        with open(path, "w", encoding="utf-8", newline="\n", opener=_open_in_place) as handle:
+            descriptor = handle.fileno()
+            regular = stat.S_ISREG(os.fstat(descriptor).st_mode)
+            try:
+                handle.write(",".join(header) + "\n")
+                for cells in zip(*varying) if varying else itertools.repeat((), count):
+                    handle.write(template % cells)
+                handle.flush()
+            finally:
+                if regular:
+                    os.ftruncate(descriptor, os.lseek(descriptor, 0, os.SEEK_CUR))
     except OSError as exc:
         raise OSError(f"cannot write output file {path!r}: {exc}") from exc
 

@@ -7,11 +7,13 @@ from gup_mirror import amplitude
 
 @pytest.fixture
 def quad_above_gate(monkeypatch):
-    """amplitude.quad returning its true value with an error estimate of 1,
-    so every oracle amplitude lands above the convergence gate."""
-    original = amplitude.quad
+    """amplitude.quad and amplitude.trapezoid returning their true values
+    with an error estimate of 1, so every oracle amplitude lands above the
+    convergence gate."""
+    for name in ("quad", "trapezoid"):
+        original = getattr(amplitude, name)
 
-    def loose(*args, **kwargs):
-        return original(*args, **kwargs)[0], 1.0
+        def loose(*args, original=original, **kwargs):
+            return original(*args, **kwargs)[0], 1.0
 
-    monkeypatch.setattr(amplitude, "quad", loose)
+        monkeypatch.setattr(amplitude, name, loose)

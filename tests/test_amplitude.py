@@ -1,5 +1,6 @@
 """Quadrature oracle: two-route agreement, regression values, error control."""
 
+import cmath
 import itertools
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
@@ -171,7 +173,7 @@ def test_verify_pair_where_closed_form_underflows_to_zero():
     assert far.p1_closed == far.p1_numeric == 0.0
     assert far.p1_rel_dev == 0.0 and far.p1_within
     # p2's Planck factor in y rounds to 0 at y = 120; the oracle gives
-    # 5.2e-190 there, without a warning
+    # 2.35e-189 there, without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         wide = verify_pair(DimensionlessConfig(x=1.0, y=120.0, zeta=0.5, eps=0.0))
@@ -193,28 +195,72 @@ def test_no_integration_warning_on_criterion_2_grid():
 
 
 @pytest.mark.parametrize("oracle, point, calls", [
-    (p1_numeric, (1.0, 1.0, 0.5, 0.0), 2),
-    (p1_numeric, (1.0, 1.0, 0.5, 0.01), 2),
-    (p2_numeric, (1.0, 1.0, 0.5, 0.0), 1),
-    (p2_numeric, (1.0, 1.0, 0.5, 0.01), 1),
+    (p1_numeric, (1.0, 1.0, 0.5, 0.0), (2, 0)),
+    (p1_numeric, (1.0, 1.0, 0.5, 0.01), (2, 0)),
+    (p2_numeric, (1.0, 1.0, 0.5, 0.0), (0, 1)),
+    (p2_numeric, (1.0, 1.0, 0.5, 0.01), (0, 1)),
 ], ids=["p1-eps0", "p1-eps", "p2-eps0", "p2-eps"])
 def test_one_real_quadrature_per_contour_piece(monkeypatch, oracle, point, calls):
-    # each contour piece is one quad call over the real projection the
-    # amplitude reads, whatever eps is: every callback returns that real
-    # integrand's value, so one callback is one integrand evaluation
-    original = amplitude.quad
-    seen = []
+    # each contour piece is one real integral of the projection the
+    # amplitude reads, whatever eps is: p1's two pieces are quad calls,
+    # whose every callback returns that real integrand's value, and p2's
+    # one piece is a trapezoid sum on nodes that are exact in binary
+    original_quad, original_trapezoid = amplitude.quad, amplitude.trapezoid
+    callbacks, passes = [], []
 
-    def counted(f, *args, **kwargs):
+    def counted_quad(f, *args, **kwargs):
         values = []
-        result = original(lambda t: values.append(f(t)) or values[-1], *args, **kwargs)
-        seen.append(values)
+        result = original_quad(lambda t: values.append(f(t)) or values[-1], *args, **kwargs)
+        callbacks.append(values)
         return result
 
-    monkeypatch.setattr(amplitude, "quad", counted)
+    def counted_trapezoid(f, *args):
+        nodes = []
+        result = original_trapezoid(lambda t: nodes.append(t) or f(t), *args)
+        passes.append(nodes)
+        return result
+
+    monkeypatch.setattr(amplitude, "quad", counted_quad)
+    monkeypatch.setattr(amplitude, "trapezoid", counted_trapezoid)
     oracle(DimensionlessConfig(*point))
-    assert len(seen) == calls
-    assert all(values and all(type(v) is float for v in values) for values in seen)
+    assert (len(callbacks), len(passes)) == calls
+    assert all(values and all(type(v) is float for v in values) for values in callbacks)
+    for nodes in passes:
+        assert len(nodes) >= 2
+        # pass k holds multiples of 2^-k, and after the first only the odd
+        # ones, which the coarser passes lack
+        for k, sigma in enumerate(nodes, start=1):
+            scaled = sigma * 2.0 ** k
+            assert sigma.size and (scaled == np.round(scaled)).all()
+            assert k == 1 or (np.round(scaled) % 2 == 1).all()
+
+
+@pytest.mark.parametrize("point", [(1.0, 1.0, 0.5, 0.0), (0.7, 2.0, 0.8, 0.01),
+                                   (1e-3, 0.1, 0.999, 0.05)])
+def test_p2_integrand_matches_scalar_complex_form(monkeypatch, point):
+    # the vectorised integrand against the scalar complex form it replaced,
+    # Re exp(sigma - x s + i (ybar sigma - x zeta) - i eta log(2 zeta - i s)),
+    # on the nodes j/2 from -39 to 4; the tolerance, 1e-13 of the modulus,
+    # is a few hundred ulps, set for arguments up to 40 in size
+    original = amplitude.trapezoid
+    integrands = []
+
+    def captured(f, *args):
+        integrands.append(f)
+        return original(f, *args)
+
+    monkeypatch.setattr(amplitude, "trapezoid", captured)
+    d = DimensionlessConfig(*point)
+    p2_numeric(d)
+    ybar, eta = d.y * (1.0 - 0.5 * d.eps), 0.5 * d.eps * d.y
+    sigma = np.arange(-78, 9) * 0.5
+    values, moduli = integrands[0](sigma)
+    for t, value, modulus in zip(sigma.tolist(), values.tolist(), moduli.tolist()):
+        s = math.exp(t)
+        exact = cmath.exp(complex(t - d.x * s, ybar * t - d.x * d.zeta)
+                          - 1j * eta * cmath.log(complex(2.0 * d.zeta, -s)))
+        assert abs(value - exact.real) <= 1e-13 * abs(exact)
+        assert abs(modulus - abs(exact)) <= 1e-13 * abs(exact)
 
 
 def test_import_leaves_scipy_unloaded():

@@ -123,6 +123,22 @@ def test_planck_suppressed_points(point, bound):
     assert _rel_dev(p2_numeric(d), p2_reference(d)) <= bound
 
 
+@pytest.mark.parametrize("point, bound", [((1.0, 10.0, 0.5, 0.0), 5e-10),
+                                          ((1.0, 15.0, 0.5, 0.0), 1e-6),
+                                          ((1e-6, 1.0, 0.5, 0.0), 2e-14)])
+def test_p2_trapezoid_at_large_ybar_and_small_x(point, bound):
+    # measured errors 3.9e-11, 9.3e-8 and 1.5e-15, so each bound has a
+    # margin of 10x or more; at y = 15 the integral's cancellation to
+    # e^{-pi ybar/2} of its size already costs digits, and from y of about
+    # 30 none are left.  At x = 1e-6 the amplitude is about 1.3e5 and its
+    # estimate 3.1e-9, still inside the gate
+    d = DimensionlessConfig(*point)
+    result = p2_numeric(d)
+    reference = p2_reference(d)
+    assert _rel_dev(result, reference) <= bound
+    assert abs(result.amplitude - reference) <= result.extrapolation_residual <= 1e-8
+
+
 def coefficient_reference(ybar: float, r: float) -> complex:
     """L = z^a dU(a, b, z)/db at b = a + 1, a = 1 + i ybar, z = i r."""
     with mpmath.workdps(30):

@@ -1,7 +1,9 @@
 """Config parsing, run orchestration, CSV contract, exit codes."""
 
 import math
+import os
 import random
+import stat
 import struct
 import threading
 import warnings
@@ -26,6 +28,7 @@ from gup_mirror import (
     to_dimensionless,
 )
 from gup_mirror.special import digamma
+from gup_mirror import runner
 from gup_mirror.cli import main
 from gup_mirror.runner import ROW_COLUMNS, _physics_rows, _write_csv
 
@@ -491,6 +494,81 @@ def test_cli_end_to_end(tmp_path):
     assert main(["p1", "--config", str(config), "--out", str(out)]) == 1
     # missing config file
     assert main(["compare", "--config", str(tmp_path / "nope.conf"), "--out", str(out)]) == 1
+
+
+def test_output_over_longer_file_matches_fresh_write(tmp_path):
+    # an existing output is overwritten in place and cut to length
+    sweep = tmp_path / "sweep.conf"
+    sweep.write_text("x = 1\ny = 1\nzeta = 0.5\neps = 0.01\nsweep_param = zeta\n"
+                     "sweep_min = 0.01\nsweep_max = 0.99\nsweep_count = 500\n")
+    verify = tmp_path / "verify.conf"
+    verify.write_text("grid = default\n")
+    reused, fresh = tmp_path / "reuse.csv", tmp_path / "fresh.csv"
+    assert main(["sweep", "--config", str(sweep), "--out", str(reused)]) == 0
+    longer = reused.stat().st_size
+    assert main(["verify", "--config", str(verify), "--out", str(reused)]) == 0
+    assert main(["verify", "--config", str(verify), "--out", str(fresh)]) == 0
+    assert read(reused) == read(fresh)
+    assert len(read(fresh)) < longer
+
+
+def test_failed_write_over_longer_file_leaves_no_old_bytes(tmp_path, monkeypatch):
+    # the write fails after some rows have reached the file, past the
+    # buffer; the file keeps only a prefix of the new output
+    text = "x = 1\ny = 1\nzeta = 0.5\neps = 0.01\nsweep_param = zeta\n" \
+           "sweep_min = 0.01\nsweep_max = 0.99\nsweep_count = {}\n"
+    longer = tmp_path / "longer.conf"
+    longer.write_text(text.format(2000).replace("eps = 0.01", "eps = 0.02"))
+    shorter = tmp_path / "shorter.conf"
+    shorter.write_text(text.format(500))
+    out, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+    assert main(["sweep", "--config", str(longer), "--out", str(out)]) == 0
+    old_size = out.stat().st_size
+    assert main(["sweep", "--config", str(shorter), "--out", str(fresh)]) == 0
+
+    def failing_open(*args, **kwargs):
+        handle = open(*args, **kwargs)
+        write, calls = handle.write, []
+
+        def fail_midway(text):
+            calls.append(text)
+            if len(calls) == 300:
+                raise OSError(28, "No space left on device")
+            return write(text)
+
+        handle.write = fail_midway
+        return handle
+
+    monkeypatch.setattr(runner, "open", failing_open, raising=False)
+    assert main(["sweep", "--config", str(shorter), "--out", str(out)]) == 1
+    partial, whole = out.read_bytes(), fresh.read_bytes()
+    assert 0 < len(partial) < len(whole) < old_size
+    assert whole.startswith(partial)
+
+
+def test_output_to_null_device(tmp_path):
+    config = tmp_path / "verify.conf"
+    config.write_text("x = 1\ny = 1\nzeta = 0.5\neps = 0.01\n")
+    assert main(["verify", "--config", str(config), "--out", os.devnull]) == 0
+
+
+def test_new_output_file_mode_matches_open_for_writing(tmp_path):
+    config = tmp_path / "run.conf"
+    config.write_text("x = 1\ny = 1\nzeta = 0.5\n")
+    out, reference = tmp_path / "new.csv", tmp_path / "reference.csv"
+    assert main(["compare", "--config", str(config), "--out", str(out)]) == 0
+    with open(reference, "w"):
+        pass
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+
+def test_unwritable_output_is_one_line_exit_1(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("x = 1\ny = 1\nzeta = 0.5\n")
+    out = tmp_path / "missing" / "o.csv"
+    assert main(["compare", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write output file {str(out)!r}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("mode, block, message", [
