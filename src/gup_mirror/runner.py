@@ -388,8 +388,9 @@ def _render(cell) -> str:
     return "" if cell is None else cell if isinstance(cell, str) else f"{cell:.17g}"
 
 
-def _open_in_place(path: str, flags: int) -> int:
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+# Rows are encoded and written this many at a time, so the bytes of a
+# large sweep are never held at once.
+_WRITE_LINES = 4096
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
@@ -401,7 +402,10 @@ def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
     field.  0.0 and -0.0 compare equal but render as 0 and -0, so a
     column of zeros is never taken as equal.
 
-    An existing file is overwritten in place and then cut to the length
+    The lines go to the file descriptor as UTF-8, _WRITE_LINES at a time,
+    each chunk in as many os.write calls as it takes, so a one-row CSV
+    is one write.  A new file gets mode 0o666 under the umask.  An
+    existing file is overwritten in place and then cut to the length
     written, which leaves the bytes of a fresh write; truncating it to
     zero first costs far more on some filesystems.  If the write fails
     partway, the file is cut where the new bytes end, so no old bytes
@@ -422,18 +426,24 @@ def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
             fields.append("%s")
             varying.append(map(_render, column))
     template = ",".join(fields) + "\n"
+    lines = itertools.chain(
+        [",".join(header) + "\n"],
+        (template % cells for cells in (zip(*varying) if varying else itertools.repeat((), count))),
+    )
     try:
-        with open(path, "w", encoding="utf-8", newline="\n", opener=_open_in_place) as handle:
-            descriptor = handle.fileno()
+        descriptor = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
             regular = stat.S_ISREG(os.fstat(descriptor).st_mode)
             try:
-                handle.write(",".join(header) + "\n")
-                for cells in zip(*varying) if varying else itertools.repeat((), count):
-                    handle.write(template % cells)
-                handle.flush()
+                while chunk := "".join(itertools.islice(lines, _WRITE_LINES)):
+                    data = memoryview(chunk.encode())
+                    while data:
+                        data = data[os.write(descriptor, data):]
             finally:
                 if regular:
                     os.ftruncate(descriptor, os.lseek(descriptor, 0, os.SEEK_CUR))
+        finally:
+            os.close(descriptor)
     except OSError as exc:
         raise OSError(f"cannot write output file {path!r}: {exc}") from exc
 

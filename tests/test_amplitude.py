@@ -194,19 +194,21 @@ def test_no_integration_warning_on_criterion_2_grid():
             p2_numeric(d)
 
 
-@pytest.mark.parametrize("oracle, point, calls", [
-    (p1_numeric, (1.0, 1.0, 0.5, 0.0), (2, 0)),
-    (p1_numeric, (1.0, 1.0, 0.5, 0.01), (2, 0)),
-    (p2_numeric, (1.0, 1.0, 0.5, 0.0), (0, 1)),
-    (p2_numeric, (1.0, 1.0, 0.5, 0.01), (0, 1)),
-], ids=["p1-eps0", "p1-eps", "p2-eps0", "p2-eps"])
-def test_one_real_quadrature_per_contour_piece(monkeypatch, oracle, point, calls):
+@pytest.mark.parametrize("oracle, point, calls, evaluations", [
+    (p1_numeric, (1.0, 1.0, 0.5, 0.0), (2, 0), None),
+    (p1_numeric, (1.0, 1.0, 0.5, 0.01), (2, 0), None),
+    (p2_numeric, (1.0, 1.0, 0.5, 0.0), (0, 1), 1),
+    (p2_numeric, (1.0, 1.0, 0.5, 0.01), (0, 1), 1),
+    (p2_numeric, (1.0, 15.0, 0.5, 0.0), (0, 1), 2),
+], ids=["p1-eps0", "p1-eps", "p2-eps0", "p2-eps", "p2-halved"])
+def test_one_real_quadrature_per_contour_piece(monkeypatch, oracle, point, calls, evaluations):
     # each contour piece is one real integral of the projection the
     # amplitude reads, whatever eps is: p1's two pieces are quad calls,
     # whose every callback returns that real integrand's value, and p2's
-    # one piece is a trapezoid sum on nodes that are exact in binary
+    # one piece is a trapezoid sum on nodes that are exact in binary,
+    # from this many evaluations of its integrand
     original_quad, original_trapezoid = amplitude.quad, amplitude.trapezoid
-    callbacks, passes = [], []
+    callbacks, trapezoids = [], []
 
     def counted_quad(f, *args, **kwargs):
         values = []
@@ -214,25 +216,33 @@ def test_one_real_quadrature_per_contour_piece(monkeypatch, oracle, point, calls
         callbacks.append(values)
         return result
 
-    def counted_trapezoid(f, *args):
+    def counted_trapezoid(f, lower, upper):
         nodes = []
-        result = original_trapezoid(lambda t: nodes.append(t) or f(t), *args)
-        passes.append(nodes)
+        result = original_trapezoid(lambda t: nodes.append(t) or f(t), lower, upper)
+        trapezoids.append((nodes, lower, upper))
         return result
 
     monkeypatch.setattr(amplitude, "quad", counted_quad)
     monkeypatch.setattr(amplitude, "trapezoid", counted_trapezoid)
     oracle(DimensionlessConfig(*point))
-    assert (len(callbacks), len(passes)) == calls
+    assert (len(callbacks), len(trapezoids)) == calls
     assert all(values and all(type(v) is float for v in values) for values in callbacks)
-    for nodes in passes:
-        assert len(nodes) >= 2
-        # pass k holds multiples of 2^-k, and after the first only the odd
-        # ones, which the coarser passes lack
-        for k, sigma in enumerate(nodes, start=1):
+    for nodes, lower, upper in trapezoids:
+        assert len(nodes) == evaluations
+        # the first evaluation holds every multiple of 1/8 in [lower, upper]
+        eighths = nodes[0] * 8.0
+        assert eighths.size >= 2 and (eighths == np.round(eighths)).all()
+        assert (np.diff(eighths) == 1.0).all()
+        assert eighths[0] - 1.0 < 8.0 * lower <= eighths[0]
+        assert eighths[-1] <= 8.0 * upper < eighths[-1] + 1.0
+        # each later one, for h = 2^-k with k = 4, 5, ..., only the odd
+        # multiples of h, which the earlier ones lack
+        for k, sigma in enumerate(nodes[1:], start=4):
             scaled = sigma * 2.0 ** k
             assert sigma.size and (scaled == np.round(scaled)).all()
-            assert k == 1 or (np.round(scaled) % 2 == 1).all()
+            assert (np.round(scaled) % 2 == 1).all()
+        every = np.concatenate(nodes)
+        assert np.unique(every).size == every.size
 
 
 @pytest.mark.parametrize("point", [(1.0, 1.0, 0.5, 0.0), (0.7, 2.0, 0.8, 0.01),

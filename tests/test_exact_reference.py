@@ -15,11 +15,15 @@ and c = 2i zeta.  To first order in eta, U(a, a + 1 - i eta, z) =
 z^{-a} (1 - i eta L) with a = 1 + i ybar, z = c x and L = z^a dU/db at
 b = a + 1; that coefficient is what the closed form for probability 2
 evaluates, and it is checked here against mpmath's derivative of U.
+
+The trapezoid rule that probability 2 uses is also checked against
+itself evaluated one halving at a time.
 """
 
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from gup_mirror import (
@@ -34,6 +38,7 @@ from gup_mirror import (
     planck_factor,
     to_dimensionless,
 )
+from gup_mirror import amplitude
 from gup_mirror.closed_form import _ASYMPTOTIC_MIN_Z, _ASYMPTOTIC_SLOPE, _gup_coefficient
 
 mpmath = pytest.importorskip("mpmath")
@@ -123,20 +128,70 @@ def test_planck_suppressed_points(point, bound):
     assert _rel_dev(p2_numeric(d), p2_reference(d)) <= bound
 
 
-@pytest.mark.parametrize("point, bound", [((1.0, 10.0, 0.5, 0.0), 5e-10),
-                                          ((1.0, 15.0, 0.5, 0.0), 1e-6),
-                                          ((1e-6, 1.0, 0.5, 0.0), 2e-14)])
-def test_p2_trapezoid_at_large_ybar_and_small_x(point, bound):
-    # measured errors 3.9e-11, 9.3e-8 and 1.5e-15, so each bound has a
-    # margin of 10x or more; at y = 15 the integral's cancellation to
+LARGE_YBAR_POINTS = [((1.0, 10.0, 0.5, 0.0), 5e-10), ((1.0, 15.0, 0.5, 0.0), 1e-6),
+                     ((1e-6, 1.0, 0.5, 0.0), 2e-14), ((1.8e-6, 11.35, 0.099, 0.01), 2e-7)]
+
+
+@pytest.mark.parametrize("point, bound", LARGE_YBAR_POINTS)
+def test_p2_trapezoid_at_large_ybar_and_small_x(monkeypatch, point, bound):
+    # measured errors 3.9e-11, 9.3e-8, 1.5e-15 and 1.7e-8, so each bound
+    # has a margin of 10x or more; at y = 15 the integral's cancellation to
     # e^{-pi ybar/2} of its size already costs digits, and from y of about
     # 30 none are left.  At x = 1e-6 the amplitude is about 1.3e5 and its
-    # estimate 3.1e-9, still inside the gate
+    # estimate 3.1e-9, still inside the gate.  At x = 1.8e-6, y = 11.35
+    # rounding keeps successive sums from agreeing to the piece tolerance;
+    # the rule stops once they agree to within its rounding term, at 904
+    # nodes
+    nodes = []
+    original = amplitude.trapezoid
+    monkeypatch.setattr(amplitude, "trapezoid",
+                        lambda f, *limits: original(lambda t: nodes.append(t.size) or f(t), *limits))
     d = DimensionlessConfig(*point)
     result = p2_numeric(d)
     reference = p2_reference(d)
     assert _rel_dev(result, reference) <= bound
     assert abs(result.amplitude - reference) <= result.extrapolation_residual <= 1e-8
+    assert sum(nodes) <= 1024
+
+
+def pass_by_pass_trapezoid(f, lower, upper):
+    """The trapezoid rule one halving at a time: f evaluated on the nodes
+    of h = 1/2, then on the odd multiples of each halved h, with
+    amplitude.trapezoid's stopping test."""
+    h = 0.5
+    values, moduli = f(np.arange(math.ceil(lower / h), math.floor(upper / h) + 1) * h)
+    count = values.size
+    total, scale = float(values.sum()), float(moduli.sum())
+    value = h * total
+    while True:
+        h *= 0.5
+        values, moduli = f(np.arange(math.ceil(lower / h) | 1, math.floor(upper / h) + 1, 2) * h)
+        count += values.size
+        total += float(values.sum())
+        scale += float(moduli.sum())
+        previous, value = value, h * total
+        difference = abs(value - previous)
+        rounding = amplitude._ROUNDOFF * h * scale
+        if (difference <= amplitude._PIECE_TOLERANCE * max(1.0, abs(value)) or difference <= rounding
+                or 2 * count > amplitude._TRAPEZOID_LIMIT):
+            return value, difference + rounding
+
+
+@pytest.mark.parametrize("points", [
+    CRITERION_2_GRID,
+    DEFAULT_GRID,
+    [DimensionlessConfig(*point) for point, _ in LARGE_YBAR_POINTS],
+], ids=["criterion-2", "default", "large-ybar"])
+def test_trapezoid_equals_pass_by_pass_rule(monkeypatch, points):
+    # one evaluation on the nodes j/8 gives the first three sums to the
+    # bit, in value and in estimate
+    original, calls = amplitude.trapezoid, []
+    monkeypatch.setattr(amplitude, "trapezoid", lambda *args: calls.append(args) or original(*args))
+    for d in points:
+        p2_numeric(d)
+        args = calls.pop()
+        expected = [v.hex() for v in pass_by_pass_trapezoid(*args)]
+        assert [v.hex() for v in original(*args)] == expected, d
 
 
 def coefficient_reference(ybar: float, r: float) -> complex:

@@ -1,5 +1,6 @@
 """Config parsing, run orchestration, CSV contract, exit codes."""
 
+import errno
 import math
 import os
 import random
@@ -28,7 +29,6 @@ from gup_mirror import (
     to_dimensionless,
 )
 from gup_mirror.special import digamma
-from gup_mirror import runner
 from gup_mirror.cli import main
 from gup_mirror.runner import ROW_COLUMNS, _physics_rows, _write_csv
 
@@ -513,8 +513,8 @@ def test_output_over_longer_file_matches_fresh_write(tmp_path):
 
 
 def test_failed_write_over_longer_file_leaves_no_old_bytes(tmp_path, monkeypatch):
-    # the write fails after some rows have reached the file, past the
-    # buffer; the file keeps only a prefix of the new output
+    # the write fails after some rows have reached the file; the file
+    # keeps only a prefix of the new output
     text = "x = 1\ny = 1\nzeta = 0.5\neps = 0.01\nsweep_param = zeta\n" \
            "sweep_min = 0.01\nsweep_max = 0.99\nsweep_count = {}\n"
     longer = tmp_path / "longer.conf"
@@ -526,24 +526,22 @@ def test_failed_write_over_longer_file_leaves_no_old_bytes(tmp_path, monkeypatch
     old_size = out.stat().st_size
     assert main(["sweep", "--config", str(shorter), "--out", str(fresh)]) == 0
 
-    def failing_open(*args, **kwargs):
-        handle = open(*args, **kwargs)
-        write, calls = handle.write, []
+    write, offered = os.write, []
 
-        def fail_midway(text):
-            calls.append(text)
-            if len(calls) == 300:
-                raise OSError(28, "No space left on device")
-            return write(text)
+    def fail_midway(descriptor, data):
+        # the first call writes half its buffer, the next runs out of space
+        offered.append(bytes(data))
+        if len(offered) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write(descriptor, data[: len(data) // 2])
 
-        handle.write = fail_midway
-        return handle
-
-    monkeypatch.setattr(runner, "open", failing_open, raising=False)
+    monkeypatch.setattr(os, "write", fail_midway)
     assert main(["sweep", "--config", str(shorter), "--out", str(out)]) == 1
     partial, whole = out.read_bytes(), fresh.read_bytes()
     assert 0 < len(partial) < len(whole) < old_size
     assert whole.startswith(partial)
+    # the retry offered the bytes that follow those written
+    assert len(offered) == 2 and whole[len(partial):].startswith(offered[1])
 
 
 def test_output_to_null_device(tmp_path):
