@@ -55,7 +55,7 @@ from .modes import (
     rindler_to_minkowski,
 )
 from .runner import ConfigError, RunConfig, SweepAxis, parse_config, run
-from .special import GammaPhaseSet, gamma_phase_set, log_gamma, planck_factor
+from .special import gamma_phase_set, log_gamma, planck_factor
 from .units import (
     CODATA,
     DimensionlessConfig,
@@ -74,7 +74,6 @@ __all__ = [
     "CODATA",
     "ConfigError",
     "DimensionlessConfig",
-    "GammaPhaseSet",
     "ModeSpec",
     "PhysicalConfig",
     "PhysicalConstants",

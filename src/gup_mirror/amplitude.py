@@ -90,8 +90,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .closed_form import p1_closed, p2_closed
 from .units import DimensionlessConfig
 
@@ -192,6 +190,8 @@ def trapezoid(f, lower: float, upper: float) -> tuple[float, float]:
     coarser sum, plus _ROUNDOFF h sum|g| (64 u h sum|g|) for rounding,
     which sets the error once the sums agree.
     """
+    import numpy as np
+
     first = math.ceil(lower * 8.0)
     grid = f(np.arange(first, math.floor(upper * 8.0) + 1) * 0.125)
     # the nodes j/8 with j = 0 mod 4, j = 2 mod 4 and j odd, as strided views
@@ -287,6 +287,8 @@ def _accel_mirror_core(x: float, ybar: float, eta: float, zeta: float) -> tuple[
     In sigma the integrand is bounded by e^{sigma - x e^sigma}, which
     sets both limits.
     """
+    import numpy as np
+
     atom_phase = x * zeta
     two_zeta = 2.0 * zeta
 

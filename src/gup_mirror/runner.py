@@ -21,7 +21,7 @@ All rows are computed before the output file is opened, so a run that
 fails writes nothing.  Each row is then written from one `%` template:
 a column whose cells are all equal (and not zero) is rendered once, into
 the template, and the other cells are formatted per row.  Only `verify`
-integrates, and only it loads scipy.
+integrates, and only it loads scipy; only sweeps and verify load numpy.
 """
 
 from __future__ import annotations
@@ -32,13 +32,15 @@ import os
 import stat
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .amplitude import QuadratureConvergenceError, p1_numeric, p2_numeric
 from .closed_form import p1_closed, p2_closed, temperatures
 from .equivalence import beta_bound, q_parameter
 from .units import CODATA, DimensionlessConfig, PhysicalConfig, gup_strength, to_dimensionless
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MODES",
@@ -94,6 +96,8 @@ class SweepAxis:
     spacing: str = "linear"
 
     def values(self) -> np.ndarray:
+        import numpy as np  # only sweeps need numpy, so it loads on their first call
+
         if self.spacing == "log":
             return np.geomspace(self.minimum, self.maximum, self.count)
         return np.linspace(self.minimum, self.maximum, self.count)
@@ -405,12 +409,12 @@ def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
     The lines go to the file descriptor as UTF-8, _WRITE_LINES at a time,
     each chunk in as many os.write calls as it takes, so a one-row CSV
     is one write.  A new file gets mode 0o666 under the umask.  An
-    existing file is overwritten in place and then cut to the length
-    written, which leaves the bytes of a fresh write; truncating it to
-    zero first costs far more on some filesystems.  If the write fails
-    partway, the file is cut where the new bytes end, so no old bytes
-    remain after them.  Only a regular file is cut, so a device or a pipe
-    takes the output too.
+    existing file is overwritten in place and then, if it was longer,
+    cut to the length written, which leaves the bytes of a fresh write;
+    truncating it to zero first costs far more on some filesystems.  If
+    the write fails partway, the file is cut where the new bytes end, so
+    no old bytes remain after them.  Only a regular file is cut, so a
+    device or a pipe takes the output too.
     """
     count = len(rows)
     fields = []
@@ -433,15 +437,17 @@ def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
     try:
         descriptor = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
-            regular = stat.S_ISREG(os.fstat(descriptor).st_mode)
+            opened = os.fstat(descriptor)
             try:
                 while chunk := "".join(itertools.islice(lines, _WRITE_LINES)):
                     data = memoryview(chunk.encode())
                     while data:
                         data = data[os.write(descriptor, data):]
             finally:
-                if regular:
-                    os.ftruncate(descriptor, os.lseek(descriptor, 0, os.SEEK_CUR))
+                if stat.S_ISREG(opened.st_mode):
+                    end = os.lseek(descriptor, 0, os.SEEK_CUR)
+                    if opened.st_size > end:
+                        os.ftruncate(descriptor, end)
         finally:
             os.close(descriptor)
     except OSError as exc:

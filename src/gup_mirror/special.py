@@ -1,11 +1,24 @@
-"""Complex log-Gamma and the derived phase quantities used by the closed forms.
+"""log-Gamma on the imaginary axis, digamma and the Planck factor used by the closed forms.
 
-The excitation probabilities need Arg Gamma and |Gamma| on the imaginary
-axis, the digamma function at 1 + i ybar, and the thermal occupation
-factor 1/(e^{2 pi w} - 1).  log-Gamma and digamma are implemented here
-(Lanczos approximation with reflection; recurrence and asymptotic
-series) so the whole package has identical Gamma behavior everywhere,
-independent of platform library quirks.
+The excitation probabilities read Gamma only on the imaginary axis:
+theta = Arg Gamma(-i x) for probability 1, and kappa = Arg Gamma(i ybar)
+and conj Gamma(i ybar) for probability 2.  So log_gamma takes i t with
+real t != 0 and nothing else (DLMF sections 5.4 and 5.11):
+
+* Arg Gamma(i |t|) is the Stirling series of log Gamma at 12 + i |t|,
+  Bernoulli terms through B14, less the 12 terms arg(k + i |t|) of the
+  recurrence Gamma(z + 1) = z Gamma(z), summed with math.fsum and reduced
+  to (-pi, pi].  Against mpmath it is within 2e-15 of max(1, |Arg|) for
+  |t| in [1e-3, 1e3], |Arg| taken on the continuous branch;
+* log|Gamma(i t)| = (log pi - log|t| - log sinh pi|t|) / 2, with log sinh
+  in a form that cannot overflow;
+* Gamma(-i t) is the conjugate of Gamma(i t), to the bit.
+
+digamma (recurrence and asymptotic series) gives psi(1 + i ybar) for
+probability 2's GUP coefficient, and planck_factor the thermal
+occupation 1/(e^{2 pi w} - 1).  They are implemented here so the whole
+package has identical Gamma behavior everywhere, independent of platform
+library quirks.
 
 log_gamma, digamma and gamma_phase_set are memoised with a small
 bounded LRU cache each; gamma_phase_set is keyed by x alone.  A zeta
@@ -15,92 +28,58 @@ three are pure functions of their float or complex arguments and return
 immutable values, so a cached result is bit-identical to a fresh one;
 exceptions are not cached.
 Arguments that compare equal share an entry, and the only such pairs
-that are different numbers are signed zeros: log_gamma and digamma
-read a zero imaginary part as +0, so the entry does not depend on which
-sign came first.  `cache_clear()` on each function empties its cache.
+that are different numbers are signed zeros: digamma reads a zero
+imaginary part as +0, so the entry does not depend on which sign came
+first, and log_gamma reads only the sign of t.  `cache_clear()` on each
+function empties its cache.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-__all__ = ["GammaPhaseSet", "log_gamma", "digamma", "gamma_phase_set", "planck_factor"]
+__all__ = ["log_gamma", "digamma", "gamma_phase_set", "planck_factor"]
 
-# Lanczos coefficients, g = 7, n = 9.  Relative accuracy ~1e-14 on the
-# right half plane; reflection extends that to Re z < 0.5.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-_LOG_TWO_I = complex(math.log(2.0), 0.5 * math.pi)  # log(2i); log(-2i) is its conjugate
-# Entries per cache.  A sweep row asks log_gamma for at most three distinct
+# The Stirling series runs at 12 + i|t|, where its first omitted term,
+# B16 / (16 * 15 * 12^15), is below 2e-18; these are B_2k / (2k (2k - 1)).
+_SHIFT = 12
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+_LOG_TWO_PI = math.log(2.0 * math.pi)
+# Entries per cache.  A sweep row asks log_gamma for at most two distinct
 # arguments and the other two for one each, so the values one row needs are
 # still cached when the next row asks for them.
 _CACHE_SIZE = 64
 
 
-def _log_gamma_right(z: complex) -> complex:
-    """Lanczos series, valid for Re z >= 0.5."""
-    zm1 = z - 1.0
-    series = _LANCZOS_COEFFS[0]
-    for i, coeff in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        series += coeff / (zm1 + i)
-    t = zm1 + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (zm1 + 0.5) * cmath.log(t) - t + cmath.log(series)
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def log_gamma(z: complex) -> complex:
-    """log Gamma(z): log|Gamma| as real part, argument as imaginary part.
+    """log Gamma(i t) at z = i t: log|Gamma| as real part, Arg Gamma in
+    (-pi, pi] as imaginary part.
 
-    exp(log_gamma(z)) reproduces Gamma(z) to relative ~1e-12 for
-    |Re z| <= 20, |Im z| <= 50.  Reflection is used for Re z < 0.5.
-    The imaginary part is continuous on the right half plane; across the
-    reflection seam it may differ from the principal log-Gamma branch by a
-    multiple of 2*pi*i, which exp() cannot see.  Where sin(pi z) in the
-    reflection overflows (|Im z| above about 226), log sin(pi z) is taken
-    from its exponential form instead.
-
-    Raises ValueError at the poles (nonpositive integers).
+    Raises ValueError off the imaginary axis, at the pole t = 0, and where
+    the value is not a finite double (|t| above about 1e305).
     """
-    z = complex(z.real, z.imag + 0.0)  # -0.0 + 0.0 is +0.0
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
-        raise ValueError(f"log_gamma pole at z={z}")
-    if z.real < 0.5:
-        # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        try:
-            s = cmath.sin(cmath.pi * z)
-        except OverflowError:
-            return math.log(math.pi) - _log_sin_pi_far(z) - _log_gamma_right(1.0 - z)
-        if s == 0:
-            raise ValueError(f"log_gamma pole at z={z}")
-        return math.log(math.pi) - cmath.log(s) - _log_gamma_right(1.0 - z)
-    return _log_gamma_right(z)
-
-
-def _log_sin_pi_far(z: complex) -> complex:
-    """log sin(pi z) for large |Im z|, where sin(pi z) itself overflows.
-
-    log sin(pi z) = +-i pi z - log(+-2i) + log1p(-e^{-+2 i pi z}), upper
-    signs for Im z < 0.  The log1p term has modulus e^{-2 pi |Im z|},
-    below the smallest double wherever sin overflows, so it is dropped.
-    """
-    w = cmath.pi * z
-    if z.imag < 0.0:
-        return 1j * w - _LOG_TWO_I
-    return -1j * w - _LOG_TWO_I.conjugate()
+    t = abs(z.imag)
+    if z.real != 0.0 or t == 0.0:
+        raise ValueError(f"log_gamma takes i t with real t != 0, not {z}")
+    shifted = complex(_SHIFT, t)
+    w = 1.0 / shifted
+    w2 = w * w
+    series = 0j
+    for coeff in reversed(_STIRLING):
+        series = series * w2 + coeff
+    # Im[(z - 1/2) log z - z + series / z] at z = 12 + i t, less arg(k + i t)
+    phase = math.fsum([(_SHIFT - 0.5) * math.atan2(t, _SHIFT),
+                       t * (math.log(abs(shifted)) - 1.0), (series * w).imag,
+                       *(-math.atan2(t, k) for k in range(_SHIFT))])
+    u = math.pi * t  # |Gamma(i t)|^2 = pi / (t sinh u) = 2 pi / (t e^u (1 - e^{-2u}))
+    modulus = 0.5 * (_LOG_TWO_PI - math.log(t) - u - math.log(-math.expm1(-2.0 * u)))
+    if not (math.isfinite(phase) and math.isfinite(modulus)):
+        raise ValueError(f"log Gamma({z}) is not a finite double")
+    phase = _principal(phase)
+    return complex(modulus, phase if z.imag > 0.0 else -phase)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -132,37 +111,13 @@ def _principal(angle: float) -> float:
     return reduced
 
 
-@dataclass(frozen=True)
-class GammaPhaseSet:
-    """The Gamma quantities the accelerating-atom closed form reads.
-
-    theta           Arg Gamma(-i x)
-    omega_cos_delta Omega cos Delta; equals -1/(1+x^2) analytically
-    omega_sin_delta Omega sin Delta; equals x/(1+x^2) analytically
-
-    with Omega = |Gamma(-i x - 1)| / |Gamma(-i x)| and Delta the difference
-    of the principal-branch arguments of Gamma(-i x - 1) and Gamma(-i x).
-    Only cos/sin of phase combinations enter probabilities, so the branch
-    choice is free but must be reproducible.
-    """
-
-    theta: float
-    omega_cos_delta: float
-    omega_sin_delta: float
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
-def gamma_phase_set(x: float) -> GammaPhaseSet:
-    """Evaluate the Gamma phases at atom frequency x."""
+def gamma_phase_set(x: float) -> float:
+    """theta = Arg Gamma(-i x) in (-pi, pi], the Gamma phase of the
+    accelerating-atom closed form at atom frequency x."""
     if not x > 0.0:
         raise ValueError("x must be strictly positive")
-    lg_x = log_gamma(complex(0.0, -x))
-    lg_x1 = log_gamma(complex(-1.0, -x))
-    theta = _principal(lg_x.imag)
-    delta_phase = _principal(lg_x1.imag) - theta
-    omega_ratio = math.exp(lg_x1.real - lg_x.real)
-    return GammaPhaseSet(theta, omega_ratio * math.cos(delta_phase),
-                         omega_ratio * math.sin(delta_phase))
+    return log_gamma(complex(0.0, -x)).imag
 
 
 def planck_factor(w: float) -> float:

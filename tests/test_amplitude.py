@@ -273,11 +273,16 @@ def test_p2_integrand_matches_scalar_complex_form(monkeypatch, point):
         assert abs(modulus - abs(exact)) <= 1e-13 * abs(exact)
 
 
-def test_import_leaves_scipy_unloaded():
-    # only the oracle integrates; closed-form runs never pay for scipy
-    code = "import sys, gup_mirror; print('scipy' in sys.modules)"
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # only the oracle integrates; closed-form runs never pay for scipy,
+    # and a single-point run never pays for numpy
+    compare = f"mode = compare\nx = 1\ny = 1\nzeta = 0.5\nout = {tmp_path / 'c.csv'}"
     path = os.pathsep.join(p for p in (str(Path(gup_mirror.__file__).resolve().parents[1]),
                                        os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=dict(os.environ, PYTHONPATH=path), timeout=60, check=True)
-    assert result.stdout.strip() == "False"
+    for module, code in (("scipy", "import gup_mirror"),
+                         ("numpy", f"import gup_mirror; gup_mirror.run(gup_mirror.parse_config({compare!r}))")):
+        result = subprocess.run([sys.executable, "-c", f"import sys; {code}; print({module!r} in sys.modules)"],
+                                capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=path), timeout=60, check=True)
+        assert result.stdout.strip() == "False", module
+    assert (tmp_path / "c.csv").read_text().count("\n") == 2

@@ -54,7 +54,7 @@ def test_p1_heisenberg_reduction():
     for x in (0.5, 1.0, 2.0):
         for y in (0.5, 2.0):
             d = DimensionlessConfig(x=x, y=y, zeta=1.7, eps=0.0)
-            theta = gamma_phase_set(x).theta
+            theta = gamma_phase_set(x)
             expected = (
                 (2.0 * math.pi / x)
                 * planck_factor(x)

@@ -264,24 +264,24 @@ def test_zeta_sweep_matches_uncached_scalar_calls(tmp_path):
     text = "mode = sweep\nx = 1.3\ny = 0.8\nzeta = 0.5\neps = 0.005\nsweep_param = zeta\n" \
            f"sweep_min = 0.05\nsweep_max = 0.95\nsweep_count = 300\nsweep_spacing = log\nout = {out}"
     assert run(parse_config(text)) == 0
-    # each Gamma value computed once for all 300 rows: one phase set (two
-    # log Gamma values for p1), one log Gamma(i ybar) for p2, one digamma
+    # each Gamma value computed once for all 300 rows: one phase set (one
+    # log Gamma value for p1), one log Gamma(i ybar) for p2, one digamma
     assert gamma_phase_set.cache_info().misses == 1
-    assert log_gamma.cache_info().misses == 3
+    assert log_gamma.cache_info().misses == 2
     assert digamma.cache_info().misses == 1
     points = [DimensionlessConfig(x=1.3, y=0.8, zeta=float(zeta), eps=0.005)
               for zeta in np.geomspace(0.05, 0.95, 300)]
     assert read(out) == _scalar_csv(points)
 
 
-def test_cold_p1_run_evaluates_log_gamma_twice(tmp_path):
-    # Gamma(-i x) and Gamma(-i x - 1); p1 needs no Gamma(i ybar)
+def test_cold_p1_run_evaluates_log_gamma_once(tmp_path):
+    # Gamma(-i x) only; p1 needs no Gamma(i ybar)
     for cached in _MEMOS:
         cached.cache_clear()
     out = tmp_path / "p1.csv"
     text = f"mode = p1\nx = 1.3\ny = 0.8\nzeta = 0.5\neps = 0.005\nout = {out}"
     assert run(parse_config(text)) == 0
-    assert log_gamma.cache_info().misses == 2
+    assert log_gamma.cache_info().misses == 1
 
 
 _SI_BLOCK = {"a": 3e20, "omega0": 8e10, "nu": 2e11, "z0": 1.8e-4, "beta": 2e57}
