@@ -20,8 +20,8 @@ convention; the bound and temperatures rows are built from it too.
 All rows are computed before the output file is opened, so a run that
 fails writes nothing.  Each row is then written from one `%` template:
 a column whose cells are all equal (and not zero) is rendered once, into
-the template, and the other cells are formatted per row.  Only `verify`
-integrates, and only it loads scipy; only sweeps and verify load numpy.
+the template, and the other cells are formatted per row.  Only sweeps and
+`verify` load numpy; nothing loads scipy.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning
 
 import gup_mirror
 from gup_mirror import amplitude
@@ -166,16 +165,16 @@ def test_verify_pair_where_closed_form_underflows_to_zero():
     assert not record.p1_within and not record.all_within
     assert record.p2_within
     # from x of about 474.4 the oracle's rotation factor rounds to 0 as
-    # well; its quadrature exhausts the subdivision limit there
+    # well
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
+        warnings.simplefilter("error")
         far = verify_pair(DimensionlessConfig(x=500.0, y=1.0, zeta=0.5, eps=0.0))
     assert far.p1_closed == far.p1_numeric == 0.0
     assert far.p1_rel_dev == 0.0 and far.p1_within
     # p2's Planck factor in y rounds to 0 at y = 120; the oracle gives
     # 2.35e-189 there, without a warning
     with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
+        warnings.simplefilter("error")
         wide = verify_pair(DimensionlessConfig(x=1.0, y=120.0, zeta=0.5, eps=0.0))
     assert wide.p2_closed == 0.0 and wide.p2_numeric > 0.0
     assert wide.p2_rel_dev == math.inf
@@ -183,9 +182,33 @@ def test_verify_pair_where_closed_form_underflows_to_zero():
     assert wide.p1_within
 
 
+@pytest.mark.parametrize("point, zeroed", [
+    ((1e7, 1.0, 0.5, 0.0), p1_numeric), ((1.0, 1e7, 0.5, 0.0), p2_numeric),
+    ((474.0, 474.0, 0.5, 0.01), None),
+], ids=["x-1e7", "y-1e7", "omega-474"])
+def test_oracle_node_count_bounded_at_large_frequency(monkeypatch, point, zeroed):
+    # the start step shrinks as pi / (omega + 4), but once the rotation
+    # e^{-pi omega / 2} has underflowed, from omega of about 474.4, the
+    # amplitude is 0 without a sum; below that the step is at least 2^-8
+    # and two evaluations of about 11k nodes each end the rule
+    original, nodes = amplitude.quad, []
+    monkeypatch.setattr(amplitude, "quad",
+                        lambda f, *rest: original(lambda t: nodes.append(t.size) or f(t), *rest))
+    d = DimensionlessConfig(*point)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for oracle in (p1_numeric, p2_numeric):
+            nodes.clear()
+            result = oracle(d)
+            if oracle is zeroed:
+                assert nodes == []
+                assert result.amplitude == 0.0 and result.extrapolation_residual == 0.0
+            assert sum(nodes) <= 1 << 15
+
+
 def test_no_integration_warning_on_criterion_2_grid():
     with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
+        warnings.simplefilter("error")
         for x, y, zeta, eps in itertools.product(
             (0.7, 1.1, 1.9), (0.7, 1.2, 2.0), (0.35, 0.55, 0.8), (0.0, 1e-3, 1e-2)
         ):
@@ -194,55 +217,59 @@ def test_no_integration_warning_on_criterion_2_grid():
             p2_numeric(d)
 
 
-@pytest.mark.parametrize("oracle, point, calls, evaluations", [
-    (p1_numeric, (1.0, 1.0, 0.5, 0.0), (2, 0), None),
-    (p1_numeric, (1.0, 1.0, 0.5, 0.01), (2, 0), None),
-    (p2_numeric, (1.0, 1.0, 0.5, 0.0), (0, 1), 1),
-    (p2_numeric, (1.0, 1.0, 0.5, 0.01), (0, 1), 1),
-    (p2_numeric, (1.0, 15.0, 0.5, 0.0), (0, 1), 2),
-], ids=["p1-eps0", "p1-eps", "p2-eps0", "p2-eps", "p2-halved"])
-def test_one_real_quadrature_per_contour_piece(monkeypatch, oracle, point, calls, evaluations):
-    # each contour piece is one real integral of the projection the
-    # amplitude reads, whatever eps is: p1's two pieces are quad calls,
-    # whose every callback returns that real integrand's value, and p2's
-    # one piece is a trapezoid sum on nodes that are exact in binary,
-    # from this many evaluations of its integrand
-    original_quad, original_trapezoid = amplitude.quad, amplitude.trapezoid
-    callbacks, trapezoids = [], []
+@pytest.mark.parametrize("oracle, point, evaluations, first_k", [
+    (p1_numeric, (1.0, 1.0, 0.5, 0.0), 1, 3),
+    (p1_numeric, (1.0, 1.0, 0.5, 0.01), 1, 3),
+    (p2_numeric, (1.0, 1.0, 0.5, 0.0), 1, 3),
+    (p2_numeric, (1.0, 1.0, 0.5, 0.01), 1, 3),
+    (p2_numeric, (1.0, 15.0, 0.5, 0.0), 2, 3),
+    (p1_numeric, (30.0, 1.0, 0.5, 0.0), 2, 4),
+    (p2_numeric, (1.0, 120.0, 0.5, 0.0), 2, 6),
+], ids=["p1-eps0", "p1-eps", "p2-eps0", "p2-eps", "p2-halved", "p1-large-x", "p2-large-ybar"])
+def test_one_real_quadrature_per_contour_piece(monkeypatch, oracle, point, evaluations, first_k):
+    # each probability is one real integral of the projection the
+    # amplitude reads, whatever eps is: one trapezoid sum on nodes that are
+    # exact in binary, from this many evaluations of its real integrand.
+    # The first evaluation is on the nodes j 2^-first_k, at most 1/8 apart
+    # and finer where the frequency needs a smaller start step
+    original = amplitude.quad
+    calls = []
 
-    def counted_quad(f, *args, **kwargs):
-        values = []
-        result = original_quad(lambda t: values.append(f(t)) or values[-1], *args, **kwargs)
-        callbacks.append(values)
-        return result
-
-    def counted_trapezoid(f, lower, upper):
+    def counted(f, lower, upper, *rest):
         nodes = []
-        result = original_trapezoid(lambda t: nodes.append(t) or f(t), lower, upper)
-        trapezoids.append((nodes, lower, upper))
+
+        def recorded(t):
+            values, moduli = f(t)
+            assert values.dtype == moduli.dtype == np.float64
+            assert values.shape == moduli.shape == t.shape
+            assert (np.abs(values) <= moduli).all()
+            nodes.append(t)
+            return values, moduli
+
+        result = original(recorded, lower, upper, *rest)
+        calls.append((nodes, lower, upper))
         return result
 
-    monkeypatch.setattr(amplitude, "quad", counted_quad)
-    monkeypatch.setattr(amplitude, "trapezoid", counted_trapezoid)
+    monkeypatch.setattr(amplitude, "quad", counted)
     oracle(DimensionlessConfig(*point))
-    assert (len(callbacks), len(trapezoids)) == calls
-    assert all(values and all(type(v) is float for v in values) for values in callbacks)
-    for nodes, lower, upper in trapezoids:
-        assert len(nodes) == evaluations
-        # the first evaluation holds every multiple of 1/8 in [lower, upper]
-        eighths = nodes[0] * 8.0
-        assert eighths.size >= 2 and (eighths == np.round(eighths)).all()
-        assert (np.diff(eighths) == 1.0).all()
-        assert eighths[0] - 1.0 < 8.0 * lower <= eighths[0]
-        assert eighths[-1] <= 8.0 * upper < eighths[-1] + 1.0
-        # each later one, for h = 2^-k with k = 4, 5, ..., only the odd
-        # multiples of h, which the earlier ones lack
-        for k, sigma in enumerate(nodes[1:], start=4):
-            scaled = sigma * 2.0 ** k
-            assert sigma.size and (scaled == np.round(scaled)).all()
-            assert (np.round(scaled) % 2 == 1).all()
-        every = np.concatenate(nodes)
-        assert np.unique(every).size == every.size
+    assert len(calls) == 1
+    nodes, lower, upper = calls[0]
+    assert len(nodes) == evaluations
+    # the first evaluation holds every multiple of 2^-first_k in [lower, upper]
+    scale = 2.0 ** first_k
+    first = nodes[0] * scale
+    assert first.size >= 2 and (first == np.round(first)).all()
+    assert (np.diff(first) == 1.0).all()
+    assert first[0] - 1.0 < scale * lower <= first[0]
+    assert first[-1] <= scale * upper < first[-1] + 1.0
+    # each later one, for h = 2^-k with k = first_k + 1, ..., only the odd
+    # multiples of h, which the earlier ones lack
+    for k, sigma in enumerate(nodes[1:], start=first_k + 1):
+        scaled = sigma * 2.0 ** k
+        assert sigma.size and (scaled == np.round(scaled)).all()
+        assert (np.round(scaled) % 2 == 1).all()
+    every = np.concatenate(nodes)
+    assert np.unique(every).size == every.size
 
 
 @pytest.mark.parametrize("point", [(1.0, 1.0, 0.5, 0.0), (0.7, 2.0, 0.8, 0.01),
@@ -252,14 +279,14 @@ def test_p2_integrand_matches_scalar_complex_form(monkeypatch, point):
     # Re exp(sigma - x s + i (ybar sigma - x zeta) - i eta log(2 zeta - i s)),
     # on the nodes j/2 from -39 to 4; the tolerance, 1e-13 of the modulus,
     # is a few hundred ulps, set for arguments up to 40 in size
-    original = amplitude.trapezoid
+    original = amplitude.quad
     integrands = []
 
     def captured(f, *args):
         integrands.append(f)
         return original(f, *args)
 
-    monkeypatch.setattr(amplitude, "trapezoid", captured)
+    monkeypatch.setattr(amplitude, "quad", captured)
     d = DimensionlessConfig(*point)
     p2_numeric(d)
     ybar, eta = d.y * (1.0 - 0.5 * d.eps), 0.5 * d.eps * d.y
@@ -274,15 +301,23 @@ def test_p2_integrand_matches_scalar_complex_form(monkeypatch, point):
 
 
 def test_import_leaves_scipy_unloaded(tmp_path):
-    # only the oracle integrates; closed-form runs never pay for scipy,
-    # and a single-point run never pays for numpy
+    # the package never imports scipy, a single-point closed-form run never
+    # pays for numpy, and the oracle runs with scipy unimportable
     compare = f"mode = compare\nx = 1\ny = 1\nzeta = 0.5\nout = {tmp_path / 'c.csv'}"
     path = os.pathsep.join(p for p in (str(Path(gup_mirror.__file__).resolve().parents[1]),
                                        os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
     for module, code in (("scipy", "import gup_mirror"),
                          ("numpy", f"import gup_mirror; gup_mirror.run(gup_mirror.parse_config({compare!r}))")):
         result = subprocess.run([sys.executable, "-c", f"import sys; {code}; print({module!r} in sys.modules)"],
-                                capture_output=True, text=True,
-                                env=dict(os.environ, PYTHONPATH=path), timeout=60, check=True)
+                                capture_output=True, text=True, env=env, timeout=60, check=True)
         assert result.stdout.strip() == "False", module
     assert (tmp_path / "c.csv").read_text().count("\n") == 2
+    config, out = tmp_path / "verify.conf", tmp_path / "verify.csv"
+    config.write_text("grid = default\n")
+    verify = ('import sys; sys.modules["scipy"] = None; from gup_mirror.cli import main; '
+              f'sys.exit(main(["verify", "--config", {str(config)!r}, "--out", {str(out)!r}]))')
+    result = subprocess.run([sys.executable, "-c", verify], capture_output=True, text=True,
+                            env=env, timeout=120)
+    assert result.returncode == 0 and result.stderr == "", result.stderr
+    assert out.read_text().count("\n") == 28

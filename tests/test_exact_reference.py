@@ -16,12 +16,13 @@ z^{-a} (1 - i eta L) with a = 1 + i ybar, z = c x and L = z^a dU/db at
 b = a + 1; that coefficient is what the closed form for probability 2
 evaluates, and it is checked here against mpmath's derivative of U.
 
-The trapezoid rule that probability 2 uses is also checked against
+The trapezoid rule that both probabilities use is also checked against
 itself evaluated one halving at a time.
 """
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,7 +135,7 @@ LARGE_YBAR_POINTS = [((1.0, 10.0, 0.5, 0.0), 5e-10), ((1.0, 15.0, 0.5, 0.0), 1e-
 
 @pytest.mark.parametrize("point, bound", LARGE_YBAR_POINTS)
 def test_p2_trapezoid_at_large_ybar_and_small_x(monkeypatch, point, bound):
-    # measured errors 3.9e-11, 9.3e-8, 1.5e-15 and 1.7e-8, so each bound
+    # measured errors 2.4e-11, 3.0e-8, 1.5e-15 and 1.7e-8, so each bound
     # has a margin of 10x or more; at y = 15 the integral's cancellation to
     # e^{-pi ybar/2} of its size already costs digits, and from y of about
     # 30 none are left.  At x = 1e-6 the amplitude is about 1.3e5 and its
@@ -143,9 +144,9 @@ def test_p2_trapezoid_at_large_ybar_and_small_x(monkeypatch, point, bound):
     # the rule stops once they agree to within its rounding term, at 904
     # nodes
     nodes = []
-    original = amplitude.trapezoid
-    monkeypatch.setattr(amplitude, "trapezoid",
-                        lambda f, *limits: original(lambda t: nodes.append(t.size) or f(t), *limits))
+    original = amplitude.quad
+    monkeypatch.setattr(amplitude, "quad",
+                        lambda f, *rest: original(lambda t: nodes.append(t.size) or f(t), *rest))
     d = DimensionlessConfig(*point)
     result = p2_numeric(d)
     reference = p2_reference(d)
@@ -154,44 +155,134 @@ def test_p2_trapezoid_at_large_ybar_and_small_x(monkeypatch, point, bound):
     assert sum(nodes) <= 1024
 
 
-def pass_by_pass_trapezoid(f, lower, upper):
-    """The trapezoid rule one halving at a time: f evaluated on the nodes
-    of h = 1/2, then on the odd multiples of each halved h, with
-    amplitude.trapezoid's stopping test."""
-    h = 0.5
+def pass_by_pass_quad(f, lower, upper, omega, abel=None):
+    """The rule one halving at a time: f evaluated on the nodes of the
+    start step, the largest 2^-k <= min(1/2, pi / (omega + 4)), then on the
+    odd multiples of each halved h, with abel's sum and rounding added at
+    each h, and amplitude.quad's stopping test."""
+    h = 2.0 ** -max(1, math.ceil(math.log2((omega + 4.0) / math.pi)))
     values, moduli = f(np.arange(math.ceil(lower / h), math.floor(upper / h) + 1) * h)
     count = values.size
     total, scale = float(values.sum()), float(moduli.sum())
-    value = h * total
+    value = h * total + (abel(h)[0] if abel else 0.0)
     while True:
         h *= 0.5
         values, moduli = f(np.arange(math.ceil(lower / h) | 1, math.floor(upper / h) + 1, 2) * h)
         count += values.size
         total += float(values.sum())
         scale += float(moduli.sum())
-        previous, value = value, h * total
+        tail, tail_rounding = abel(h) if abel else (0.0, 0.0)
+        previous, value = value, h * total + tail
         difference = abs(value - previous)
-        rounding = amplitude._ROUNDOFF * h * scale
+        rounding = amplitude._ROUNDOFF * h * scale + tail_rounding
         if (difference <= amplitude._PIECE_TOLERANCE * max(1.0, abs(value)) or difference <= rounding
                 or 2 * count > amplitude._TRAPEZOID_LIMIT):
             return value, difference + rounding
+
+
+# points whose start step is below 1/2 for at least one probability
+FINE_START_POINTS = [DimensionlessConfig(*point) for point in (
+    (4.0 * math.pi, 1.0, 0.5, 0.0), (30.0, 1.0, 0.5, 0.0), (200.0, 1.0, 0.5, 0.01),
+    (10.0, 8.0, 0.3, 0.099), (1.0, 120.0, 0.5, 0.0))]
 
 
 @pytest.mark.parametrize("points", [
     CRITERION_2_GRID,
     DEFAULT_GRID,
     [DimensionlessConfig(*point) for point, _ in LARGE_YBAR_POINTS],
-], ids=["criterion-2", "default", "large-ybar"])
+    FINE_START_POINTS,
+], ids=["criterion-2", "default", "large-ybar", "fine-start"])
 def test_trapezoid_equals_pass_by_pass_rule(monkeypatch, points):
-    # one evaluation on the nodes j/8 gives the first three sums to the
-    # bit, in value and in estimate
-    original, calls = amplitude.trapezoid, []
-    monkeypatch.setattr(amplitude, "trapezoid", lambda *args: calls.append(args) or original(*args))
+    # one evaluation on the nodes of the start step, or on those of 1/8
+    # when the start step is coarser, gives the first sums to the bit, in
+    # value and in estimate, for both probabilities
+    original, calls = amplitude.quad, []
+    monkeypatch.setattr(amplitude, "quad", lambda *args: calls.append(args) or original(*args))
     for d in points:
-        p2_numeric(d)
-        args = calls.pop()
-        expected = [v.hex() for v in pass_by_pass_trapezoid(*args)]
-        assert [v.hex() for v in original(*args)] == expected, d
+        for oracle in (p1_numeric, p2_numeric):
+            oracle(d)
+            args = calls.pop()
+            expected = [v.hex() for v in pass_by_pass_quad(*args)]
+            assert [v.hex() for v in original(*args)] == expected, (oracle.__name__, d)
+
+
+@pytest.mark.parametrize("x, y, zeta, eps", [
+    (4.0 * math.pi, 1.0, 0.5, 0.0), (30.0, 1.0, 0.5, 0.0), (200.0, 1.0, 0.5, 0.01),
+    (10.0, 8.0, 0.3, 0.099), (5e-7, 1.0, 0.5, 0.0), (5e-7, 1.0, 0.5, 0.01)])
+def test_p1_integrand_matches_scalar_complex_form(monkeypatch, x, y, zeta, eps):
+    # the vectorised integrand and Abel sums against the complex forms they
+    # project: Im e^{-i c} of e^{i x sigma - z} (1 - a2 e^{-sigma}) less
+    # (1 + a1 a2) e^{i x sigma} - a2 e^{(i x - 1) sigma} on sigma <= 0,
+    # and of h / (1 - e^{-i x h}) and h / (1 - e^{(1 - i x) h}), summed
+    # here at 60 digits, which the GUP terms' cancellation near the lower
+    # limit, from 1e17 to 1e-17, needs.  Each node is within
+    # (400 + 2 |x sigma|) u of its size, a few hundred ulps plus the
+    # rounding of the sine's argument, plus 4 u a1 a2: at small
+    # z = a1 e^sigma, expm1(-z) + z keeps only the rounding of expm1, 2 u z,
+    # which a2 e^{-sigma} scales to 2 u a1 a2
+    original, captured = amplitude.quad, []
+    monkeypatch.setattr(amplitude, "quad", lambda *args: captured.append(args) or original(*args))
+    d = DimensionlessConfig(x=x, y=y, zeta=zeta, eps=eps)
+    p1_numeric(d)
+    f, lower, _, omega, abel = captured[0]
+    assert omega == x
+    a1, a2, c = y * (1.0 - 0.5 * eps), 0.5 * y * eps, y * (1.0 - eps) * zeta
+    sigma = np.arange(math.ceil(2.0 * lower), 9) * 0.5
+    values, moduli = f(sigma)
+    with mpmath.workdps(60):
+        ix = mpmath.mpc(0, x)
+        phase = mpmath.exp(-mpmath.mpc(0, c))
+        shift = 1 + mpmath.mpf(a1) * a2
+        for t, value, modulus in zip(sigma.tolist(), values.tolist(), moduli.tolist()):
+            s = mpmath.exp(t)
+            exact = mpmath.exp(ix * t - a1 * s) * (1 - a2 / s)
+            if t <= 0.0:
+                exact -= shift * mpmath.exp(ix * t) - a2 * mpmath.exp((ix - 1) * t)
+            bound = 2.0 ** -53 * ((400.0 + 2.0 * abs(x * t)) * abs(exact) + 4.0 * a1 * a2)
+            assert abs(value - float(mpmath.im(phase * exact))) <= bound
+            assert abs(modulus - float(abs(exact))) <= bound
+        for h in (0.5 ** k for k in range(1, 8)):
+            if x * h >= math.pi:
+                continue
+            sums = (shift * h / (1 - mpmath.exp(-ix * h))
+                    - a2 * h / (1 - mpmath.exp((1 - ix) * h)))
+            value, rounding = abel(h)
+            assert abs(value - float(mpmath.im(phase * sums))) <= rounding
+
+
+@pytest.mark.parametrize("x", [150.0, 175.0, 200.0, 300.0])
+def test_p1_at_large_x_is_quiet_and_bounded(x):
+    # p1's integrand oscillates as sin(x sigma - c) over about 40 units of
+    # sigma; from the start step, at most pi / (x + 4), the sums converge
+    # without any warning
+    d = DimensionlessConfig(x=x, y=1.0, zeta=0.5, eps=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = p1_numeric(d)
+    assert abs(result.amplitude - p1_reference(d)) <= result.extrapolation_residual
+
+
+@pytest.mark.parametrize("x", [3e-7, 5e-7, 7e-7])
+@pytest.mark.parametrize("eps", [0.0, 0.01])
+def test_p1_certified_at_small_x(x, eps):
+    # the amplitude grows as 2/x, and so does the Abel sums' rounding term;
+    # at 8 u of their moduli the estimate stays inside the absolute gate
+    # down to x of about 2.7e-7, below p2's edge of about 3e-7, and it
+    # still bounds the true error, about one ulp of the amplitude
+    d = DimensionlessConfig(x=x, y=1.0, zeta=0.5, eps=eps)
+    result = p1_numeric(d)
+    assert abs(result.amplitude - p1_reference(d)) <= result.extrapolation_residual
+
+
+@pytest.mark.parametrize("y", [20.0, 30.0, 60.0, 120.0])
+def test_p2_estimate_bounds_true_error_at_large_ybar(y):
+    # sums with 2 pi / h below ybar carry the same aliasing error and so
+    # agree: at y = 120, h = 1/8 and 1/16 missed the true error, 9.7e-95,
+    # by 50x.  From the start step, at most pi / (ybar + 4), no alias lies
+    # near zero frequency
+    d = DimensionlessConfig(x=1.0, y=y, zeta=0.5, eps=0.0)
+    result = p2_numeric(d)
+    assert abs(result.amplitude - p2_reference(d)) <= result.extrapolation_residual
 
 
 def coefficient_reference(ybar: float, r: float) -> complex:

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning
 
 from gup_mirror import (
     ConfigError,
@@ -386,7 +385,7 @@ def test_verify_default_grid(tmp_path):
     out = tmp_path / "grid.csv"
     cfg = parse_config(f"mode = verify\ngrid = default\nout = {out}")
     with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
+        warnings.simplefilter("error")
         assert run(cfg) == 0
     lines = read(out).decode().strip().split("\n")
     assert len(lines) == 28  # header + 27 grid points
