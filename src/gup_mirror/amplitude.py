@@ -87,6 +87,11 @@ the error estimate of the amplitude itself, reported as
 extrapolation_residual.  An estimate above 1e-8 (100x the amplitude's
 error budget of 1e-10) raises QuadratureConvergenceError.  The budget
 and the gate are fixed: nothing sets them.
+
+The comparison.  verify_pair is the one place where the two routes
+meet.  Its VerifyRecord holds both closed-form breakdowns, both oracle
+probabilities, their relative deviations and the one bound both are
+held to; the runner's verify rows are read from it.
 """
 
 from __future__ import annotations
@@ -94,8 +99,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .closed_form import p1_closed, p2_closed
+from .closed_form import ProbabilityBreakdown, p1_closed, p2_closed
 from .units import DimensionlessConfig
 
 __all__ = [
@@ -109,7 +115,8 @@ __all__ = [
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Raised when the quadrature error estimate exceeds its gate."""
+    """Raised when the quadrature error estimate exceeds its gate, or where
+    the integrand does not decay within the range of doubles."""
 
 
 @dataclass(frozen=True)
@@ -171,6 +178,20 @@ _ROUNDOFF = 64.0 * 2.0 ** -53
 # from 2e-7 to 100; at small x the power term is about 1/x, and so is the
 # amplitude, whose certificate this term ends below x of about 2.7e-7.
 _ABEL_ROUNDOFF = 8.0 * 2.0 ** -53
+
+
+def _decay_limit(rate: float) -> float:
+    """ln s at which e^{-rate s} has fallen to e^{-_DECAY}.
+
+    Raises QuadratureConvergenceError where that s overflows a double, for
+    a rate below about 3.3e-307: the integrand does not decay within the
+    doubles, so no sum can meet the gate.
+    """
+    s = _DECAY / rate
+    if s == math.inf:
+        raise QuadratureConvergenceError(f"decay rate {rate!r}: the integrand does not decay "
+                                         "within the range of doubles")
+    return math.log(s)
 
 
 def quad(f, lower: float, upper: float, omega: float, abel=None) -> tuple[float, float]:
@@ -279,7 +300,7 @@ def _rotated_mellin(x: float, a1: float, a2: float, c: float) -> tuple[float, fl
     import numpy as np
 
     lower = math.log(_NEGLIGIBLE) - math.log(a1) - math.log1p(0.5 * a2 * a1)
-    upper = max(0.0, math.log(_DECAY / a1))
+    upper = max(0.0, _decay_limit(a1))
     phase = cmath.exp(-1j * c)
 
     def integrand(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +312,10 @@ def _rotated_mellin(x: float, a1: float, a2: float, c: float) -> tuple[float, fl
 
     def abel(h: float) -> tuple[float, float]:
         half = 0.5 * h
-        power = (1.0 + a1 * a2) * half * complex(1.0, -1.0 / math.tan(x * half))
+        # x h / 2 rounds to 0 only for x near the smallest double, where
+        # the cotangent is taken as its limit, inf, and the sum as nan
+        t = x * half
+        power = (1.0 + a1 * a2) * half * complex(1.0, -1.0 / math.tan(t) if t else -math.inf)
         inverse = a2 * half * (1.0 + 1.0 / cmath.tanh(complex(-half, x * half)))
         return (phase * (power - inverse)).imag, _ABEL_ROUNDOFF * (abs(power) + abs(inverse))
 
@@ -338,7 +362,7 @@ def _accel_mirror_core(x: float, ybar: float, eta: float, zeta: float) -> tuple[
         phase = ybar * sigma - atom_phase - eta * np.log(np.hypot(two_zeta, s))
         return modulus * np.cos(phase), modulus
 
-    return quad(integrand, math.log(_NEGLIGIBLE), math.log(_DECAY / x), ybar)
+    return quad(integrand, math.log(_NEGLIGIBLE), _decay_limit(x), ybar)
 
 
 def p2_numeric(d: DimensionlessConfig) -> AmplitudeResult:
@@ -369,31 +393,19 @@ _BOUND_EPS0 = 1e-3
 _BOUND_GUP = 1e-2
 
 
-@dataclass(frozen=True)
-class VerifyRecord:
-    """Side-by-side numeric and closed-form values with relative deviations."""
+class VerifyRecord(NamedTuple):
+    """Both routes for both probabilities at one point: the closed-form
+    breakdowns, the oracle probabilities, their relative deviations, and
+    the bound the deviations are held to."""
 
     config: DimensionlessConfig
-    p1_closed: float
+    p1_breakdown: ProbabilityBreakdown
+    p2_breakdown: ProbabilityBreakdown
     p1_numeric: float
-    p2_closed: float
     p2_numeric: float
     p1_rel_dev: float
     p2_rel_dev: float
-    p1_bound: float
-    p2_bound: float
-
-    @property
-    def p1_within(self) -> bool:
-        return self.p1_rel_dev <= self.p1_bound
-
-    @property
-    def p2_within(self) -> bool:
-        return self.p2_rel_dev <= self.p2_bound
-
-    @property
-    def all_within(self) -> bool:
-        return self.p1_within and self.p2_within
+    bound: float
 
 
 def _relative_deviation(numeric: float, closed: float) -> float:
@@ -405,7 +417,8 @@ def _relative_deviation(numeric: float, closed: float) -> float:
 
 
 def verify_pair(d: DimensionlessConfig) -> VerifyRecord:
-    """Run both routes for both probabilities and compare.
+    """Run both routes for both probabilities and compare: the one place
+    where the closed forms meet the oracle.
 
     The deviation bound is 1e-3 at eps = 0 and 1e-2 at eps > 0, for both
     probabilities.
@@ -414,19 +427,17 @@ def verify_pair(d: DimensionlessConfig) -> VerifyRecord:
     Requires zeta < 1 so the accelerating-mirror case is defined.
     Quadrature non-convergence propagates.
     """
-    bound = _BOUND_EPS0 if d.eps == 0.0 else _BOUND_GUP
-    closed1 = p1_closed(d).total
-    closed2 = p2_closed(d).total
+    closed1 = p1_closed(d)
+    closed2 = p2_closed(d)
     numeric1 = p1_numeric(d).probability
     numeric2 = p2_numeric(d).probability
     return VerifyRecord(
         config=d,
-        p1_closed=closed1,
+        p1_breakdown=closed1,
+        p2_breakdown=closed2,
         p1_numeric=numeric1,
-        p2_closed=closed2,
         p2_numeric=numeric2,
-        p1_rel_dev=_relative_deviation(numeric1, closed1),
-        p2_rel_dev=_relative_deviation(numeric2, closed2),
-        p1_bound=bound,
-        p2_bound=bound,
+        p1_rel_dev=_relative_deviation(numeric1, closed1.total),
+        p2_rel_dev=_relative_deviation(numeric2, closed2.total),
+        bound=_BOUND_EPS0 if d.eps == 0.0 else _BOUND_GUP,
     )

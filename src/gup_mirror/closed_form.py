@@ -83,7 +83,6 @@ from .units import (
     CODATA,
     DimensionlessConfig,
     PhysicalConfig,
-    PhysicalConstants,
     gup_strength,
     require_perturbative,
     to_dimensionless,
@@ -246,7 +245,7 @@ def p2_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
     return _assemble("p2", d, prefactor, damping, planck_factor(ybar), phase)
 
 
-def p1_closed_si(p: PhysicalConfig, k: PhysicalConstants = CODATA) -> float:
+def p1_closed_si(p: PhysicalConfig) -> float:
     """Accelerating-atom excitation probability from SI inputs.
 
     Thin wrapper restoring the dimensionful prefactor: the dimensionless
@@ -254,28 +253,28 @@ def p1_closed_si(p: PhysicalConfig, k: PhysicalConstants = CODATA) -> float:
     (g c / a)^2 times its total.  The dimensionless form is the single
     source of truth.
     """
-    scale = (p.g * k.c / p.a) ** 2
-    return scale * p1_closed(to_dimensionless(p, k)).total
+    scale = (p.g * CODATA.c / p.a) ** 2
+    return scale * p1_closed(to_dimensionless(p)).total
 
 
-def p2_closed_si(p: PhysicalConfig, k: PhysicalConstants = CODATA) -> float:
+def p2_closed_si(p: PhysicalConfig) -> float:
     """Accelerating-mirror excitation probability from SI inputs.
 
     Requires z0 < c^2/a (atom inside the mirror wedge); see p1_closed_si
     for the prefactor convention.
     """
-    scale = (p.g * k.c / p.a) ** 2
-    return scale * p2_closed(to_dimensionless(p, k)).total
+    scale = (p.g * CODATA.c / p.a) ** 2
+    return scale * p2_closed(to_dimensionless(p)).total
 
 
-def temperatures(p: PhysicalConfig, k: PhysicalConstants = CODATA) -> TemperaturePair:
+def temperatures(p: PhysicalConfig) -> TemperaturePair:
     """Unruh temperature hbar a / (2 pi k_B c) and its GUP modification.
 
     The modified temperature rescales by 1/(1 - eps/2) with
     eps = beta hbar^2 nu^2 / c^2, first order in eps like every GUP
     formula here, so eps outside the perturbative guard is rejected.
     """
-    unruh = k.hbar * p.a / (2.0 * math.pi * k.k_B * k.c)
-    eps = gup_strength(p, k)
+    unruh = CODATA.hbar * p.a / (2.0 * math.pi * CODATA.k_B * CODATA.c)
+    eps = gup_strength(p)
     require_perturbative(eps)
     return TemperaturePair(unruh=unruh, modified=unruh / (1.0 - 0.5 * eps))

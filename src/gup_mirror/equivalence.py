@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .closed_form import p1_closed, p2_closed
-from .units import CODATA, DimensionlessConfig, PhysicalConstants
+from .units import CODATA, DimensionlessConfig
 
 __all__ = [
     "ViolationReport",
@@ -129,7 +129,6 @@ def beta_bound(
     omega0: float,
     nu: float,
     z0: float,
-    k: PhysicalConstants = CODATA,
     eta0: float = 1.0,
 ) -> BetaBound:
     """Bound beta_max = eta0 * a z0 omega0 / (hbar^2 nu^3).
@@ -149,13 +148,13 @@ def beta_bound(
         if not value > 0.0:
             raise ValueError(f"{name} must be strictly positive")
     try:
-        denominator = k.hbar**2 * nu**3
+        denominator = CODATA.hbar**2 * nu**3
     except OverflowError:
         raise ValueError(f"nu={nu!r}: nu^3 overflows a double") from None
     if denominator == 0.0:
         raise ValueError(f"nu={nu!r}: hbar^2 nu^3 underflows to zero")
     beta_si = eta0 * a * z0 * omega0 / denominator
-    beta_planck = beta_si * (k.planck_mass * k.c) ** 2
+    beta_planck = beta_si * (CODATA.planck_mass * CODATA.c) ** 2
     if not math.isfinite(beta_planck):
         raise ValueError(
             f"eta0 a z0 omega0 / (hbar^2 nu^3) overflows a double "

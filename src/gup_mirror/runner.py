@@ -17,6 +17,11 @@ physics run.  `_physical_config` is the one place an SI block becomes a
 `PhysicalConfig`, with omega0 and nu scaled to rad/s by the frequency
 convention; the bound and temperatures rows are built from it too.
 
+The runner computes no route of its own.  The closed-form modes call
+`p1_closed` and `p2_closed`; each `verify` row is read from one
+`amplitude.verify_pair` record, the one place where the closed forms
+meet the quadrature oracle.
+
 All rows are computed before the output file is opened, so a run that
 fails writes nothing.  Each row is then written from one `%` template:
 a column whose cells are all equal (and not zero) is rendered once, into
@@ -34,10 +39,10 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .amplitude import QuadratureConvergenceError, p1_numeric, p2_numeric
+from .amplitude import QuadratureConvergenceError, verify_pair
 from .closed_form import p1_closed, p2_closed, temperatures
 from .equivalence import beta_bound, q_parameter
-from .units import CODATA, DimensionlessConfig, PhysicalConfig, gup_strength, to_dimensionless
+from .units import DimensionlessConfig, PhysicalConfig, gup_strength, to_dimensionless
 
 if TYPE_CHECKING:
     import numpy as np
@@ -364,16 +369,9 @@ def _points(cfg: RunConfig, sweep_values: list[float] | None = None) -> list[Dim
 # ---------------------------------------------------------------------------
 # row evaluation
 
-def _evaluate_row(d: DimensionlessConfig, want_p1: bool, want_p2: bool, numeric: bool) -> tuple:
-    """One grid point in ROW_COLUMNS order; None renders as an empty cell."""
-    one = p1_closed(d) if want_p1 else None
-    two = p2_closed(d) if want_p2 and d.zeta < 1.0 else None
-    num1 = p1_numeric(d).probability if numeric and want_p1 else None
-    num2 = (
-        p2_numeric(d).probability
-        if numeric and want_p2 and d.zeta < 1.0
-        else None
-    )
+def _evaluate_row(d: DimensionlessConfig, one, two, num1=None, num2=None) -> tuple:
+    """One grid point in ROW_COLUMNS order, from its closed-form
+    breakdowns and oracle probabilities; None renders as an empty cell."""
     q_value = q_parameter(d.eps, d.zeta)
     return (
         d.x, d.y, d.zeta, d.eps,
@@ -486,13 +484,19 @@ def run(cfg: RunConfig, stderr=None) -> int:
 
 
 def _physics_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple]]:
-    want_p1 = cfg.mode in ("p1", "compare", "sweep", "verify")
-    want_p2 = cfg.mode in ("p2", "compare", "sweep", "verify")
-    numeric = cfg.mode == "verify"
     axis = cfg.sweep.values().tolist() if cfg.sweep is not None else None
+    points = _points(cfg, axis)
+    if cfg.mode == "verify":
+        return ROW_COLUMNS, [
+            _evaluate_row(r.config, r.p1_breakdown, r.p2_breakdown, r.p1_numeric, r.p2_numeric)
+            for r in map(verify_pair, points)
+        ]
+    want_p1 = cfg.mode in ("p1", "compare", "sweep")
+    want_p2 = cfg.mode in ("p2", "compare", "sweep")
     return ROW_COLUMNS, [
-        _evaluate_row(d, want_p1, want_p2, numeric)
-        for d in _points(cfg, axis)
+        _evaluate_row(d, p1_closed(d) if want_p1 else None,
+                      p2_closed(d) if want_p2 and d.zeta < 1.0 else None)
+        for d in points
     ]
 
 
@@ -506,7 +510,7 @@ def _bound_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple]]:
     rows = []
     for convention in _FREQ_SCALE:
         p = _physical_config(cfg.physical, convention)
-        bound = beta_bound(p.a, p.omega0, p.nu, p.z0, CODATA, cfg.eta0)
+        bound = beta_bound(p.a, p.omega0, p.nu, p.z0, cfg.eta0)
         rows.append(
             (convention, p.omega0, p.nu, bound.beta_max_si,
              bound.beta_max_planck_units, bound.tolerance_factor)

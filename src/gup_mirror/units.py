@@ -68,13 +68,8 @@ class PhysicalConstants:
     k_B: float = 1.380649e-23
     planck_mass: float = 2.176434e-8
 
-    def __post_init__(self) -> None:
-        for name in ("c", "hbar", "k_B", "planck_mass"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"constant {name} must be strictly positive")
 
-
-#: Shared default constant set.
+#: The constants every SI conversion in the package reads.
 CODATA = PhysicalConstants()
 
 
@@ -140,7 +135,7 @@ class DimensionlessConfig:
         require_perturbative(self.eps)
 
 
-def validate_physical(p: PhysicalConfig, k: PhysicalConstants = CODATA) -> list[str]:
+def validate_physical(p: PhysicalConfig) -> list[str]:
     """Collect invariant violations of a physical configuration.
 
     Returns an empty list iff the configuration is valid.  Each entry names
@@ -151,26 +146,26 @@ def validate_physical(p: PhysicalConfig, k: PhysicalConstants = CODATA) -> list[
     mirror trajectory.
     """
     problems = _sign_problems(p)
-    if p.a > 0.0 and p.z0 > 0.0 and not p.z0 < k.c**2 / p.a:
+    if p.a > 0.0 and p.z0 > 0.0 and not p.z0 < CODATA.c**2 / p.a:
         problems.append(
-            f"z0={p.z0!r} violates z0 < c^2/a = {k.c**2 / p.a!r} (mirror-accelerating case)"
+            f"z0={p.z0!r} violates z0 < c^2/a = {CODATA.c**2 / p.a!r} (mirror-accelerating case)"
         )
     return problems
 
 
-def gup_strength(p: PhysicalConfig, k: PhysicalConstants = CODATA) -> float:
+def gup_strength(p: PhysicalConfig) -> float:
     """Dimensionless GUP strength eps = beta hbar^2 nu^2 / c^2.
 
     Raises ValueError when nu^2 overflows a double (nu above about
     1.3e154 rad/s).
     """
     try:
-        return p.beta * k.hbar**2 * p.nu**2 / k.c**2
+        return p.beta * CODATA.hbar**2 * p.nu**2 / CODATA.c**2
     except OverflowError:
         raise ValueError(f"nu={p.nu!r}: nu^2 overflows a double") from None
 
 
-def to_dimensionless(p: PhysicalConfig, k: PhysicalConstants = CODATA) -> DimensionlessConfig:
+def to_dimensionless(p: PhysicalConfig) -> DimensionlessConfig:
     """Reduce SI parameters to the four dimensionless groups.
 
     The PhysicalConfig constructor has already applied the sign rule;
@@ -178,17 +173,16 @@ def to_dimensionless(p: PhysicalConfig, k: PhysicalConstants = CODATA) -> Dimens
     the DimensionlessConfig constructor).
     """
     return DimensionlessConfig(
-        x=p.omega0 * k.c / p.a,
-        y=p.nu * k.c / p.a,
-        zeta=p.a * p.z0 / k.c**2,
-        eps=gup_strength(p, k),
+        x=p.omega0 * CODATA.c / p.a,
+        y=p.nu * CODATA.c / p.a,
+        zeta=p.a * p.z0 / CODATA.c**2,
+        eps=gup_strength(p),
     )
 
 
 def physical_from_dimensionless(
     d: DimensionlessConfig,
     reference_acceleration: float,
-    k: PhysicalConstants = CODATA,
     g: float = 1.0,
 ) -> PhysicalConfig:
     """Instantiate SI parameters realizing the given dimensionless groups.
@@ -200,13 +194,13 @@ def physical_from_dimensionless(
     if not reference_acceleration > 0.0:
         raise ValueError("reference_acceleration must be strictly positive")
     a = reference_acceleration
-    nu = d.y * a / k.c
-    beta = d.eps * k.c**2 / (k.hbar**2 * nu**2) if d.eps > 0.0 else 0.0
+    nu = d.y * a / CODATA.c
+    beta = d.eps * CODATA.c**2 / (CODATA.hbar**2 * nu**2) if d.eps > 0.0 else 0.0
     return PhysicalConfig(
         a=a,
-        omega0=d.x * a / k.c,
+        omega0=d.x * a / CODATA.c,
         nu=nu,
-        z0=d.zeta * k.c**2 / a,
+        z0=d.zeta * CODATA.c**2 / a,
         g=g,
         beta=beta,
     )

@@ -121,6 +121,24 @@ def test_unreachable_tolerance_flags_non_convergence(quad_above_gate):
             p2_numeric(d)
 
 
+@pytest.mark.parametrize("x", [5e-324, 1e-320, 1e-310, 3.2e-307])
+@pytest.mark.parametrize("oracle", [p1_numeric, p2_numeric])
+def test_oracle_at_tiny_x_raises_convergence_error(oracle, x):
+    # below x of about 3.3e-307 p2's decay limit ln(60 / x) is inf, and at
+    # 5e-324 p1's x h / 2 rounds to 0 inside a cotangent; like x = 1e-306,
+    # these points are not certified, and say so without another error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureConvergenceError):
+            oracle(DimensionlessConfig(x=x, y=1.0, zeta=0.5, eps=0.0))
+
+
+def test_p1_at_tiny_y_raises_convergence_error():
+    # p1's upper limit is ln(60 / a1), with a1 = y (1 - eps / 2)
+    with pytest.raises(QuadratureConvergenceError, match="does not decay"):
+        p1_numeric(DimensionlessConfig(x=1.0, y=1e-320, zeta=0.5, eps=0.0))
+
+
 def test_p2_requires_wedge():
     with pytest.raises(ValueError, match="zeta < 1"):
         p2_numeric(DimensionlessConfig(x=1.0, y=1.0, zeta=1.2, eps=0.0))
@@ -129,17 +147,18 @@ def test_p2_requires_wedge():
 def test_verify_pair_at_eps_zero():
     d = DimensionlessConfig(x=1.0, y=1.0, zeta=0.5, eps=0.0)
     record = verify_pair(d)
-    assert record.p1_bound == 1e-3 and record.p2_bound == 1e-3
+    assert record.bound == 1e-3
     assert record.p1_rel_dev < 1e-3 and record.p2_rel_dev < 1e-3
-    assert record.all_within
-    assert record.p1_rel_dev == abs(record.p1_numeric - record.p1_closed) / record.p1_closed
+    assert record.p1_breakdown == p1_closed(d) and record.p2_breakdown == p2_closed(d)
+    closed = record.p1_breakdown.total
+    assert record.p1_rel_dev == abs(record.p1_numeric - closed) / closed
 
 
 def test_verify_pair_reports_honest_deviations_at_eps():
     d = DimensionlessConfig(x=1.0, y=1.0, zeta=0.5, eps=0.01)
     record = verify_pair(d)
-    assert record.p1_bound == 1e-2 and record.p2_bound == 1e-2
-    assert record.p1_within and record.p2_within
+    assert record.bound == 1e-2
+    assert record.p1_rel_dev <= record.bound and record.p2_rel_dev <= record.bound
     # the deviation is reported as measured, not clipped to the bound
     numeric = p2_numeric(d).probability
     closed = p2_closed(d).total
@@ -160,26 +179,24 @@ def test_verify_pair_where_closed_form_underflows_to_zero():
     # exactly 0 at x = 120 while the oracle leaves a tiny nonzero value
     d = DimensionlessConfig(x=120.0, y=1.0, zeta=0.5, eps=0.0)
     record = verify_pair(d)
-    assert record.p1_closed == 0.0 and record.p1_numeric > 0.0
+    assert record.p1_breakdown.total == 0.0 and record.p1_numeric > 0.0
     assert record.p1_rel_dev == math.inf
-    assert not record.p1_within and not record.all_within
-    assert record.p2_within
+    assert record.p2_rel_dev <= record.bound
     # from x of about 474.4 the oracle's rotation factor rounds to 0 as
     # well
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         far = verify_pair(DimensionlessConfig(x=500.0, y=1.0, zeta=0.5, eps=0.0))
-    assert far.p1_closed == far.p1_numeric == 0.0
-    assert far.p1_rel_dev == 0.0 and far.p1_within
+    assert far.p1_breakdown.total == far.p1_numeric == 0.0
+    assert far.p1_rel_dev == 0.0
     # p2's Planck factor in y rounds to 0 at y = 120; the oracle gives
     # 2.35e-189 there, without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         wide = verify_pair(DimensionlessConfig(x=1.0, y=120.0, zeta=0.5, eps=0.0))
-    assert wide.p2_closed == 0.0 and wide.p2_numeric > 0.0
+    assert wide.p2_breakdown.total == 0.0 and wide.p2_numeric > 0.0
     assert wide.p2_rel_dev == math.inf
-    assert not wide.p2_within and not wide.all_within
-    assert wide.p1_within
+    assert wide.p1_rel_dev <= wide.bound
 
 
 @pytest.mark.parametrize("point, zeroed", [

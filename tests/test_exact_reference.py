@@ -250,12 +250,18 @@ def test_p1_integrand_matches_scalar_complex_form(monkeypatch, x, y, zeta, eps):
             assert abs(value - float(mpmath.im(phase * sums))) <= rounding
 
 
-@pytest.mark.parametrize("x", [150.0, 175.0, 200.0, 300.0])
-def test_p1_at_large_x_is_quiet_and_bounded(x):
+def _at_two_eps(values):
+    """Each value at eps = 0, with the value as its id, and at eps = 0.01."""
+    return ([pytest.param(v, 0.0, id=f"{v}") for v in values]
+            + [pytest.param(v, 0.01, id=f"{v}-0.01") for v in values])
+
+
+@pytest.mark.parametrize("x, eps", _at_two_eps([15.0, 20.0, 30.0, 150.0, 175.0, 200.0, 300.0]))
+def test_p1_at_large_x_is_quiet_and_bounded(x, eps):
     # p1's integrand oscillates as sin(x sigma - c) over about 40 units of
     # sigma; from the start step, at most pi / (x + 4), the sums converge
     # without any warning
-    d = DimensionlessConfig(x=x, y=1.0, zeta=0.5, eps=0.0)
+    d = DimensionlessConfig(x=x, y=1.0, zeta=0.5, eps=eps)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = p1_numeric(d)
@@ -274,13 +280,13 @@ def test_p1_certified_at_small_x(x, eps):
     assert abs(result.amplitude - p1_reference(d)) <= result.extrapolation_residual
 
 
-@pytest.mark.parametrize("y", [20.0, 30.0, 60.0, 120.0])
-def test_p2_estimate_bounds_true_error_at_large_ybar(y):
+@pytest.mark.parametrize("y, eps", _at_two_eps([15.0, 20.0, 30.0, 60.0, 120.0]))
+def test_p2_estimate_bounds_true_error_at_large_ybar(y, eps):
     # sums with 2 pi / h below ybar carry the same aliasing error and so
     # agree: at y = 120, h = 1/8 and 1/16 missed the true error, 9.7e-95,
     # by 50x.  From the start step, at most pi / (ybar + 4), no alias lies
     # near zero frequency
-    d = DimensionlessConfig(x=1.0, y=y, zeta=0.5, eps=0.0)
+    d = DimensionlessConfig(x=1.0, y=y, zeta=0.5, eps=eps)
     result = p2_numeric(d)
     assert abs(result.amplitude - p2_reference(d)) <= result.extrapolation_residual
 
