@@ -44,6 +44,16 @@ and the GUP phase above.  L is evaluated without quadrature: from the
 connection formula of U in terms of Kummer's M (DLMF section 13.2) for
 |z| < 17 + 1.5 |a|, from its asymptotic series beyond.
 
+Each probability is written once, in two halves.  `p1_zeta_free` and
+`p2_zeta_free` compute what zeta does not enter (the prefactor, the
+Planck factor, p1's damping, theta or log Gamma(i ybar), x ln y or
+ybar ln x) and run the checks that belong to it.  `p1_at_zeta` and
+`p2_at_zeta` add the rest (L, p2's damping and GUP phase, the phase sum,
+sin^2 and the product), in the order and with the operands the whole
+formula uses, so the halves give the same bits as one pass.
+`p1_closed` and `p2_closed` compose them; a caller that evaluates many
+zeta at one (x, y, eps) computes the first half once.
+
 Limits of the GUP terms:
 
     x zeta -> inf:  L = a/z + O(z^-2),
@@ -91,6 +101,10 @@ from .units import (
 __all__ = [
     "ProbabilityBreakdown",
     "TemperaturePair",
+    "p1_zeta_free",
+    "p1_at_zeta",
+    "p2_zeta_free",
+    "p2_at_zeta",
     "p1_closed",
     "p2_closed",
     "p1_closed_si",
@@ -128,17 +142,19 @@ class TemperaturePair:
 
 
 def _assemble(name: str, d: DimensionlessConfig, prefactor: float, damping: float,
-              planck: float, phase: float) -> ProbabilityBreakdown:
-    """The breakdown of probability `name` at d; a ValueError unless it is a finite double."""
+              planck: float, phase: float) -> tuple[float, ...]:
+    """The ProbabilityBreakdown fields of probability `name` at d, as a plain
+    tuple; a ValueError unless its total is a finite double."""
     sin2 = math.sin(phase) ** 2 if math.isfinite(phase) else math.nan
     total = prefactor * damping * planck * sin2
     if not math.isfinite(total):
         raise ValueError(f"{name} is not a finite double at {d}")
-    return ProbabilityBreakdown(total, prefactor, damping, planck, phase, sin2)
+    return total, prefactor, damping, planck, phase, sin2
 
 
-def p1_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
-    """Closed-form probability for the accelerating atom, static mirror.
+def p1_zeta_free(d: DimensionlessConfig) -> tuple[float, ...]:
+    """p1's factors that zeta does not enter, at (d.x, d.y, d.eps), in the
+    order p1_at_zeta unpacks them.
 
     Raises ValueError when the damping exponent eps y^2 / (1 + x^2) is
     not below EPS_GUARD, or when eps > 0 and y^2 overflows a double.
@@ -152,15 +168,33 @@ def p1_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
     omega = 1.0 / (1.0 + d.x * d.x)  # -Omega cos Delta; Omega sin Delta is x omega
     exponent = d.eps * y_squared * omega
     require_perturbative(exponent, "eps y^2/(1 + x^2)")
-    damping = math.exp(exponent)
-    phase = (
-        d.y * (1.0 - d.eps) * d.zeta
-        + d.x * math.log(d.y)
-        - 0.5 * d.eps * d.x
-        + theta
-        - 0.5 * d.eps * y_squared * d.x * omega
+    return (
+        prefactor,
+        math.exp(exponent),
+        planck_factor(d.x),
+        d.y * (1.0 - d.eps),
+        d.x * math.log(d.y),
+        0.5 * d.eps * d.x,
+        theta,
+        0.5 * d.eps * y_squared * d.x * omega,
     )
-    return _assemble("p1", d, prefactor, damping, planck_factor(d.x), phase)
+
+
+def p1_at_zeta(factors: tuple[float, ...], d: DimensionlessConfig) -> tuple[float, ...]:
+    """p1 at d from p1_zeta_free's factors at (d.x, d.y, d.eps): the
+    ProbabilityBreakdown fields as a plain tuple."""
+    prefactor, damping, planck, drift, log_term, eps_term, theta, gup_term = factors
+    phase = drift * d.zeta + log_term - eps_term + theta - gup_term
+    return _assemble("p1", d, prefactor, damping, planck, phase)
+
+
+def p1_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
+    """Closed-form probability for the accelerating atom, static mirror.
+
+    Raises ValueError when the damping exponent eps y^2 / (1 + x^2) is
+    not below EPS_GUARD, or when eps > 0 and y^2 overflows a double.
+    """
+    return ProbabilityBreakdown(*p1_at_zeta(p1_zeta_free(d), d))
 
 
 # L is summed from its asymptotic series once |z| >= 17 + 1.5 |a|.  The
@@ -215,7 +249,51 @@ def _gup_coefficient(ybar: float, r: float, log_gamma_iy: complex) -> complex:
         kummer *= z / n
         total += kummer / (n + a) - power / n
         size *= r / n
+        if size == math.inf:  # it never falls below the tolerance again
+            raise ValueError(
+                f"L(1 + i ybar, i r) at ybar={ybar!r}, r={r!r}: the bound on its "
+                "series terms overflows a double"
+            )
     return digamma(a) - log_z + total
+
+
+def p2_zeta_free(d: DimensionlessConfig) -> tuple:
+    """p2's factors that zeta does not enter, at (d.x, d.y, d.eps), in the
+    order p2_at_zeta unpacks them.
+
+    Raises ValueError when x^2 overflows a double or underflows to zero.
+    """
+    ybar = d.y * (1.0 - 0.5 * d.eps)
+    log_gamma_iy = log_gamma(complex(0.0, ybar))
+    try:
+        prefactor = 2.0 * math.pi * ybar / d.x**2
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"x={d.x!r}: x^2 overflows a double or underflows to zero") from None
+    return (
+        ybar,
+        0.5 * d.eps * d.y,
+        log_gamma_iy,
+        prefactor,
+        planck_factor(ybar),
+        ybar * math.log(d.x),
+    )
+
+
+def p2_at_zeta(factors: tuple, d: DimensionlessConfig) -> tuple[float, ...]:
+    """p2 at d, which must have zeta < 1, from p2_zeta_free's factors at
+    (d.x, d.y, d.eps): the ProbabilityBreakdown fields as a plain tuple.
+
+    Raises ValueError when the series for L cannot be summed in doubles.
+    """
+    ybar, eta, log_gamma_iy, prefactor, planck, log_term = factors
+    damping = 1.0
+    gup_phase = 0.0
+    if eta > 0.0:
+        coefficient = _gup_coefficient(ybar, 2.0 * d.zeta * d.x, log_gamma_iy)
+        damping = math.exp(2.0 * eta * coefficient.imag)
+        gup_phase = eta * (math.log(2.0 * d.zeta) + coefficient.real)
+    phase = d.x * d.zeta + log_term + gup_phase - log_gamma_iy.imag
+    return _assemble("p2", d, prefactor, damping, planck, phase)
 
 
 def p2_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
@@ -224,25 +302,12 @@ def p2_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
     Requires zeta < 1: the atom must sit inside the mirror's right Rindler
     wedge.  The GUP terms are first order in eta = eps y / 2 and stay
     finite at every zeta in (0, 1).  Raises ValueError when x^2 overflows
-    a double or underflows to zero.
+    a double or underflows to zero, or when the series for L cannot be
+    summed in doubles.
     """
     if not d.zeta < 1.0:
         raise ValueError("mirror-accelerating case requires zeta < 1")
-    ybar = d.y * (1.0 - 0.5 * d.eps)
-    eta = 0.5 * d.eps * d.y
-    log_gamma_iy = log_gamma(complex(0.0, ybar))
-    damping = 1.0
-    gup_phase = 0.0
-    if eta > 0.0:
-        coefficient = _gup_coefficient(ybar, 2.0 * d.zeta * d.x, log_gamma_iy)
-        damping = math.exp(2.0 * eta * coefficient.imag)
-        gup_phase = eta * (math.log(2.0 * d.zeta) + coefficient.real)
-    try:
-        prefactor = 2.0 * math.pi * ybar / d.x**2
-    except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"x={d.x!r}: x^2 overflows a double or underflows to zero") from None
-    phase = d.x * d.zeta + ybar * math.log(d.x) + gup_phase - log_gamma_iy.imag
-    return _assemble("p2", d, prefactor, damping, planck_factor(ybar), phase)
+    return ProbabilityBreakdown(*p2_at_zeta(p2_zeta_free(d), d))
 
 
 def p1_closed_si(p: PhysicalConfig) -> float:

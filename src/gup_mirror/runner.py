@@ -18,9 +18,12 @@ physics run.  `_physical_config` is the one place an SI block becomes a
 convention; the bound and temperatures rows are built from it too.
 
 The runner computes no route of its own.  The closed-form modes call
-`p1_closed` and `p2_closed`; each `verify` row is read from one
-`amplitude.verify_pair` record, the one place where the closed forms
-meet the quadrature oracle.
+the two halves of each closed form in `closed_form`: a probability's
+zeta-free half is computed again only when a row's (x, y, eps) differs
+from the row it was last computed for, and only for rows that need that
+probability, so a zeta sweep computes it once.  Each `verify` row is
+read from one `amplitude.verify_pair` record, the one place where the
+closed forms meet the quadrature oracle.
 
 All rows are computed before the output file is opened, so a run that
 fails writes nothing.  Each row is then written from one `%` template:
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .amplitude import QuadratureConvergenceError, verify_pair
-from .closed_form import p1_closed, p2_closed, temperatures
+from .closed_form import p1_at_zeta, p1_zeta_free, p2_at_zeta, p2_zeta_free, temperatures
 from .equivalence import beta_bound, q_parameter
 from .units import DimensionlessConfig, PhysicalConfig, gup_strength, to_dimensionless
 
@@ -367,24 +370,7 @@ def _points(cfg: RunConfig, sweep_values: list[float] | None = None) -> list[Dim
 
 
 # ---------------------------------------------------------------------------
-# row evaluation
-
-def _evaluate_row(d: DimensionlessConfig, one, two, num1=None, num2=None) -> tuple:
-    """One grid point in ROW_COLUMNS order, from its closed-form
-    breakdowns and oracle probabilities; None renders as an empty cell."""
-    q_value = q_parameter(d.eps, d.zeta)
-    return (
-        d.x, d.y, d.zeta, d.eps,
-        one.total if one else None,
-        two.total if two else None,
-        num1,
-        num2,
-        one.phase_argument if one else None,
-        two.phase_argument if two else None,
-        q_value,
-        1.0 + q_value,
-    )
-
+# output
 
 def _render(cell) -> str:
     return "" if cell is None else cell if isinstance(cell, str) else f"{cell:.17g}"
@@ -484,20 +470,36 @@ def run(cfg: RunConfig, stderr=None) -> int:
 
 
 def _physics_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple]]:
+    """One row per point in ROW_COLUMNS order; None renders as an empty cell."""
     axis = cfg.sweep.values().tolist() if cfg.sweep is not None else None
     points = _points(cfg, axis)
+    rows = []
     if cfg.mode == "verify":
-        return ROW_COLUMNS, [
-            _evaluate_row(r.config, r.p1_breakdown, r.p2_breakdown, r.p1_numeric, r.p2_numeric)
-            for r in map(verify_pair, points)
-        ]
+        for r in map(verify_pair, points):
+            d, one, two = r.config, r.p1_breakdown, r.p2_breakdown
+            q_value = q_parameter(d.eps, d.zeta)
+            rows.append((d.x, d.y, d.zeta, d.eps, one.total, two.total, r.p1_numeric,
+                         r.p2_numeric, one.phase_argument, two.phase_argument,
+                         q_value, 1.0 + q_value))
+        return ROW_COLUMNS, rows
     want_p1 = cfg.mode in ("p1", "compare", "sweep")
     want_p2 = cfg.mode in ("p2", "compare", "sweep")
-    return ROW_COLUMNS, [
-        _evaluate_row(d, p1_closed(d) if want_p1 else None,
-                      p2_closed(d) if want_p2 and d.zeta < 1.0 else None)
-        for d in points
-    ]
+    key1 = key2 = None
+    for d in points:
+        key = (d.x, d.y, d.eps)
+        p1 = phase1 = p2 = phase2 = None
+        if want_p1:
+            if key != key1:
+                factors1, key1 = p1_zeta_free(d), key
+            p1, _, _, _, phase1, _ = p1_at_zeta(factors1, d)
+        if want_p2 and d.zeta < 1.0:
+            if key != key2:
+                factors2, key2 = p2_zeta_free(d), key
+            p2, _, _, _, phase2, _ = p2_at_zeta(factors2, d)
+        q_value = q_parameter(d.eps, d.zeta)
+        rows.append((d.x, d.y, d.zeta, d.eps, p1, p2, None, None, phase1, phase2,
+                     q_value, 1.0 + q_value))
+    return ROW_COLUMNS, rows
 
 
 _BOUND_COLUMNS = (

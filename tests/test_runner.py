@@ -1,11 +1,14 @@
 """Config parsing, run orchestration, CSV contract, exit codes."""
 
+import dataclasses
 import errno
 import math
 import os
 import random
 import stat
 import struct
+import subprocess
+import sys
 import threading
 import warnings
 from pathlib import Path
@@ -27,6 +30,7 @@ from gup_mirror import (
     run,
     to_dimensionless,
 )
+from gup_mirror import closed_form
 from gup_mirror.special import digamma
 from gup_mirror.cli import main
 from gup_mirror.runner import ROW_COLUMNS, _physics_rows, _write_csv
@@ -256,21 +260,64 @@ def test_zeta_sweep_across_wedge_matches_cell_by_cell_rendering(tmp_path):
     assert read(out) == _reference_csv(ROW_COLUMNS, rows)
 
 
-def test_zeta_sweep_matches_uncached_scalar_calls(tmp_path):
-    for cached in _MEMOS:
-        cached.cache_clear()
-    out = tmp_path / "zeta.csv"
-    text = "mode = sweep\nx = 1.3\ny = 0.8\nzeta = 0.5\neps = 0.005\nsweep_param = zeta\n" \
-           f"sweep_min = 0.05\nsweep_max = 0.95\nsweep_count = 300\nsweep_spacing = log\nout = {out}"
-    assert run(parse_config(text)) == 0
+_SWEEP_BASE = {"x": 1.3, "y": 0.8, "zeta": 0.5, "eps": 0.005}
+_SI_BLOCK = {"a": 3e20, "omega0": 8e10, "nu": 2e11, "z0": 1.8e-4, "beta": 2e57}
+
+
+@pytest.mark.parametrize("param, lo, hi, spacing, eps, misses", [
     # each Gamma value computed once for all 300 rows: one phase set (one
     # log Gamma value for p1), one log Gamma(i ybar) for p2, one digamma
-    assert gamma_phase_set.cache_info().misses == 1
-    assert log_gamma.cache_info().misses == 2
-    assert digamma.cache_info().misses == 1
-    points = [DimensionlessConfig(x=1.3, y=0.8, zeta=float(zeta), eps=0.005)
-              for zeta in np.geomspace(0.05, 0.95, 300)]
+    pytest.param("zeta", 0.05, 0.95, "log", 0.005, (1, 2, 1), id="zeta-log"),
+    pytest.param("zeta", 0.05, 0.95, "linear", 0.0, (1, 2, 0), id="zeta-linear-eps0"),
+    # a new x each row: a phase set and log Gamma(-i x) per row; ybar is fixed
+    pytest.param("x", 0.2, 5.0, "linear", 0.005, (300, 301, 1), id="x"),
+    # a new ybar each row: log Gamma(i ybar) and digamma per row
+    pytest.param("y", 0.2, 5.0, "linear", 0.005, (1, 301, 300), id="y"),
+    # likewise, except the eps = 0 row, which needs no digamma
+    pytest.param("eps", 0.0, 0.05, "linear", 0.005, (1, 301, 299), id="eps"),
+])
+def test_sweep_matches_uncached_scalar_calls(tmp_path, param, lo, hi, spacing, eps, misses):
+    for cached in _MEMOS:
+        cached.cache_clear()
+    out = tmp_path / "sweep.csv"
+    base = {**_SWEEP_BASE, "eps": eps}
+    block = "".join(f"{key} = {value!r}\n" for key, value in base.items())
+    text = f"mode = sweep\n{block}sweep_param = {param}\nsweep_min = {lo!r}\n" \
+           f"sweep_max = {hi!r}\nsweep_count = 300\nsweep_spacing = {spacing}\nout = {out}"
+    assert run(parse_config(text)) == 0
+    assert (gamma_phase_set.cache_info().misses, log_gamma.cache_info().misses,
+            digamma.cache_info().misses) == misses
+    values = np.geomspace(lo, hi, 300) if spacing == "log" else np.linspace(lo, hi, 300)
+    points = [DimensionlessConfig(**{**base, param: float(value)}) for value in values]
     assert read(out) == _scalar_csv(points)
+
+
+@pytest.mark.parametrize("mode, text, calls", [
+    # one (x, y, eps) for every row: p1's factors once, p2's once
+    pytest.param("sweep", "x = 1.3\ny = 0.8\nzeta = 0.5\neps = 0.005\nsweep_param = zeta\n"
+                          "sweep_min = 0.05\nsweep_max = 0.95\n", 2, id="zeta"),
+    # z0 enters zeta alone, so SI rows share x, y and eps as well
+    pytest.param("sweep", "".join(f"{key} = {value!r}\n" for key, value in _SI_BLOCK.items())
+                 + "sweep_param = z0\nsweep_min = 1e-5\nsweep_max = 2.9e-4\n", 2, id="si-z0"),
+    pytest.param("sweep", "x = 1.3\ny = 0.8\nzeta = 0.5\neps = 0.005\nsweep_param = x\n"
+                          "sweep_min = 0.2\nsweep_max = 5\n", 600, id="x"),
+    # p2's factors are never computed when no row needs p2
+    pytest.param("p1", "x = 1.3\ny = 0.8\nzeta = 0.5\neps = 0.005\nsweep_param = zeta\n"
+                       "sweep_min = 0.05\nsweep_max = 0.95\n", 1, id="p1-zeta"),
+])
+def test_zeta_free_factors_computed_once_per_run_of_equal_x_y_eps(monkeypatch, mode, text,
+                                                                 calls):
+    counted = []
+    original = closed_form.planck_factor
+
+    def counting(w):
+        counted.append(w)
+        return original(w)
+
+    monkeypatch.setattr(closed_form, "planck_factor", counting)
+    cfg = parse_config(f"mode = sweep\n{text}sweep_count = 300\nout = unused.csv")
+    _, rows = _physics_rows(dataclasses.replace(cfg, mode=mode))
+    assert len(rows) == 300 and len(counted) == calls
 
 
 def test_cold_p1_run_evaluates_log_gamma_once(tmp_path):
@@ -281,9 +328,6 @@ def test_cold_p1_run_evaluates_log_gamma_once(tmp_path):
     text = f"mode = p1\nx = 1.3\ny = 0.8\nzeta = 0.5\neps = 0.005\nout = {out}"
     assert run(parse_config(text)) == 0
     assert log_gamma.cache_info().misses == 1
-
-
-_SI_BLOCK = {"a": 3e20, "omega0": 8e10, "nu": 2e11, "z0": 1.8e-4, "beta": 2e57}
 
 
 @pytest.mark.parametrize("convention", ["angular", "ordinary"])
@@ -355,18 +399,24 @@ def test_sweep_phase_columns_track_gup_symmetry_breaking(tmp_path):
         assert float(row["q_value"]) > 0.0
 
 
-def test_p2_cells_empty_outside_wedge(tmp_path):
+@pytest.mark.parametrize("mode, block, p2_present", [
+    pytest.param("sweep", "x = 1\ny = 1\nzeta = 0.5\neps = 0\nsweep_param = zeta\n"
+                          "sweep_min = 0.5\nsweep_max = 1.5\nsweep_count = 3\n",
+                 [True, False, False], id="wedge"),  # zeta = 0.5, 1.0, 1.5
+    # x^2 overflows, which p2's factors reject; no row here needs them
+    pytest.param("sweep", "x = 1e200\ny = 1\nzeta = 1.5\neps = 0.01\nsweep_param = zeta\n"
+                          "sweep_min = 1.5\nsweep_max = 2.5\nsweep_count = 3\n",
+                 [False, False, False], id="huge-x-outside-wedge"),
+    pytest.param("p1", "x = 1e200\ny = 1\nzeta = 0.5\neps = 0.01\n", [False], id="huge-x-p1"),
+])
+def test_p2_cells_empty_outside_wedge(tmp_path, mode, block, p2_present):
+    config = tmp_path / "run.conf"
     out = tmp_path / "wedge.csv"
-    cfg = parse_config(
-        "mode = sweep\nx = 1\ny = 1\nzeta = 0.5\neps = 0\n"
-        f"sweep_param = zeta\nsweep_min = 0.5\nsweep_max = 1.5\nsweep_count = 3\nout = {out}"
-    )
-    run(cfg)
+    config.write_text(block)
+    assert main([mode, "--config", str(config), "--out", str(out)]) == 0
     lines = read(out).decode().strip().split("\n")[1:]
     rows = [dict(zip(ROW_COLUMNS, line.split(","))) for line in lines]
-    assert rows[0]["p2_closed"] != ""
-    assert rows[1]["p2_closed"] == ""  # zeta = 1.0
-    assert rows[2]["p2_closed"] == ""  # zeta = 1.5
+    assert [r["p2_closed"] != "" for r in rows] == p2_present
     assert all(r["p1_closed"] != "" for r in rows)
 
 
@@ -621,6 +671,35 @@ def test_domain_error_is_one_line_exit_1(tmp_path, capsys, mode, block, message)
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+_UNSUMMABLE_L = "x = 1000\ny = 1000\nzeta = 0.5\neps = 0.001\n"
+
+
+@pytest.mark.parametrize("mode, block", [
+    pytest.param("p2", _UNSUMMABLE_L, id="p2"),
+    pytest.param("compare", _UNSUMMABLE_L, id="compare"),
+    # r = 2 zeta x = x: the rows up to x = 700 sum L, the row at x = 750 cannot
+    pytest.param("sweep", _UNSUMMABLE_L + "sweep_param = x\nsweep_min = 500\nsweep_max = 1000\n"
+                                          "sweep_count = 11\n", id="x-sweep"),
+])
+def test_unsummable_gup_series_is_one_line_exit_1(tmp_path, mode, block):
+    # The bound on L's convergent-series terms overflows to inf here, and
+    # the series once looped forever; a subprocess with a timeout turns a
+    # hang into a failure.
+    config = tmp_path / "run.conf"
+    out = tmp_path / "out.csv"
+    config.write_text(block)
+    path = os.pathsep.join(p for p in (str(Path(closed_form.__file__).resolve().parents[1]),
+                                       os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-m", "gup_mirror.cli", mode, "--config", str(config), "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("configuration error: L(1 + i ybar, i r) at ybar=999.5, r=")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
     assert not out.exists()
 
 
