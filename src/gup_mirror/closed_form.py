@@ -54,6 +54,14 @@ formula uses, so the halves give the same bits as one pass.
 `p1_closed` and `p2_closed` compose them; a caller that evaluates many
 zeta at one (x, y, eps) computes the first half once.
 
+A caller with many rows can also have L for all of them at once:
+`p2_gup_coefficients` hands the rows' ybar, r and log Gamma(i ybar) to
+`gup_batch`, which sums their convergent series together on numpy
+arrays and gives each row the bits `_gup_coefficient` gives it.  A row
+on the asymptotic branch, or one whose series cannot be summed in
+doubles, comes back as None, and `p2_at_zeta` sums (or raises) it the
+scalar way.
+
 Limits of the GUP terms:
 
     x zeta -> inf:  L = a/z + O(z^-2),
@@ -105,6 +113,7 @@ __all__ = [
     "p1_at_zeta",
     "p2_zeta_free",
     "p2_at_zeta",
+    "p2_gup_coefficients",
     "p1_closed",
     "p2_closed",
     "p1_closed_si",
@@ -211,6 +220,10 @@ _ASYMPTOTIC_SLOPE = 1.5
 _L_TOLERANCE = 1e-8
 
 
+def _unsummable(ybar: float, r: float, reason: str) -> ValueError:
+    return ValueError(f"L(1 + i ybar, i r) at ybar={ybar!r}, r={r!r}: {reason}")
+
+
 def _gup_coefficient(ybar: float, r: float, log_gamma_iy: complex) -> complex:
     """L(a, z) = z^a dU(a, b, z)/db at b = a + 1, a = 1 + i ybar, z = i r.
 
@@ -239,9 +252,12 @@ def _gup_coefficient(ybar: float, r: float, log_gamma_iy: complex) -> complex:
     #   Gamma(-a) z^a M(a, a+1, z) = -conj(Gamma(i ybar)) z^a sum_{n>=0} z^n / (n! (a+n))
     log_z = complex(math.log(r), 0.5 * math.pi)
     power = 1.0 + 0j  # z^n / (1-a)_n
-    kummer = cmath.exp(log_gamma_iy.conjugate() + a * log_z)  # conj(Gamma(i ybar)) z^a z^n / n!
+    try:  # kummer is conj(Gamma(i ybar)) z^a z^n / n!
+        kummer = cmath.exp(log_gamma_iy.conjugate() + a * log_z)
+        size = abs(kummer) + 1.0  # bounds both terms' moduli up to a factor 1/ybar
+    except OverflowError:
+        raise _unsummable(ybar, r, "the first term of its series overflows a double") from None
     total = kummer / a
-    size = abs(kummer) + 1.0  # bounds both terms' moduli up to a factor 1/ybar
     n = 0
     while size >= _L_TOLERANCE:
         n += 1
@@ -250,10 +266,7 @@ def _gup_coefficient(ybar: float, r: float, log_gamma_iy: complex) -> complex:
         total += kummer / (n + a) - power / n
         size *= r / n
         if size == math.inf:  # it never falls below the tolerance again
-            raise ValueError(
-                f"L(1 + i ybar, i r) at ybar={ybar!r}, r={r!r}: the bound on its "
-                "series terms overflows a double"
-            )
+            raise _unsummable(ybar, r, "the bound on its series terms overflows a double")
     return digamma(a) - log_z + total
 
 
@@ -279,9 +292,17 @@ def p2_zeta_free(d: DimensionlessConfig) -> tuple:
     )
 
 
-def p2_at_zeta(factors: tuple, d: DimensionlessConfig) -> tuple[float, ...]:
+def _series_argument(d: DimensionlessConfig) -> float:
+    """r in L(1 + i ybar, i r): r = 2 zeta x."""
+    return 2.0 * d.zeta * d.x
+
+
+def p2_at_zeta(factors: tuple, d: DimensionlessConfig,
+               coefficient: complex | None = None) -> tuple[float, ...]:
     """p2 at d, which must have zeta < 1, from p2_zeta_free's factors at
     (d.x, d.y, d.eps): the ProbabilityBreakdown fields as a plain tuple.
+    `coefficient` is L at d when it is already known (p2_gup_coefficients);
+    without it L is summed here.
 
     Raises ValueError when the series for L cannot be summed in doubles.
     """
@@ -289,11 +310,31 @@ def p2_at_zeta(factors: tuple, d: DimensionlessConfig) -> tuple[float, ...]:
     damping = 1.0
     gup_phase = 0.0
     if eta > 0.0:
-        coefficient = _gup_coefficient(ybar, 2.0 * d.zeta * d.x, log_gamma_iy)
+        if coefficient is None:
+            coefficient = _gup_coefficient(ybar, _series_argument(d), log_gamma_iy)
         damping = math.exp(2.0 * eta * coefficient.imag)
         gup_phase = eta * (math.log(2.0 * d.zeta) + coefficient.real)
     phase = d.x * d.zeta + log_term + gup_phase - log_gamma_iy.imag
     return _assemble("p2", d, prefactor, damping, planck, phase)
+
+
+def p2_gup_coefficients(factors: list[tuple],
+                    points: list[DimensionlessConfig]) -> list[complex | None]:
+    """The coefficient p2_at_zeta takes at each point, from p2_zeta_free's
+    factors there: L from gup_batch, all points at once, or None where
+    p2_at_zeta must sum L itself or needs none (zeta >= 1, eta = 0).
+    Loads numpy.
+    """
+    from .gup_batch import gup_coefficient_batch  # numpy: sweeps only
+
+    chosen = [i for i, (f, d) in enumerate(zip(factors, points)) if d.zeta < 1.0 and f[1] > 0.0]
+    values = gup_coefficient_batch([factors[i][0] for i in chosen],
+                                   [_series_argument(points[i]) for i in chosen],
+                                   [factors[i][2] for i in chosen])
+    coefficients = [None] * len(points)
+    for i, value in zip(chosen, values):
+        coefficients[i] = value
+    return coefficients
 
 
 def p2_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:

@@ -21,9 +21,16 @@ The runner computes no route of its own.  The closed-form modes call
 the two halves of each closed form in `closed_form`: a probability's
 zeta-free half is computed again only when a row's (x, y, eps) differs
 from the row it was last computed for, and only for rows that need that
-probability, so a zeta sweep computes it once.  Each `verify` row is
-read from one `amplitude.verify_pair` record, the one place where the
-closed forms meet the quadrature oracle.
+probability, so a zeta sweep computes it once.  A sweep takes its rows
+_BATCH_ROWS at a time: first p2's zeta-free halves of those rows, then
+L for all of them at once (`closed_form.p2_gup_coefficients`, on numpy,
+which a sweep has loaded), then each row in order.  A row whose half
+raised, and each row the batch leaves to the scalar sum, is computed
+the scalar way when its turn comes, so a sweep reports the error that
+row by row evaluation meets first.  The one-point modes sum L row by
+row and never load numpy.  Each `verify` row is read from one
+`amplitude.verify_pair` record, the one place where the closed forms
+meet the quadrature oracle.
 
 All rows are computed before the output file is opened, so a run that
 fails writes nothing.  Each row is then written from one `%` template:
@@ -43,7 +50,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .amplitude import QuadratureConvergenceError, verify_pair
-from .closed_form import p1_at_zeta, p1_zeta_free, p2_at_zeta, p2_zeta_free, temperatures
+from .closed_form import (
+    p1_at_zeta,
+    p1_zeta_free,
+    p2_at_zeta,
+    p2_gup_coefficients,
+    p2_zeta_free,
+    temperatures,
+)
 from .equivalence import beta_bound, q_parameter
 from .units import DimensionlessConfig, PhysicalConfig, gup_strength, to_dimensionless
 
@@ -469,6 +483,11 @@ def run(cfg: RunConfig, stderr=None) -> int:
     return 0
 
 
+# A sweep sums L for this many rows at once, so the arrays that takes stay
+# small however long the sweep.
+_BATCH_ROWS = 4096
+
+
 def _physics_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple]]:
     """One row per point in ROW_COLUMNS order; None renders as an empty cell."""
     axis = cfg.sweep.values().tolist() if cfg.sweep is not None else None
@@ -484,21 +503,36 @@ def _physics_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple]]:
         return ROW_COLUMNS, rows
     want_p1 = cfg.mode in ("p1", "compare", "sweep")
     want_p2 = cfg.mode in ("p2", "compare", "sweep")
-    key1 = key2 = None
-    for d in points:
-        key = (d.x, d.y, d.eps)
-        p1 = phase1 = p2 = phase2 = None
-        if want_p1:
-            if key != key1:
-                factors1, key1 = p1_zeta_free(d), key
-            p1, _, _, _, phase1, _ = p1_at_zeta(factors1, d)
-        if want_p2 and d.zeta < 1.0:
-            if key != key2:
-                factors2, key2 = p2_zeta_free(d), key
-            p2, _, _, _, phase2, _ = p2_at_zeta(factors2, d)
-        q_value = q_parameter(d.eps, d.zeta)
-        rows.append((d.x, d.y, d.zeta, d.eps, p1, p2, None, None, phase1, phase2,
-                     q_value, 1.0 + q_value))
+    key1 = key2 = factors2 = None
+    for start in range(0, len(points), _BATCH_ROWS):
+        chunk = points[start:start + _BATCH_ROWS]
+        # p2's factors for the chunk's rows, up to the first row where they
+        # raise; that row raises again below, after every error before it
+        halves = []
+        if want_p2:
+            try:
+                for d in chunk:
+                    key = (d.x, d.y, d.eps)
+                    if d.zeta < 1.0 and key != key2:
+                        factors2, key2 = p2_zeta_free(d), key
+                    halves.append(factors2)
+            except ValueError:
+                pass
+        # a sweep has numpy loaded: L for all its rows at once
+        coefficients = p2_gup_coefficients(halves, chunk) if cfg.sweep is not None else ()
+        for d, half, coefficient in itertools.zip_longest(chunk, halves, coefficients):
+            key = (d.x, d.y, d.eps)
+            p1 = phase1 = p2 = phase2 = None
+            if want_p1:
+                if key != key1:
+                    factors1, key1 = p1_zeta_free(d), key
+                p1, _, _, _, phase1, _ = p1_at_zeta(factors1, d)
+            if want_p2 and d.zeta < 1.0:
+                # no half past the row whose factors raised: they raise here again
+                p2, _, _, _, phase2, _ = p2_at_zeta(half or p2_zeta_free(d), d, coefficient)
+            q_value = q_parameter(d.eps, d.zeta)
+            rows.append((d.x, d.y, d.zeta, d.eps, p1, p2, None, None, phase1, phase2,
+                         q_value, 1.0 + q_value))
     return ROW_COLUMNS, rows
 
 

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gup_mirror import (
     CODATA,
@@ -27,6 +29,7 @@ from gup_mirror.closed_form import (
     _L_TOLERANCE,
     _gup_coefficient,
 )
+from gup_mirror.gup_batch import _complex_products_unfused, gup_coefficient_batch
 from gup_mirror.special import digamma, log_gamma
 
 GRID_XY = (0.5, 1.0, 2.0)
@@ -217,3 +220,63 @@ def test_tabled_series_keeps_its_bits(ybar):
     for r in np.concatenate([radii[::2], radii[1::2][::-1]]).tolist():
         assert _gup_coefficient(ybar, r, log_gamma_iy) == _convergent_l(ybar, r, log_gamma_iy)
 
+
+def _scalar_or_none(ybar, r, log_gamma_iy):
+    """_gup_coefficient, or None where it raises or takes its asymptotic branch."""
+    if not 0.0 < r < _ASYMPTOTIC_MIN_Z + _ASYMPTOTIC_SLOPE * abs(complex(1.0, ybar)):
+        return None
+    try:
+        return _gup_coefficient(ybar, r, log_gamma_iy)
+    except ValueError:
+        return None
+
+
+def test_interpreter_complex_products_are_unfused():
+    # otherwise every batched row would be None and the tests below vacuous
+    assert _complex_products_unfused()
+
+
+@st.composite
+def _l_rows(draw):
+    """Rows (ybar, r): ybar shared or per row; r below the asymptotic line,
+    up to the double just under it, or now and then on or above it."""
+    count = draw(st.integers(1, 12))
+    ybar = st.floats(1e-3, 200.0)
+    ybars = [draw(ybar)] * count if draw(st.booleans()) else [draw(ybar) for _ in range(count)]
+    rows = []
+    for value in ybars:
+        line = _ASYMPTOTIC_MIN_Z + _ASYMPTOTIC_SLOPE * abs(complex(1.0, value))
+        below = st.floats(1e-6, line, exclude_max=True)
+        rows.append((value, draw(st.one_of(below, below, below, st.floats(line, 2.0 * line)))))
+    return rows
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_l_rows())
+def test_batched_gup_coefficients_match_scalar_bit_for_bit(rows):
+    log_gammas = [log_gamma(complex(0.0, ybar)) for ybar, _ in rows]
+    batch = gup_coefficient_batch([ybar for ybar, _ in rows], [r for _, r in rows], log_gammas)
+    scalar = [_scalar_or_none(ybar, r, lg) for (ybar, r), lg in zip(rows, log_gammas)]
+    assert list(map(repr, batch)) == list(map(repr, scalar))
+
+
+def test_batched_gup_coefficients_decline_where_scalar_raises():
+    rows = [
+        (1.3, 2.0),
+        (9.95e-308, 18.0),  # the first term overflows
+        (1.3, 30.0),  # asymptotic branch
+        (999.5, 750.0),  # the bound on the terms overflows
+        (1.3, 0.0),  # no log r
+        (2.7, 11.0),
+        (1e-300, 18.0),  # terms up to 1.1e308, and still a finite sum
+    ]
+    ybars = [ybar for ybar, _ in rows]
+    log_gammas = [log_gamma(complex(0.0, ybar)) for ybar in ybars]
+    batch = gup_coefficient_batch(ybars, [r for _, r in rows], log_gammas)
+    assert [value is None for value in batch] == [False, True, True, True, True, False, False]
+    for (ybar, r), lg, value in zip(rows, log_gammas, batch):
+        assert repr(value) == repr(_scalar_or_none(ybar, r, lg))
+    with pytest.raises(ValueError, match=r"ybar=9.95e-308, r=18.0: the first term of its series "
+                                         "overflows a double"):
+        _gup_coefficient(9.95e-308, 18.0, log_gammas[1])
+    assert gup_coefficient_batch([], [], []) == []

@@ -703,6 +703,84 @@ def test_unsummable_gup_series_is_one_line_exit_1(tmp_path, mode, block):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, block", [
+    pytest.param("p2", "x = 10\ny = 1e-307\nzeta = 0.9\neps = 0.01\n", id="p2"),
+    pytest.param("sweep", "x = 10\ny = 1\nzeta = 0.9\neps = 0.01\nsweep_param = y\n"
+                          "sweep_min = 1e-307\nsweep_max = 1\nsweep_count = 40\n"
+                          "sweep_spacing = log\n", id="y-sweep"),
+])
+def test_overflowing_gup_series_start_is_one_line_exit_1(tmp_path, capsys, mode, block):
+    # -ln ybar pushes exp(conj(log Gamma(i ybar)) + a log z) past a double;
+    # this was an OverflowError traceback
+    config = tmp_path / "run.conf"
+    out = tmp_path / "out.csv"
+    config.write_text(block)
+    assert main([mode, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: L(1 + i ybar, i r) at ybar=9.949999999999999e-308, r=18.0: "
+        "the first term of its series overflows a double\n")
+    assert not out.exists()
+
+
+def _first_scalar_error(cfg):
+    """The message of the first ValueError the closed forms raise, row by
+    row and one scalar call at a time, as the runner once computed them."""
+    for d in [DimensionlessConfig(**{**cfg.dimensionless, cfg.sweep.param: value})
+              for value in cfg.sweep.values().tolist()]:
+        try:
+            p1_closed(d)
+            if d.zeta < 1.0:
+                p2_closed(d)
+            q_parameter(d.eps, d.zeta)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("block, first", [
+    # L's bound overflows at the first row, p1's guard fails from y = 8000 on
+    pytest.param("x = 750\ny = 1000\nzeta = 0.5\neps = 0.001\nsweep_param = y\n"
+                 "sweep_min = 1000\nsweep_max = 10000\nsweep_count = 10\n",
+                 "L(1 + i ybar, i r) at ybar=999.5, r=750.0", id="l-then-p1-guard"),
+    # L's bound overflows at the first row, x^2 at the last
+    pytest.param("x = 750\ny = 1000\nzeta = 0.5\neps = 0.001\nsweep_param = x\n"
+                 "sweep_min = 750\nsweep_max = 1e200\nsweep_count = 3\nsweep_spacing = log\n",
+                 "L(1 + i ybar, i r) at ybar=999.5, r=750.0", id="l-then-x-squared"),
+    # p1's guard fails from the first row, L's bound from x = 750 on
+    pytest.param("x = 1\ny = 1000\nzeta = 0.5\neps = 0.001\nsweep_param = x\n"
+                 "sweep_min = 1\nsweep_max = 1000\nsweep_count = 5\n",
+                 "eps y^2/(1 + x^2)=500.0", id="p1-guard-then-l"),
+])
+def test_sweep_reports_first_failing_row(tmp_path, capsys, block, first):
+    # a sweep's L is summed for all rows before any row is assembled, yet
+    # the error reported is still the first a row-by-row run meets
+    config = tmp_path / "run.conf"
+    out = tmp_path / "out.csv"
+    config.write_text(block)
+    message = _first_scalar_error(parse_config("mode = sweep\n" + block))
+    assert message.startswith(first)
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("block, code", [
+    pytest.param("x = 1\ny = 1\nzeta = 0.5\neps = 0.01\nsweep_param = y\nsweep_min = 0.01\n"
+                 "sweep_max = 4\nsweep_count = 1000\nsweep_spacing = log\n", 0, id="y"),
+    # the bound on L's terms overflows at the first row, in the batch as in the scalar
+    pytest.param("x = 9.5\ny = 1\nzeta = 0.9\neps = 0.01\nsweep_param = y\nsweep_min = 1e-306\n"
+                 "sweep_max = 1e-290\nsweep_count = 20\nsweep_spacing = log\n", 1,
+                 id="tiny-y"),
+])
+def test_sweep_raises_no_floating_point_warning(tmp_path, capsys, block, code):
+    config = tmp_path / "run.conf"
+    config.write_text(block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out.csv")]) == code
+    assert capsys.readouterr().err.count("\n") == code
+
+
 def test_huge_y_at_eps0_is_finite(tmp_path):
     # p1 needs y^2 only for its GUP terms, which vanish at eps = 0
     out = tmp_path / "out.csv"
