@@ -50,9 +50,16 @@ Planck factor, p1's damping, theta or log Gamma(i ybar), x ln y or
 ybar ln x) and run the checks that belong to it.  `p1_at_zeta` and
 `p2_at_zeta` add the rest (L, p2's damping and GUP phase, the phase sum,
 sin^2 and the product), in the order and with the operands the whole
-formula uses, so the halves give the same bits as one pass.
-`p1_closed` and `p2_closed` compose them; a caller that evaluates many
-zeta at one (x, y, eps) computes the first half once.
+formula uses, so the halves give the same bits as one pass.  The
+zeta-free half is itself split by the inputs its factors read:
+`p1_x_factors(x)` holds theta, 2 pi / x, the Planck factor and
+1/(1 + x^2), and `p2_ybar_factors(y, eps)` holds ybar, eta,
+log Gamma(i ybar), the Planck factor and psi(1 + i ybar), which L
+reads.  Each zeta-free half takes its tier's factors as an argument.
+`p1_closed` and `p2_closed` compose all of them; a caller that
+evaluates many rows computes each tier once per run of rows sharing the
+inputs it reads, so an omega0 sweep, where only x changes, evaluates
+the Gamma values of ybar once.
 
 A caller with many rows can also have L for all of them at once:
 `p2_gup_coefficients` hands the rows' ybar, r and log Gamma(i ybar) to
@@ -109,8 +116,10 @@ from .units import (
 __all__ = [
     "ProbabilityBreakdown",
     "TemperaturePair",
+    "p1_x_factors",
     "p1_zeta_free",
     "p1_at_zeta",
+    "p2_ybar_factors",
     "p2_zeta_free",
     "p2_at_zeta",
     "p2_gup_coefficients",
@@ -161,31 +170,40 @@ def _assemble(name: str, d: DimensionlessConfig, prefactor: float, damping: floa
     return total, prefactor, damping, planck, phase, sin2
 
 
-def p1_zeta_free(d: DimensionlessConfig) -> tuple[float, ...]:
-    """p1's factors that zeta does not enter, at (d.x, d.y, d.eps), in the
-    order p1_at_zeta unpacks them.
+def p1_x_factors(x: float) -> tuple[float, float, float, float]:
+    """p1's factors that read x alone, in the order p1_zeta_free unpacks
+    them: theta = Arg Gamma(-i x), the prefactor 2 pi / x, the Planck
+    factor and omega = 1/(1 + x^2).
+
+    Raises ValueError where theta is not a finite double (x above about
+    1e305).
+    """
+    return gamma_phase_set(x), 2.0 * math.pi / x, planck_factor(x), 1.0 / (1.0 + x * x)
+
+
+def p1_zeta_free(d: DimensionlessConfig, x_factors: tuple[float, ...]) -> tuple[float, ...]:
+    """p1's factors that zeta does not enter, at (d.x, d.y, d.eps), from
+    p1_x_factors(d.x), in the order p1_at_zeta unpacks them.
 
     Raises ValueError when the damping exponent eps y^2 / (1 + x^2) is
     not below EPS_GUARD, or when eps > 0 and y^2 overflows a double.
     """
-    theta = gamma_phase_set(d.x)
-    prefactor = 2.0 * math.pi / d.x
+    theta, prefactor, planck, omega = x_factors  # -Omega cos Delta is omega
     try:  # the GUP terms vanish at eps = 0, where y^2 is not needed
         y_squared = d.y**2 if d.eps > 0.0 else 0.0
     except OverflowError:
         raise ValueError(f"y={d.y!r}: y^2 overflows a double") from None
-    omega = 1.0 / (1.0 + d.x * d.x)  # -Omega cos Delta; Omega sin Delta is x omega
     exponent = d.eps * y_squared * omega
     require_perturbative(exponent, "eps y^2/(1 + x^2)")
     return (
         prefactor,
         math.exp(exponent),
-        planck_factor(d.x),
+        planck,
         d.y * (1.0 - d.eps),
         d.x * math.log(d.y),
         0.5 * d.eps * d.x,
         theta,
-        0.5 * d.eps * y_squared * d.x * omega,
+        0.5 * d.eps * y_squared * d.x * omega,  # Omega sin Delta is x omega
     )
 
 
@@ -203,7 +221,7 @@ def p1_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
     Raises ValueError when the damping exponent eps y^2 / (1 + x^2) is
     not below EPS_GUARD, or when eps > 0 and y^2 overflows a double.
     """
-    return ProbabilityBreakdown(*p1_at_zeta(p1_zeta_free(d), d))
+    return ProbabilityBreakdown(*p1_at_zeta(p1_zeta_free(d, p1_x_factors(d.x)), d))
 
 
 # L is summed from its asymptotic series once |z| >= 17 + 1.5 |a|.  The
@@ -224,10 +242,11 @@ def _unsummable(ybar: float, r: float, reason: str) -> ValueError:
     return ValueError(f"L(1 + i ybar, i r) at ybar={ybar!r}, r={r!r}: {reason}")
 
 
-def _gup_coefficient(ybar: float, r: float, log_gamma_iy: complex) -> complex:
+def _gup_coefficient(ybar: float, r: float, log_gamma_iy: complex, psi: complex) -> complex:
     """L(a, z) = z^a dU(a, b, z)/db at b = a + 1, a = 1 + i ybar, z = i r.
 
-    log_gamma_iy is log Gamma(i ybar); Gamma(-a) = -conj(Gamma(i ybar)) / a.
+    log_gamma_iy is log Gamma(i ybar), Gamma(-a) = -conj(Gamma(i ybar)) / a,
+    and psi is psi(a).
     """
     a = complex(1.0, ybar)
     z = complex(0.0, r)
@@ -267,29 +286,37 @@ def _gup_coefficient(ybar: float, r: float, log_gamma_iy: complex) -> complex:
         size *= r / n
         if size == math.inf:  # it never falls below the tolerance again
             raise _unsummable(ybar, r, "the bound on its series terms overflows a double")
-    return digamma(a) - log_z + total
+    return psi - log_z + total
 
 
-def p2_zeta_free(d: DimensionlessConfig) -> tuple:
-    """p2's factors that zeta does not enter, at (d.x, d.y, d.eps), in the
-    order p2_at_zeta unpacks them.
+def p2_ybar_factors(y: float, eps: float) -> tuple:
+    """p2's factors that read y and eps alone, in the order p2_zeta_free
+    unpacks them: ybar = y (1 - eps/2), eta = eps y / 2,
+    log Gamma(i ybar), the Planck factor, and psi(1 + i ybar), which L
+    reads, where eta > 0 (None where eta = 0 and no L is needed).
+
+    Raises ValueError where log Gamma(i ybar) is not a finite double
+    (ybar above about 1e305).
+    """
+    ybar = y * (1.0 - 0.5 * eps)
+    eta = 0.5 * eps * y
+    log_gamma_iy = log_gamma(complex(0.0, ybar))
+    psi = digamma(complex(1.0, ybar)) if eta > 0.0 else None
+    return ybar, eta, log_gamma_iy, planck_factor(ybar), psi
+
+
+def p2_zeta_free(d: DimensionlessConfig, ybar_factors: tuple) -> tuple:
+    """p2's factors that zeta does not enter, at (d.x, d.y, d.eps), from
+    p2_ybar_factors(d.y, d.eps), in the order p2_at_zeta unpacks them.
 
     Raises ValueError when x^2 overflows a double or underflows to zero.
     """
-    ybar = d.y * (1.0 - 0.5 * d.eps)
-    log_gamma_iy = log_gamma(complex(0.0, ybar))
+    ybar, eta, log_gamma_iy, planck, psi = ybar_factors
     try:
         prefactor = 2.0 * math.pi * ybar / d.x**2
     except (OverflowError, ZeroDivisionError):
         raise ValueError(f"x={d.x!r}: x^2 overflows a double or underflows to zero") from None
-    return (
-        ybar,
-        0.5 * d.eps * d.y,
-        log_gamma_iy,
-        prefactor,
-        planck_factor(ybar),
-        ybar * math.log(d.x),
-    )
+    return ybar, eta, log_gamma_iy, prefactor, planck, ybar * math.log(d.x), psi
 
 
 def _series_argument(d: DimensionlessConfig) -> float:
@@ -304,15 +331,20 @@ def p2_at_zeta(factors: tuple, d: DimensionlessConfig,
     `coefficient` is L at d when it is already known (p2_gup_coefficients);
     without it L is summed here.
 
-    Raises ValueError when the series for L cannot be summed in doubles.
+    Raises ValueError when the series for L cannot be summed in doubles,
+    or when the damping exp(2 eta Im L) overflows a double.
     """
-    ybar, eta, log_gamma_iy, prefactor, planck, log_term = factors
+    ybar, eta, log_gamma_iy, prefactor, planck, log_term, psi = factors
     damping = 1.0
     gup_phase = 0.0
     if eta > 0.0:
         if coefficient is None:
-            coefficient = _gup_coefficient(ybar, _series_argument(d), log_gamma_iy)
-        damping = math.exp(2.0 * eta * coefficient.imag)
+            coefficient = _gup_coefficient(ybar, _series_argument(d), log_gamma_iy, psi)
+        try:
+            damping = math.exp(2.0 * eta * coefficient.imag)
+        except OverflowError:
+            raise ValueError(f"p2's damping exp(2 eta Im L) overflows a double at {d}, "
+                             f"where Im L={coefficient.imag!r}") from None
         gup_phase = eta * (math.log(2.0 * d.zeta) + coefficient.real)
     phase = d.x * d.zeta + log_term + gup_phase - log_gamma_iy.imag
     return _assemble("p2", d, prefactor, damping, planck, phase)
@@ -330,7 +362,8 @@ def p2_gup_coefficients(factors: list[tuple],
     chosen = [i for i, (f, d) in enumerate(zip(factors, points)) if d.zeta < 1.0 and f[1] > 0.0]
     values = gup_coefficient_batch([factors[i][0] for i in chosen],
                                    [_series_argument(points[i]) for i in chosen],
-                                   [factors[i][2] for i in chosen])
+                                   [factors[i][2] for i in chosen],
+                                   [factors[i][6] for i in chosen])
     coefficients = [None] * len(points)
     for i, value in zip(chosen, values):
         coefficients[i] = value
@@ -348,7 +381,7 @@ def p2_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
     """
     if not d.zeta < 1.0:
         raise ValueError("mirror-accelerating case requires zeta < 1")
-    return ProbabilityBreakdown(*p2_at_zeta(p2_zeta_free(d), d))
+    return ProbabilityBreakdown(*p2_at_zeta(p2_zeta_free(d, p2_ybar_factors(d.y, d.eps)), d))
 
 
 def p1_closed_si(p: PhysicalConfig) -> float:

@@ -2,15 +2,15 @@
 
 `closed_form._gup_coefficient` sums L(1 + i ybar, i r) one row at a time
 in Python complex arithmetic.  `gup_coefficient_batch` sums the
-convergent series of many rows together, each row with its own ybar, r
-and log Gamma(i ybar), on float64 arrays, and gives every row the bits
-the scalar function gives it.  numpy's complex type cannot do that: its
-multiply and divide round differently from CPython's.  So each complex
-* and / of the scalar loop is repeated as the real operations CPython
-rounds, in CPython's order (`_product`; `_quotient`, Smith's method with
-its branch picked per row).  What is not + - * / (log r, the first
-term's exp and modulus, digamma) is computed row by row with math and
-cmath, as the scalar does.
+convergent series of many rows together, each row with its own ybar, r,
+log Gamma(i ybar) and psi(1 + i ybar), on float64 arrays, and gives
+every row the bits the scalar function gives it.  numpy's complex type
+cannot do that: its multiply and divide round differently from
+CPython's.  So each complex * and / of the scalar loop is repeated as
+the real operations CPython rounds, in CPython's order (`_product`;
+`_quotient`, Smith's method with its branch picked per row).  What is
+not + - * / (log r, the first term's exp and modulus) is computed row by
+row with math and cmath, as the scalar does.
 
 Only sweeps import this module, so it imports numpy at the top; the
 one-point modes sum L with the scalar function and never load either.
@@ -19,13 +19,11 @@ one-point modes sum L with the scalar function and never load either.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 
 import numpy as np
 
 from .closed_form import _ASYMPTOTIC_MIN_Z, _ASYMPTOTIC_SLOPE, _L_TOLERANCE
-from .special import digamma
 
 __all__ = ["gup_coefficient_batch"]
 
@@ -61,7 +59,6 @@ def _quotient(a: tuple, b: tuple) -> tuple:
             np.where(by_real, real_first[1], imag_first[1]))
 
 
-@functools.cache
 def _complex_products_unfused() -> bool:
     """Whether this interpreter rounds both real products in each part of a
     complex product, as the batch does.  A build that contracts a product
@@ -92,9 +89,9 @@ def _term_counts(size: np.ndarray, r: np.ndarray) -> np.ndarray:
     return terms
 
 
-def gup_coefficient_batch(ybars: list[float], rs: list[float],
-                          log_gammas: list[complex]) -> list[complex | None]:
-    """closed_form._gup_coefficient(ybar, r, log_gamma_iy) at many rows at
+def gup_coefficient_batch(ybars: list[float], rs: list[float], log_gammas: list[complex],
+                          psis: list[complex]) -> list[complex | None]:
+    """closed_form._gup_coefficient(ybar, r, log_gamma_iy, psi) at many rows at
     once, bit for bit, or None at each row where the scalar function
     takes its asymptotic branch or raises.  Never raises.
 
@@ -135,10 +132,8 @@ def gup_coefficient_batch(ybars: list[float], rs: list[float],
         kummer = kummer.real, kummer.imag
         total = _quotient(kummer, (1.0, ybar))
         terms = _term_counts(np.array(size), r)
-        # psi(a) - log z, where the scalar would reach it
-        rest = np.zeros(rows.size, dtype=complex)
-        summed = np.flatnonzero(terms)
-        rest[summed] = [digamma(complex(1.0, value)) for value in ybar[summed].tolist()]
+        # psi(a) - log z
+        rest = np.array(psis, dtype=complex)[rows]
         rest = rest.real - log_r, rest.imag - half_pi
         order = np.argsort(-terms, kind="stable")
         ybar, r, terms, rows, *parts = (

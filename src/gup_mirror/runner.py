@@ -15,19 +15,26 @@ one path from either block to `DimensionlessConfig`s: the base point and
 the sweep endpoints that `parse_config` checks, and every row of a
 physics run.  `_physical_config` is the one place an SI block becomes a
 `PhysicalConfig`, with omega0 and nu scaled to rad/s by the frequency
-convention; the bound and temperatures rows are built from it too.
+convention; the bound and temperatures rows are built from it too.  An
+SI sweep builds it once, for its base, and each row then checks only its
+swept value against the sign rule and reduces the five inputs with
+`units.dimensionless_groups`, the formulas `to_dimensionless` uses.
 
 The runner computes no route of its own.  The closed-form modes call
-the two halves of each closed form in `closed_form`: a probability's
-zeta-free half is computed again only when a row's (x, y, eps) differs
-from the row it was last computed for, and only for rows that need that
-probability, so a zeta sweep computes it once.  A sweep takes its rows
-_BATCH_ROWS at a time: first p2's zeta-free halves of those rows, then
-L for all of them at once (`closed_form.p2_gup_coefficients`, on numpy,
-which a sweep has loaded), then each row in order.  A row whose half
-raised, and each row the batch leaves to the scalar sum, is computed
-the scalar way when its turn comes, so a sweep reports the error that
-row by row evaluation meets first.  The one-point modes sum L row by
+the pieces of each closed form in `closed_form`, and each tier of
+zeta-free factors is computed again only when the inputs it reads differ
+from those it was last computed for: p1's x factors on x, p2's ybar
+factors on (y, eps), and the rest of each zeta-free half on (x, y, eps),
+each only for rows that need its probability.  So a zeta sweep computes
+every tier once, and an omega0 sweep evaluates p2's Gamma values once.
+A sweep takes its rows _BATCH_ROWS at a time: first both zeta-free
+halves of those rows, up to the first row where one raises, then L for
+the rows before it all at once (`closed_form.p2_gup_coefficients`, on
+numpy, which a sweep has loaded), then each row in order.  The row
+whose half raised, and each row the batch leaves to the scalar sum, is
+computed the scalar way when its turn comes, so a sweep reports the
+error that row by row evaluation meets first, and a sweep that fails
+early sums no L past the failing row.  The one-point modes sum L row by
 row and never load numpy.  Each `verify` row is read from one
 `amplitude.verify_pair` record, the one place where the closed forms
 meet the quadrature oracle.
@@ -52,14 +59,23 @@ from typing import TYPE_CHECKING
 from .amplitude import QuadratureConvergenceError, verify_pair
 from .closed_form import (
     p1_at_zeta,
+    p1_x_factors,
     p1_zeta_free,
     p2_at_zeta,
     p2_gup_coefficients,
+    p2_ybar_factors,
     p2_zeta_free,
     temperatures,
 )
 from .equivalence import beta_bound, q_parameter
-from .units import DimensionlessConfig, PhysicalConfig, gup_strength, to_dimensionless
+from .units import (
+    DimensionlessConfig,
+    PhysicalConfig,
+    dimensionless_groups,
+    gup_strength,
+    sign_problem,
+    to_dimensionless,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -357,7 +373,11 @@ def _points(cfg: RunConfig, sweep_values: list[float] | None = None) -> list[Dim
     """The dimensionless points of a physics run, from either block.
 
     Without `sweep_values`: the block as written, or the default grid.
-    With them: one point per value, the sweep parameter set to it.
+    With them: one point per value, the sweep parameter set to it.  An
+    SI sweep validates its base PhysicalConfig once; each row applies
+    the sign rule to its swept value alone and reduces the inputs with
+    `dimensionless_groups`, as `to_dimensionless` does, so a row meets
+    the errors a PhysicalConfig of its own would raise, in their order.
     """
     if cfg.default_grid:
         return [
@@ -367,19 +387,30 @@ def _points(cfg: RunConfig, sweep_values: list[float] | None = None) -> list[Dim
             for zeta in _DEFAULT_GRID_ZETA
         ]
     if cfg.dimensionless is not None:
+        if sweep_values is None:
+            return [DimensionlessConfig(**cfg.dimensionless)]
         values = dict(cfg.dimensionless)
-        point = DimensionlessConfig
-    else:
-        values = dict(cfg.physical)
-
-        def point(**si: float) -> DimensionlessConfig:
-            return to_dimensionless(_physical_config(si, cfg.freq_convention))
+        points = []
+        for value in sweep_values:
+            values[cfg.sweep.param] = value
+            points.append(DimensionlessConfig(**values))
+        return points
+    base = _physical_config(cfg.physical, cfg.freq_convention)
     if sweep_values is None:
-        return [point(**values)]
+        return [to_dimensionless(base)]
+    param = cfg.sweep.param
+    scale = _FREQ_SCALE[cfg.freq_convention] if param in ("omega0", "nu") else 1.0
+    # dimensionless_groups' arguments, which come in _PHYSICAL_KEYS order
+    inputs = [base.a, base.omega0, base.nu, base.z0, base.beta]
+    swept = _PHYSICAL_KEYS.index(param)
     points = []
     for value in sweep_values:
-        values[cfg.sweep.param] = value
-        points.append(point(**values))
+        value *= scale
+        problem = sign_problem(param, value)
+        if problem is not None:
+            raise ValueError(problem)
+        inputs[swept] = value
+        points.append(DimensionlessConfig(*dimensionless_groups(*inputs)))
     return points
 
 
@@ -503,33 +534,40 @@ def _physics_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple]]:
         return ROW_COLUMNS, rows
     want_p1 = cfg.mode in ("p1", "compare", "sweep")
     want_p2 = cfg.mode in ("p2", "compare", "sweep")
-    key1 = key2 = factors2 = None
+    # each tier of zeta-free factors is computed again only when the inputs
+    # it reads differ from those it was last computed for
+    x1 = key1 = factors1 = ybar_key2 = key2 = factors2 = None
     for start in range(0, len(points), _BATCH_ROWS):
         chunk = points[start:start + _BATCH_ROWS]
-        # p2's factors for the chunk's rows, up to the first row where they
-        # raise; that row raises again below, after every error before it
+        # both probabilities' zeta-free factors, up to the first row where
+        # they raise; that row raises again below, after every error before it
         halves = []
-        if want_p2:
-            try:
-                for d in chunk:
-                    key = (d.x, d.y, d.eps)
-                    if d.zeta < 1.0 and key != key2:
-                        factors2, key2 = p2_zeta_free(d), key
-                    halves.append(factors2)
-            except ValueError:
-                pass
-        # a sweep has numpy loaded: L for all its rows at once
-        coefficients = p2_gup_coefficients(halves, chunk) if cfg.sweep is not None else ()
+        try:
+            for d in chunk:
+                key = (d.x, d.y, d.eps)
+                if want_p1 and key != key1:
+                    if d.x != x1:
+                        x_factors1, x1 = p1_x_factors(d.x), d.x
+                    factors1, key1 = p1_zeta_free(d, x_factors1), key
+                if want_p2 and d.zeta < 1.0 and key != key2:
+                    if key[1:] != ybar_key2:
+                        ybar_factors2, ybar_key2 = p2_ybar_factors(d.y, d.eps), key[1:]
+                    factors2, key2 = p2_zeta_free(d, ybar_factors2), key
+                halves.append((factors1, factors2))
+        except ValueError:
+            pass
+        # a sweep has numpy loaded: L for all its rows before that one at once
+        coefficients = ()
+        if want_p2 and cfg.sweep is not None:
+            coefficients = p2_gup_coefficients([half[1] for half in halves], chunk)
         for d, half, coefficient in itertools.zip_longest(chunk, halves, coefficients):
-            key = (d.x, d.y, d.eps)
             p1 = phase1 = p2 = phase2 = None
             if want_p1:
-                if key != key1:
-                    factors1, key1 = p1_zeta_free(d), key
-                p1, _, _, _, phase1, _ = p1_at_zeta(factors1, d)
+                half1 = half[0] if half else p1_zeta_free(d, p1_x_factors(d.x))
+                p1, _, _, _, phase1, _ = p1_at_zeta(half1, d)
             if want_p2 and d.zeta < 1.0:
-                # no half past the row whose factors raised: they raise here again
-                p2, _, _, _, phase2, _ = p2_at_zeta(half or p2_zeta_free(d), d, coefficient)
+                half2 = half[1] if half else p2_zeta_free(d, p2_ybar_factors(d.y, d.eps))
+                p2, _, _, _, phase2, _ = p2_at_zeta(half2, d, coefficient)
             q_value = q_parameter(d.eps, d.zeta)
             rows.append((d.x, d.y, d.zeta, d.eps, p1, p2, None, None, phase1, phase2,
                          q_value, 1.0 + q_value))

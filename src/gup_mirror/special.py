@@ -20,25 +20,17 @@ occupation 1/(e^{2 pi w} - 1).  They are implemented here so the whole
 package has identical Gamma behavior everywhere, independent of platform
 library quirks.
 
-log_gamma, digamma and gamma_phase_set are memoised with a small
-bounded LRU cache each; gamma_phase_set is keyed by x alone.  A zeta
-sweep repeats the same x and ybar in every row, and an omega0 sweep the
-same ybar, so most rows reuse the Gamma values of the row before.  All
-three are pure functions of their float or complex arguments and return
-immutable values, so a cached result is bit-identical to a fresh one;
-exceptions are not cached.
-Arguments that compare equal share an entry, and the only such pairs
-that are different numbers are signed zeros: digamma reads a zero
-imaginary part as +0, so the entry does not depend on which sign came
-first, and log_gamma reads only the sign of t.  `cache_clear()` on each
-function empties its cache.
+Nothing here is memoised.  Every function is pure, so a caller that
+needs one value for many rows computes it once: the runner keys each
+closed form's zeta-free factors on the inputs they read (see
+closed_form), so a sweep evaluates each Gamma value it needs once per
+run of rows that share those inputs.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
 
 __all__ = ["log_gamma", "digamma", "gamma_phase_set", "planck_factor"]
 
@@ -47,13 +39,8 @@ __all__ = ["log_gamma", "digamma", "gamma_phase_set", "planck_factor"]
 _SHIFT = 12
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 _LOG_TWO_PI = math.log(2.0 * math.pi)
-# Entries per cache.  A sweep row asks log_gamma for at most two distinct
-# arguments and the other two for one each, so the values one row needs are
-# still cached when the next row asks for them.
-_CACHE_SIZE = 64
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def log_gamma(z: complex) -> complex:
     """log Gamma(i t) at z = i t: log|Gamma| as real part, Arg Gamma in
     (-pi, pi] as imaginary part.
@@ -82,7 +69,6 @@ def log_gamma(z: complex) -> complex:
     return complex(modulus, phase if z.imag > 0.0 else -phase)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def digamma(z: complex) -> complex:
     """psi(z) = d log Gamma(z) / dz for Re z > 0.
 
@@ -90,7 +76,6 @@ def digamma(z: complex) -> complex:
     Re z >= 7, where the asymptotic series through z^-12 is accurate to
     ~2e-13 absolute.
     """
-    z = complex(z.real, z.imag + 0.0)  # -0.0 + 0.0 is +0.0
     if not z.real > 0.0:
         raise ValueError("digamma needs Re z > 0")
     shift = 0j
@@ -111,7 +96,6 @@ def _principal(angle: float) -> float:
     return reduced
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def gamma_phase_set(x: float) -> float:
     """theta = Arg Gamma(-i x) in (-pi, pi], the Gamma phase of the
     accelerating-atom closed form at atom frequency x."""

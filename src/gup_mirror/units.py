@@ -10,12 +10,16 @@ Every formula in this package collapses to four dimensionless groups,
 so SI quantities appear only at this boundary.  All downstream physics
 consumes :class:`DimensionlessConfig`.
 
-Each input rule is written here once.  The SI sign rule is applied by
-the :class:`PhysicalConfig` constructor and reported in full by
-:func:`validate_physical`.  The perturbative guard 0 <= eps < 0.1 is
-:func:`require_perturbative`, which every consumer of eps calls: the
-first-order treatment of the GUP deformation is trusted only for eps
-well below one.
+Each input rule is written here once.  The SI sign rule is
+:func:`sign_problem`, one field at a time: the :class:`PhysicalConfig`
+constructor applies it to every field, and :func:`validate_physical`
+reports it in full.  The reduction to the four groups is
+:func:`dimensionless_groups`; :func:`to_dimensionless` calls it, and so
+does an SI sweep, which validates its base PhysicalConfig once and then
+checks only each row's swept value.  The perturbative guard
+0 <= eps < 0.1 is :func:`require_perturbative`, which every consumer of
+eps calls: the first-order treatment of the GUP deformation is trusted
+only for eps well below one.
 """
 
 from __future__ import annotations
@@ -29,9 +33,11 @@ __all__ = [
     "PhysicalConfig",
     "DimensionlessConfig",
     "gup_strength",
+    "dimensionless_groups",
     "to_dimensionless",
     "physical_from_dimensionless",
     "validate_physical",
+    "sign_problem",
     "require_perturbative",
     "EPS_GUARD",
 ]
@@ -100,19 +106,21 @@ class PhysicalConfig:
             raise ValueError(problems[0])
 
 
-_POSITIVE_FIELDS = ("a", "omega0", "nu", "z0", "g")
+_SIGNED_FIELDS = ("a", "omega0", "nu", "z0", "g", "beta")
+
+
+def sign_problem(name: str, value: float) -> str | None:
+    """The SI sign rule for one field, a, omega0, nu, z0, g > 0 and
+    beta >= 0: the message naming the failed bound, or None if it holds."""
+    if name == "beta":
+        return None if value >= 0.0 else f"beta={value!r} violates beta >= 0"
+    return None if value > 0.0 else f"{name}={value!r} violates {name} > 0"
 
 
 def _sign_problems(p: PhysicalConfig) -> list[str]:
-    """The SI sign rule: a, omega0, nu, z0, g > 0 and beta >= 0."""
-    problems = [
-        f"{name}={getattr(p, name)!r} violates {name} > 0"
-        for name in _POSITIVE_FIELDS
-        if not getattr(p, name) > 0.0
-    ]
-    if not p.beta >= 0.0:
-        problems.append(f"beta={p.beta!r} violates beta >= 0")
-    return problems
+    """The SI sign rule for every field, in field order."""
+    return [problem for name in _SIGNED_FIELDS
+            if (problem := sign_problem(name, getattr(p, name))) is not None]
 
 
 @dataclass(frozen=True)
@@ -153,16 +161,32 @@ def validate_physical(p: PhysicalConfig) -> list[str]:
     return problems
 
 
+def _gup_strength(beta: float, nu: float) -> float:
+    try:
+        return beta * CODATA.hbar**2 * nu**2 / CODATA.c**2
+    except OverflowError:
+        raise ValueError(f"nu={nu!r}: nu^2 overflows a double") from None
+
+
 def gup_strength(p: PhysicalConfig) -> float:
     """Dimensionless GUP strength eps = beta hbar^2 nu^2 / c^2.
 
     Raises ValueError when nu^2 overflows a double (nu above about
     1.3e154 rad/s).
     """
-    try:
-        return p.beta * CODATA.hbar**2 * p.nu**2 / CODATA.c**2
-    except OverflowError:
-        raise ValueError(f"nu={p.nu!r}: nu^2 overflows a double") from None
+    return _gup_strength(p.beta, p.nu)
+
+
+def dimensionless_groups(a: float, omega0: float, nu: float, z0: float,
+                         beta: float) -> tuple[float, float, float, float]:
+    """(x, y, zeta, eps) of SI inputs that obey the sign rule, which is
+    not checked here: the one copy of the reduction, shared by
+    to_dimensionless and the runner's SI sweeps.
+
+    Raises ValueError when nu^2 overflows a double.
+    """
+    c = CODATA.c
+    return omega0 * c / a, nu * c / a, a * z0 / c**2, _gup_strength(beta, nu)
 
 
 def to_dimensionless(p: PhysicalConfig) -> DimensionlessConfig:
@@ -172,12 +196,7 @@ def to_dimensionless(p: PhysicalConfig) -> DimensionlessConfig:
     eps >= 0.1 is rejected with a perturbative-regime error (raised by
     the DimensionlessConfig constructor).
     """
-    return DimensionlessConfig(
-        x=p.omega0 * CODATA.c / p.a,
-        y=p.nu * CODATA.c / p.a,
-        zeta=p.a * p.z0 / CODATA.c**2,
-        eps=gup_strength(p),
-    )
+    return DimensionlessConfig(*dimensionless_groups(p.a, p.omega0, p.nu, p.z0, p.beta))
 
 
 def physical_from_dimensionless(

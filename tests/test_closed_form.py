@@ -214,11 +214,12 @@ def _convergent_l(ybar, r, log_gamma_iy):
 @pytest.mark.parametrize("ybar", [0.02, 0.8, 7.0, 120.0])
 def test_tabled_series_keeps_its_bits(ybar):
     log_gamma_iy = log_gamma(complex(0.0, ybar))
+    psi = digamma(complex(1.0, ybar))
     # radii up to the asymptotic switch, out of order
     asymptotic_from = _ASYMPTOTIC_MIN_Z + _ASYMPTOTIC_SLOPE * abs(complex(1.0, ybar))
     radii = np.geomspace(1e-3, 0.999 * asymptotic_from, 40)
     for r in np.concatenate([radii[::2], radii[1::2][::-1]]).tolist():
-        assert _gup_coefficient(ybar, r, log_gamma_iy) == _convergent_l(ybar, r, log_gamma_iy)
+        assert _gup_coefficient(ybar, r, log_gamma_iy, psi) == _convergent_l(ybar, r, log_gamma_iy)
 
 
 def _scalar_or_none(ybar, r, log_gamma_iy):
@@ -226,7 +227,7 @@ def _scalar_or_none(ybar, r, log_gamma_iy):
     if not 0.0 < r < _ASYMPTOTIC_MIN_Z + _ASYMPTOTIC_SLOPE * abs(complex(1.0, ybar)):
         return None
     try:
-        return _gup_coefficient(ybar, r, log_gamma_iy)
+        return _gup_coefficient(ybar, r, log_gamma_iy, digamma(complex(1.0, ybar)))
     except ValueError:
         return None
 
@@ -255,7 +256,9 @@ def _l_rows(draw):
 @given(_l_rows())
 def test_batched_gup_coefficients_match_scalar_bit_for_bit(rows):
     log_gammas = [log_gamma(complex(0.0, ybar)) for ybar, _ in rows]
-    batch = gup_coefficient_batch([ybar for ybar, _ in rows], [r for _, r in rows], log_gammas)
+    psis = [digamma(complex(1.0, ybar)) for ybar, _ in rows]
+    batch = gup_coefficient_batch([ybar for ybar, _ in rows], [r for _, r in rows], log_gammas,
+                                  psis)
     scalar = [_scalar_or_none(ybar, r, lg) for (ybar, r), lg in zip(rows, log_gammas)]
     assert list(map(repr, batch)) == list(map(repr, scalar))
 
@@ -272,11 +275,12 @@ def test_batched_gup_coefficients_decline_where_scalar_raises():
     ]
     ybars = [ybar for ybar, _ in rows]
     log_gammas = [log_gamma(complex(0.0, ybar)) for ybar in ybars]
-    batch = gup_coefficient_batch(ybars, [r for _, r in rows], log_gammas)
+    psis = [digamma(complex(1.0, ybar)) for ybar in ybars]
+    batch = gup_coefficient_batch(ybars, [r for _, r in rows], log_gammas, psis)
     assert [value is None for value in batch] == [False, True, True, True, True, False, False]
     for (ybar, r), lg, value in zip(rows, log_gammas, batch):
         assert repr(value) == repr(_scalar_or_none(ybar, r, lg))
     with pytest.raises(ValueError, match=r"ybar=9.95e-308, r=18.0: the first term of its series "
                                          "overflows a double"):
-        _gup_coefficient(9.95e-308, 18.0, log_gammas[1])
-    assert gup_coefficient_batch([], [], []) == []
+        _gup_coefficient(9.95e-308, 18.0, log_gammas[1], psis[1])
+    assert gup_coefficient_batch([], [], [], []) == []

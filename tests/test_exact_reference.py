@@ -41,6 +41,7 @@ from gup_mirror import (
 )
 from gup_mirror import amplitude
 from gup_mirror.closed_form import _ASYMPTOTIC_MIN_Z, _ASYMPTOTIC_SLOPE, _gup_coefficient
+from gup_mirror.special import digamma
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -304,8 +305,9 @@ def test_gup_coefficient_matches_tricomi_derivative(ybar):
     # summed to terms of 1e-8, and meet within 5e-9 at the crossover
     crossover = _ASYMPTOTIC_MIN_Z + _ASYMPTOTIC_SLOPE * abs(complex(1.0, ybar))
     lg = log_gamma(complex(0.0, ybar))
+    psi = digamma(complex(1.0, ybar))
     for r in (0.05, 1.0, 9.0, crossover - 0.5, crossover + 0.5, 1e3):
-        error = abs(_gup_coefficient(ybar, r, lg) - coefficient_reference(ybar, r))
+        error = abs(_gup_coefficient(ybar, r, lg, psi) - coefficient_reference(ybar, r))
         assert error <= 1e-8, (r, error)
 
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,9 @@ from gup_mirror import (
     ConfigError,
     DimensionlessConfig,
     PhysicalConfig,
+    RunConfig,
+    SweepAxis,
     beta_bound,
-    gamma_phase_set,
-    log_gamma,
     p1_closed,
     p2_closed,
     parse_config,
@@ -30,8 +31,7 @@ from gup_mirror import (
     run,
     to_dimensionless,
 )
-from gup_mirror import closed_form
-from gup_mirror.special import digamma
+from gup_mirror import closed_form, gup_batch, special
 from gup_mirror.cli import main
 from gup_mirror.runner import ROW_COLUMNS, _physics_rows, _write_csv
 
@@ -192,7 +192,23 @@ def test_workers_key_starts_no_thread(tmp_path, monkeypatch):
     assert len(read(out).decode().strip().split("\n")) == 26
 
 
-_MEMOS = (log_gamma, digamma, gamma_phase_set)
+# Every binding through which a run reaches a Gamma-layer function:
+# gamma_phase_set calls log_gamma through its own module's name.
+_GAMMA_BINDINGS = ((closed_form, "gamma_phase_set"), (special, "log_gamma"),
+                   (closed_form, "log_gamma"), (closed_form, "digamma"))
+
+
+def _count_calls(monkeypatch, bindings=_GAMMA_BINDINGS):
+    """Calls made through each (module, name) binding from now on, counted
+    by name."""
+    counts = Counter()
+    for module, name in bindings:
+        def counting(*args, _name=name, _original=getattr(module, name)):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return counts
 
 
 def _reference_csv(header, rows):
@@ -207,16 +223,16 @@ def _reference_csv(header, rows):
 
 
 def _scalar_csv(points):
-    """The closed-form sweep CSV rendered from scalar calls, caches emptied
-    before each point, so no value comes from an earlier row."""
+    """The closed-form sweep CSV rendered from one scalar call per
+    probability and point, so no value comes from an earlier row; p2's
+    cells are empty from zeta = 1."""
     rows = []
     for d in points:
-        for cached in _MEMOS:
-            cached.cache_clear()
-        one, two = p1_closed(d), p2_closed(d)
+        one = p1_closed(d)
+        two = p2_closed(d) if d.zeta < 1.0 else None
         q = q_parameter(d.eps, d.zeta)
-        rows.append((d.x, d.y, d.zeta, d.eps, one.total, two.total, None, None,
-                     one.phase_argument, two.phase_argument, q, 1.0 + q))
+        rows.append((d.x, d.y, d.zeta, d.eps, one.total, two and two.total, None, None,
+                     one.phase_argument, two and two.phase_argument, q, 1.0 + q))
     return _reference_csv(ROW_COLUMNS, rows)
 
 
@@ -264,7 +280,8 @@ _SWEEP_BASE = {"x": 1.3, "y": 0.8, "zeta": 0.5, "eps": 0.005}
 _SI_BLOCK = {"a": 3e20, "omega0": 8e10, "nu": 2e11, "z0": 1.8e-4, "beta": 2e57}
 
 
-@pytest.mark.parametrize("param, lo, hi, spacing, eps, misses", [
+# Calls a 300-row run makes to (gamma_phase_set, log_gamma, digamma).
+@pytest.mark.parametrize("param, lo, hi, spacing, eps, calls", [
     # each Gamma value computed once for all 300 rows: one phase set (one
     # log Gamma value for p1), one log Gamma(i ybar) for p2, one digamma
     pytest.param("zeta", 0.05, 0.95, "log", 0.005, (1, 2, 1), id="zeta-log"),
@@ -276,17 +293,17 @@ _SI_BLOCK = {"a": 3e20, "omega0": 8e10, "nu": 2e11, "z0": 1.8e-4, "beta": 2e57}
     # likewise, except the eps = 0 row, which needs no digamma
     pytest.param("eps", 0.0, 0.05, "linear", 0.005, (1, 301, 299), id="eps"),
 ])
-def test_sweep_matches_uncached_scalar_calls(tmp_path, param, lo, hi, spacing, eps, misses):
-    for cached in _MEMOS:
-        cached.cache_clear()
+def test_sweep_matches_uncached_scalar_calls(tmp_path, monkeypatch, param, lo, hi, spacing,
+                                             eps, calls):
     out = tmp_path / "sweep.csv"
     base = {**_SWEEP_BASE, "eps": eps}
     block = "".join(f"{key} = {value!r}\n" for key, value in base.items())
     text = f"mode = sweep\n{block}sweep_param = {param}\nsweep_min = {lo!r}\n" \
            f"sweep_max = {hi!r}\nsweep_count = 300\nsweep_spacing = {spacing}\nout = {out}"
-    assert run(parse_config(text)) == 0
-    assert (gamma_phase_set.cache_info().misses, log_gamma.cache_info().misses,
-            digamma.cache_info().misses) == misses
+    cfg = parse_config(text)
+    counts = _count_calls(monkeypatch)
+    assert run(cfg) == 0
+    assert (counts["gamma_phase_set"], counts["log_gamma"], counts["digamma"]) == calls
     values = np.geomspace(lo, hi, 300) if spacing == "log" else np.linspace(lo, hi, 300)
     points = [DimensionlessConfig(**{**base, param: float(value)}) for value in values]
     assert read(out) == _scalar_csv(points)
@@ -299,8 +316,9 @@ def test_sweep_matches_uncached_scalar_calls(tmp_path, param, lo, hi, spacing, e
     # z0 enters zeta alone, so SI rows share x, y and eps as well
     pytest.param("sweep", "".join(f"{key} = {value!r}\n" for key, value in _SI_BLOCK.items())
                  + "sweep_param = z0\nsweep_min = 1e-5\nsweep_max = 2.9e-4\n", 2, id="si-z0"),
+    # a new x each row: p1's Planck factor per row; p2's reads ybar alone
     pytest.param("sweep", "x = 1.3\ny = 0.8\nzeta = 0.5\neps = 0.005\nsweep_param = x\n"
-                          "sweep_min = 0.2\nsweep_max = 5\n", 600, id="x"),
+                          "sweep_min = 0.2\nsweep_max = 5\n", 301, id="x"),
     # p2's factors are never computed when no row needs p2
     pytest.param("p1", "x = 1.3\ny = 0.8\nzeta = 0.5\neps = 0.005\nsweep_param = zeta\n"
                        "sweep_min = 0.05\nsweep_max = 0.95\n", 1, id="p1-zeta"),
@@ -320,30 +338,41 @@ def test_zeta_free_factors_computed_once_per_run_of_equal_x_y_eps(monkeypatch, m
     assert len(rows) == 300 and len(counted) == calls
 
 
-def test_cold_p1_run_evaluates_log_gamma_once(tmp_path):
+def test_cold_p1_run_evaluates_log_gamma_once(tmp_path, monkeypatch):
     # Gamma(-i x) only; p1 needs no Gamma(i ybar)
-    for cached in _MEMOS:
-        cached.cache_clear()
     out = tmp_path / "p1.csv"
-    text = f"mode = p1\nx = 1.3\ny = 0.8\nzeta = 0.5\neps = 0.005\nout = {out}"
-    assert run(parse_config(text)) == 0
-    assert log_gamma.cache_info().misses == 1
+    cfg = parse_config(f"mode = p1\nx = 1.3\ny = 0.8\nzeta = 0.5\neps = 0.005\nout = {out}")
+    counts = _count_calls(monkeypatch)
+    assert run(cfg) == 0
+    assert counts["log_gamma"] == 1 and counts["digamma"] == 0
 
 
 @pytest.mark.parametrize("convention", ["angular", "ordinary"])
-@pytest.mark.parametrize("param, lo, hi", [
-    pytest.param("a", 1e20, 4.5e20, id="a"),
-    pytest.param("omega0", 8e10, 6e11, id="omega0"),
-    pytest.param("nu", 5e10, 6e11, id="nu"),
-    pytest.param("z0", 1e-5, 2.9e-4, id="z0"),
-    pytest.param("beta", 1e56, 2e58, id="beta"),
+# `inside` rows have zeta < 1; calls to (gamma_phase_set, log_gamma, digamma)
+# are counted as in the dimensionless sweeps
+@pytest.mark.parametrize("param, lo, hi, inside, calls", [
+    # x, y and zeta change every row
+    pytest.param("a", 1e20, 4.5e20, 300, (300, 600, 300), id="a"),
+    # zeta crosses 1 after 150 rows; p2 and its Gamma values stop there
+    pytest.param("a", 1e20, 9e20, 150, (300, 450, 150), id="a-across-wedge"),
+    # x alone changes
+    pytest.param("omega0", 8e10, 6e11, 300, (300, 301, 1), id="omega0"),
+    # y and eps change, so ybar does
+    pytest.param("nu", 5e10, 6e11, 300, (1, 301, 300), id="nu"),
+    # zeta alone changes
+    pytest.param("z0", 1e-5, 2.9e-4, 300, (1, 2, 1), id="z0"),
+    pytest.param("beta", 1e56, 2e58, 300, (1, 301, 300), id="beta"),
 ])
-def test_si_sweep_matches_uncached_scalar_calls(tmp_path, param, lo, hi, convention):
+def test_si_sweep_matches_uncached_scalar_calls(tmp_path, monkeypatch, param, lo, hi, inside,
+                                                calls, convention):
     out = tmp_path / "si.csv"
     block = "".join(f"{key} = {value!r}\n" for key, value in _SI_BLOCK.items())
     text = f"mode = sweep\nfreq_convention = {convention}\n{block}sweep_param = {param}\n" \
            f"sweep_min = {lo!r}\nsweep_max = {hi!r}\nsweep_count = 300\nout = {out}"
-    assert run(parse_config(text)) == 0
+    cfg = parse_config(text)
+    counts = _count_calls(monkeypatch)
+    assert run(cfg) == 0
+    assert (counts["gamma_phase_set"], counts["log_gamma"], counts["digamma"]) == calls
     scale = 2.0 * math.pi if convention == "ordinary" else 1.0
     points = []
     for value in np.linspace(lo, hi, 300):
@@ -351,7 +380,8 @@ def test_si_sweep_matches_uncached_scalar_calls(tmp_path, param, lo, hi, convent
         points.append(to_dimensionless(PhysicalConfig(
             a=si["a"], omega0=si["omega0"] * scale, nu=si["nu"] * scale,
             z0=si["z0"], beta=si["beta"])))
-    assert all(0.0 < d.eps < 0.1 and d.zeta < 1.0 for d in (points[0], points[-1]))
+    assert all(0.0 < d.eps < 0.1 for d in (points[0], points[-1]))
+    assert [d.zeta < 1.0 for d in points] == [True] * inside + [False] * (300 - inside)
     assert read(out) == _scalar_csv(points)
 
 
@@ -674,6 +704,21 @@ def test_domain_error_is_one_line_exit_1(tmp_path, capsys, mode, block, message)
     assert not out.exists()
 
 
+def _cli_subprocess(tmp_path, mode, block):
+    """Run the CLI on `block` in a fresh interpreter, with a timeout that
+    turns a hang into a failure; the output path does not exist before."""
+    config = tmp_path / "run.conf"
+    out = tmp_path / "out.csv"
+    config.write_text(block)
+    path = os.pathsep.join(p for p in (str(Path(closed_form.__file__).resolve().parents[1]),
+                                       os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-m", "gup_mirror.cli", mode, "--config", str(config), "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    return result, out
+
+
 _UNSUMMABLE_L = "x = 1000\ny = 1000\nzeta = 0.5\neps = 0.001\n"
 
 
@@ -686,17 +731,8 @@ _UNSUMMABLE_L = "x = 1000\ny = 1000\nzeta = 0.5\neps = 0.001\n"
 ])
 def test_unsummable_gup_series_is_one_line_exit_1(tmp_path, mode, block):
     # The bound on L's convergent-series terms overflows to inf here, and
-    # the series once looped forever; a subprocess with a timeout turns a
-    # hang into a failure.
-    config = tmp_path / "run.conf"
-    out = tmp_path / "out.csv"
-    config.write_text(block)
-    path = os.pathsep.join(p for p in (str(Path(closed_form.__file__).resolve().parents[1]),
-                                       os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-m", "gup_mirror.cli", mode, "--config", str(config), "--out", str(out)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
-    )
+    # the series once looped forever.
+    result, out = _cli_subprocess(tmp_path, mode, block)
     assert result.returncode == 1
     assert result.stderr.startswith("configuration error: L(1 + i ybar, i r) at ybar=999.5, r=")
     assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
@@ -722,12 +758,44 @@ def test_overflowing_gup_series_start_is_one_line_exit_1(tmp_path, capsys, mode,
     assert not out.exists()
 
 
+_DAMPING = "x = 301\ny = 200\nzeta = 0.5\neps = 1e-6\n"
+
+
+@pytest.mark.parametrize("mode, block", [
+    pytest.param("p2", _DAMPING, id="p2"),
+    # the rows before x = 301 are summed; that row fails, in the batch as alone
+    pytest.param("sweep", _DAMPING + "sweep_param = x\nsweep_min = 1\nsweep_max = 400\n"
+                                     "sweep_count = 400\n", id="x-sweep"),
+])
+def test_overflowing_p2_damping_is_one_line_exit_1(tmp_path, mode, block):
+    # L has no correct digit here (Im L is about 1e7), and exp(2 eta Im L)
+    # was an OverflowError traceback
+    result, out = _cli_subprocess(tmp_path, mode, block)
+    assert result.returncode == 1
+    assert result.stderr == (
+        "configuration error: p2's damping exp(2 eta Im L) overflows a double at "
+        "DimensionlessConfig(x=301.0, y=200.0, zeta=0.5, eps=1e-06), "
+        "where Im L=9568125.477226693\n")
+    assert not out.exists()
+
+
+def _scalar_point(cfg, value):
+    """The sweep's point at `value`, built as the runner once built each
+    row: an SI row from a PhysicalConfig of its own."""
+    if cfg.dimensionless is not None:
+        return DimensionlessConfig(**{**cfg.dimensionless, cfg.sweep.param: value})
+    si = {**cfg.physical, cfg.sweep.param: value}
+    scale = 2.0 * math.pi if cfg.freq_convention == "ordinary" else 1.0
+    return to_dimensionless(PhysicalConfig(**{**si, "omega0": si["omega0"] * scale,
+                                              "nu": si["nu"] * scale}))
+
+
 def _first_scalar_error(cfg):
     """The message of the first ValueError the closed forms raise, row by
     row and one scalar call at a time, as the runner once computed them."""
-    for d in [DimensionlessConfig(**{**cfg.dimensionless, cfg.sweep.param: value})
-              for value in cfg.sweep.values().tolist()]:
+    for value in cfg.sweep.values().tolist():
         try:
+            d = _scalar_point(cfg, value)
             p1_closed(d)
             if d.zeta < 1.0:
                 p2_closed(d)
@@ -750,6 +818,16 @@ def _first_scalar_error(cfg):
     pytest.param("x = 1\ny = 1000\nzeta = 0.5\neps = 0.001\nsweep_param = x\n"
                  "sweep_min = 1\nsweep_max = 1000\nsweep_count = 5\n",
                  "eps y^2/(1 + x^2)=500.0", id="p1-guard-then-l"),
+    # SI: x = 0.1 at the low end of omega0 (in Hz), where p1's guard reads 0.2
+    pytest.param("freq_convention = ordinary\na = 3e20\nomega0 = 1.6e10\nnu = 3.2e11\n"
+                 "z0 = 1.5e-4\nbeta = 1e59\nsweep_param = omega0\nsweep_min = 1.6e10\n"
+                 "sweep_max = 8e11\nsweep_count = 9\n",
+                 "eps y^2/(1 + x^2)=0.1999", id="si-omega0-low-end"),
+    # SI: y and eps both grow with nu, and p1's guard fails from the 6th row
+    pytest.param("a = 3e20\nomega0 = 1.0007e12\nnu = 1.0007e12\nz0 = 1.5e-4\nbeta = 7.17e58\n"
+                 "sweep_param = nu\nsweep_min = 1.0007e12\nsweep_max = 3.0021e12\n"
+                 "sweep_count = 9\n",
+                 "eps y^2/(1 + x^2)=0.1138", id="si-nu-mid-sweep"),
 ])
 def test_sweep_reports_first_failing_row(tmp_path, capsys, block, first):
     # a sweep's L is summed for all rows before any row is assembled, yet
@@ -762,6 +840,66 @@ def test_sweep_reports_first_failing_row(tmp_path, capsys, block, first):
     assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("block, summed", [
+    # p1's guard eps y^2/(1 + x^2) fails from y = 5, the 5th row
+    pytest.param("x = 1\ny = 1\nzeta = 0.5\neps = 0.01\nsweep_param = y\nsweep_min = 1\n"
+                 "sweep_max = 10\nsweep_count = 10\n", 4, id="p1-guard-mid-sweep"),
+    # ... and from the first row here, where all 500 rows' L once took 30 ms
+    pytest.param("x = 1\ny = 200\nzeta = 0.5\neps = 0.005\nsweep_param = x\nsweep_min = 1\n"
+                 "sweep_max = 400\nsweep_count = 500\n", 0, id="p1-guard-first-row"),
+    # p2's x^2 overflows at the 4th row, x = 1e200
+    pytest.param("x = 1\ny = 1\nzeta = 0.5\neps = 0.01\nsweep_param = x\nsweep_min = 1\n"
+                 "sweep_max = 1e200\nsweep_count = 4\nsweep_spacing = log\n", 3,
+                 id="p2-x-squared"),
+])
+def test_sweep_sums_l_only_for_rows_before_first_failing_half(tmp_path, capsys, monkeypatch,
+                                                              block, summed):
+    received = []
+    batch = gup_batch.gup_coefficient_batch
+
+    def recording(ybars, *columns):
+        received.append(len(ybars))
+        return batch(ybars, *columns)
+
+    monkeypatch.setattr(gup_batch, "gup_coefficient_batch", recording)
+    config = tmp_path / "run.conf"
+    config.write_text(block)
+    message = _first_scalar_error(parse_config("mode = sweep\n" + block))
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert received == [summed]
+
+
+@pytest.mark.parametrize("convention, param, lo, hi", [
+    # the sign rule at the low end, on the value scaled to rad/s
+    pytest.param("ordinary", "omega0", -8e10, 9e11, id="omega0-sign"),
+    pytest.param("angular", "beta", -1.0, 1e58, id="beta-sign"),
+    # nu^2 overflows at the high end
+    pytest.param("angular", "nu", 1e9, 1e200, id="nu-squared"),
+    # x = omega0 c / a is inf at the high end
+    pytest.param("ordinary", "omega0", 1e9, 1e308, id="x-inf"),
+    # eps passes the guard at the low end only
+    pytest.param("angular", "beta", 1e56, 1e70, id="eps-guard"),
+])
+def test_si_sweep_endpoint_error_matches_physical_config(convention, param, lo, hi):
+    # a sweep row is checked without a PhysicalConfig of its own, yet meets
+    # the error one would raise
+    block = "".join(f"{key} = {value!r}\n" for key, value in _SI_BLOCK.items())
+    text = f"mode = sweep\nfreq_convention = {convention}\n{block}sweep_param = {param}\n" \
+           f"sweep_min = {lo!r}\nsweep_max = {hi!r}\nsweep_count = 3\n"
+    cfg = RunConfig(mode="sweep", physical=_SI_BLOCK, freq_convention=convention,
+                    sweep=SweepAxis(param, lo, hi, 3))
+    errors = []
+    for value in (lo, hi):
+        try:
+            _scalar_point(cfg, value)
+        except ValueError as exc:
+            errors.append(str(exc))
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == errors[0]
 
 
 @pytest.mark.parametrize("block, code", [

@@ -18,14 +18,13 @@ def test_log_gamma_at_i():
     assert math.pi / math.sinh(math.pi) == pytest.approx(0.27202905498213316, rel=1e-14)
 
 
-def test_cached_value_independent_of_signed_zero():
-    # -0.0 == 0.0, so both signs share a cache entry: the value stored must
-    # not depend on which sign was asked for first
-    values = []
-    for imag in (0.0, -0.0):
-        digamma.cache_clear()
-        values.append(repr(digamma(complex(2.5, imag))))
-    assert values[0] == values[1]
+def test_digamma_of_conjugate_is_conjugate():
+    # psi(conj z) = conj psi(z), bit for bit: every operation of the
+    # recurrence and the series is odd in the imaginary part
+    rng = np.random.default_rng(3)
+    for re, im in zip(rng.uniform(0.01, 20.0, 200), rng.uniform(-50.0, 50.0, 200)):
+        z = complex(re, im)
+        assert repr(digamma(z.conjugate())) == repr(digamma(z).conjugate())
 
 
 def test_log_gamma_poles():
