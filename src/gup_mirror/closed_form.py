@@ -44,30 +44,30 @@ and the GUP phase above.  L is evaluated without quadrature: from the
 connection formula of U in terms of Kummer's M (DLMF section 13.2) for
 |z| < 17 + 1.5 |a|, from its asymptotic series beyond.
 
-Each probability is written once, in two halves.  `p1_zeta_free` and
-`p2_zeta_free` compute what zeta does not enter (the prefactor, the
+Each probability is written once, in two halves.  `_p1_zeta_free` and
+`_p2_zeta_free` compute what zeta does not enter (the prefactor, the
 Planck factor, p1's damping, theta or log Gamma(i ybar), x ln y or
-ybar ln x) and run the checks that belong to it.  `p1_at_zeta` and
-`p2_at_zeta` add the rest (L, p2's damping and GUP phase, the phase sum,
+ybar ln x) and run the checks that belong to it.  `_p1_at_zeta` and
+`_p2_at_zeta` add the rest (L, p2's damping and GUP phase, the phase sum,
 sin^2 and the product), in the order and with the operands the whole
 formula uses, so the halves give the same bits as one pass.  The
 zeta-free half is itself split by the inputs its factors read:
-`p1_x_factors(x)` holds theta, 2 pi / x, the Planck factor and
-1/(1 + x^2), and `p2_ybar_factors(y, eps)` holds ybar, eta,
+`_p1_x_factors(x)` holds theta, 2 pi / x, the Planck factor and
+1/(1 + x^2), and `_p2_ybar_factors(y, eps)` holds ybar, eta,
 log Gamma(i ybar), the Planck factor and psi(1 + i ybar), which L
-reads.  Each zeta-free half takes its tier's factors as an argument.
-`p1_closed` and `p2_closed` compose all of them; a caller that
-evaluates many rows computes each tier once per run of rows sharing the
-inputs it reads, so an omega0 sweep, where only x changes, evaluates
-the Gamma values of ybar once.
+reads.  Each zeta-free half computes its tier's factors unless it is
+handed them; `p1_closed` and `p2_closed` let it.
 
-A caller with many rows can also have L for all of them at once:
-`p2_gup_coefficients` hands the rows' ybar, r and log Gamma(i ybar) to
-`gup_batch`, which sums their convergent series together on numpy
-arrays and gives each row the bits `_gup_coefficient` gives it.  A row
-on the asymptotic branch, or one whose series cannot be summed in
-doubles, comes back as None, and `p2_at_zeta` sums (or raises) it the
-scalar way.
+`closed_rows` evaluates many rows, _BATCH_ROWS at a time.  It computes
+each tier again only when the inputs it reads differ from those it was
+last computed for (p1's x factors on x, p2's ybar factors on (y, eps),
+the rest of each zeta-free half on (x, y, eps)), so a zeta sweep
+computes every tier once and an omega0 sweep evaluates the Gamma values
+of ybar once.  It sums L together for the rows on the convergent
+branch (0 < r below `_asymptotic_line`), on numpy arrays in `gup_batch`,
+which gives each row the bits `_gup_coefficient` gives it, where a
+batch has two such rows or more.  Every other row, and a row the batch
+declines, has L summed the scalar way.
 
 Limits of the GUP terms:
 
@@ -99,7 +99,9 @@ grid.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -116,13 +118,7 @@ from .units import (
 __all__ = [
     "ProbabilityBreakdown",
     "TemperaturePair",
-    "p1_x_factors",
-    "p1_zeta_free",
-    "p1_at_zeta",
-    "p2_ybar_factors",
-    "p2_zeta_free",
-    "p2_at_zeta",
-    "p2_gup_coefficients",
+    "closed_rows",
     "p1_closed",
     "p2_closed",
     "p1_closed_si",
@@ -170,8 +166,8 @@ def _assemble(name: str, d: DimensionlessConfig, prefactor: float, damping: floa
     return total, prefactor, damping, planck, phase, sin2
 
 
-def p1_x_factors(x: float) -> tuple[float, float, float, float]:
-    """p1's factors that read x alone, in the order p1_zeta_free unpacks
+def _p1_x_factors(x: float) -> tuple[float, float, float, float]:
+    """p1's factors that read x alone, in the order _p1_zeta_free unpacks
     them: theta = Arg Gamma(-i x), the prefactor 2 pi / x, the Planck
     factor and omega = 1/(1 + x^2).
 
@@ -181,14 +177,16 @@ def p1_x_factors(x: float) -> tuple[float, float, float, float]:
     return gamma_phase_set(x), 2.0 * math.pi / x, planck_factor(x), 1.0 / (1.0 + x * x)
 
 
-def p1_zeta_free(d: DimensionlessConfig, x_factors: tuple[float, ...]) -> tuple[float, ...]:
+def _p1_zeta_free(d: DimensionlessConfig,
+                  x_factors: tuple[float, ...] | None = None) -> tuple[float, ...]:
     """p1's factors that zeta does not enter, at (d.x, d.y, d.eps), from
-    p1_x_factors(d.x), in the order p1_at_zeta unpacks them.
+    _p1_x_factors(d.x) (computed here when not given), in the order
+    _p1_at_zeta unpacks them.
 
     Raises ValueError when the damping exponent eps y^2 / (1 + x^2) is
     not below EPS_GUARD, or when eps > 0 and y^2 overflows a double.
     """
-    theta, prefactor, planck, omega = x_factors  # -Omega cos Delta is omega
+    theta, prefactor, planck, omega = x_factors or _p1_x_factors(d.x)  # -Omega cos Delta is omega
     try:  # the GUP terms vanish at eps = 0, where y^2 is not needed
         y_squared = d.y**2 if d.eps > 0.0 else 0.0
     except OverflowError:
@@ -207,8 +205,8 @@ def p1_zeta_free(d: DimensionlessConfig, x_factors: tuple[float, ...]) -> tuple[
     )
 
 
-def p1_at_zeta(factors: tuple[float, ...], d: DimensionlessConfig) -> tuple[float, ...]:
-    """p1 at d from p1_zeta_free's factors at (d.x, d.y, d.eps): the
+def _p1_at_zeta(factors: tuple[float, ...], d: DimensionlessConfig) -> tuple[float, ...]:
+    """p1 at d from _p1_zeta_free's factors at (d.x, d.y, d.eps): the
     ProbabilityBreakdown fields as a plain tuple."""
     prefactor, damping, planck, drift, log_term, eps_term, theta, gup_term = factors
     phase = drift * d.zeta + log_term - eps_term + theta - gup_term
@@ -221,7 +219,7 @@ def p1_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
     Raises ValueError when the damping exponent eps y^2 / (1 + x^2) is
     not below EPS_GUARD, or when eps > 0 and y^2 overflows a double.
     """
-    return ProbabilityBreakdown(*p1_at_zeta(p1_zeta_free(d, p1_x_factors(d.x)), d))
+    return ProbabilityBreakdown(*_p1_at_zeta(_p1_zeta_free(d), d))
 
 
 # L is summed from its asymptotic series once |z| >= 17 + 1.5 |a|.  The
@@ -238,6 +236,13 @@ _ASYMPTOTIC_SLOPE = 1.5
 _L_TOLERANCE = 1e-8
 
 
+def _asymptotic_line(ybar: float) -> float:
+    """The r = 2 zeta x from which L(1 + i ybar, i r) is summed from its
+    asymptotic series, 17 + 1.5 |1 + i ybar|; below it, and above 0, L
+    is summed from its convergent series."""
+    return _ASYMPTOTIC_MIN_Z + _ASYMPTOTIC_SLOPE * abs(complex(1.0, ybar))
+
+
 def _unsummable(ybar: float, r: float, reason: str) -> ValueError:
     return ValueError(f"L(1 + i ybar, i r) at ybar={ybar!r}, r={r!r}: {reason}")
 
@@ -248,9 +253,11 @@ def _gup_coefficient(ybar: float, r: float, log_gamma_iy: complex, psi: complex)
     log_gamma_iy is log Gamma(i ybar), Gamma(-a) = -conj(Gamma(i ybar)) / a,
     and psi is psi(a).
     """
+    if r == 0.0:
+        raise _unsummable(ybar, r, "r = 2 zeta x underflows to zero")
     a = complex(1.0, ybar)
     z = complex(0.0, r)
-    if r >= _ASYMPTOTIC_MIN_Z + _ASYMPTOTIC_SLOPE * abs(a):
+    if r >= _asymptotic_line(ybar):
         # sum_{n>=1} (-1)^{n+1} (a)_n / (n z^n), cut before its terms grow
         total = 0j
         term = -1.0 + 0j
@@ -289,8 +296,8 @@ def _gup_coefficient(ybar: float, r: float, log_gamma_iy: complex, psi: complex)
     return psi - log_z + total
 
 
-def p2_ybar_factors(y: float, eps: float) -> tuple:
-    """p2's factors that read y and eps alone, in the order p2_zeta_free
+def _p2_ybar_factors(y: float, eps: float) -> tuple:
+    """p2's factors that read y and eps alone, in the order _p2_zeta_free
     unpacks them: ybar = y (1 - eps/2), eta = eps y / 2,
     log Gamma(i ybar), the Planck factor, and psi(1 + i ybar), which L
     reads, where eta > 0 (None where eta = 0 and no L is needed).
@@ -305,13 +312,14 @@ def p2_ybar_factors(y: float, eps: float) -> tuple:
     return ybar, eta, log_gamma_iy, planck_factor(ybar), psi
 
 
-def p2_zeta_free(d: DimensionlessConfig, ybar_factors: tuple) -> tuple:
+def _p2_zeta_free(d: DimensionlessConfig, ybar_factors: tuple | None = None) -> tuple:
     """p2's factors that zeta does not enter, at (d.x, d.y, d.eps), from
-    p2_ybar_factors(d.y, d.eps), in the order p2_at_zeta unpacks them.
+    _p2_ybar_factors(d.y, d.eps) (computed here when not given), in the
+    order _p2_at_zeta unpacks them.
 
     Raises ValueError when x^2 overflows a double or underflows to zero.
     """
-    ybar, eta, log_gamma_iy, planck, psi = ybar_factors
+    ybar, eta, log_gamma_iy, planck, psi = ybar_factors or _p2_ybar_factors(d.y, d.eps)
     try:
         prefactor = 2.0 * math.pi * ybar / d.x**2
     except (OverflowError, ZeroDivisionError):
@@ -319,16 +327,11 @@ def p2_zeta_free(d: DimensionlessConfig, ybar_factors: tuple) -> tuple:
     return ybar, eta, log_gamma_iy, prefactor, planck, ybar * math.log(d.x), psi
 
 
-def _series_argument(d: DimensionlessConfig) -> float:
-    """r in L(1 + i ybar, i r): r = 2 zeta x."""
-    return 2.0 * d.zeta * d.x
-
-
-def p2_at_zeta(factors: tuple, d: DimensionlessConfig,
-               coefficient: complex | None = None) -> tuple[float, ...]:
-    """p2 at d, which must have zeta < 1, from p2_zeta_free's factors at
+def _p2_at_zeta(factors: tuple, d: DimensionlessConfig,
+                coefficient: complex | None = None) -> tuple[float, ...]:
+    """p2 at d, which must have zeta < 1, from _p2_zeta_free's factors at
     (d.x, d.y, d.eps): the ProbabilityBreakdown fields as a plain tuple.
-    `coefficient` is L at d when it is already known (p2_gup_coefficients);
+    `coefficient` is L at d when it is already known (closed_rows' batch);
     without it L is summed here.
 
     Raises ValueError when the series for L cannot be summed in doubles,
@@ -339,7 +342,7 @@ def p2_at_zeta(factors: tuple, d: DimensionlessConfig,
     gup_phase = 0.0
     if eta > 0.0:
         if coefficient is None:
-            coefficient = _gup_coefficient(ybar, _series_argument(d), log_gamma_iy, psi)
+            coefficient = _gup_coefficient(ybar, 2.0 * d.zeta * d.x, log_gamma_iy, psi)
         try:
             damping = math.exp(2.0 * eta * coefficient.imag)
         except OverflowError:
@@ -348,26 +351,6 @@ def p2_at_zeta(factors: tuple, d: DimensionlessConfig,
         gup_phase = eta * (math.log(2.0 * d.zeta) + coefficient.real)
     phase = d.x * d.zeta + log_term + gup_phase - log_gamma_iy.imag
     return _assemble("p2", d, prefactor, damping, planck, phase)
-
-
-def p2_gup_coefficients(factors: list[tuple],
-                    points: list[DimensionlessConfig]) -> list[complex | None]:
-    """The coefficient p2_at_zeta takes at each point, from p2_zeta_free's
-    factors there: L from gup_batch, all points at once, or None where
-    p2_at_zeta must sum L itself or needs none (zeta >= 1, eta = 0).
-    Loads numpy.
-    """
-    from .gup_batch import gup_coefficient_batch  # numpy: sweeps only
-
-    chosen = [i for i, (f, d) in enumerate(zip(factors, points)) if d.zeta < 1.0 and f[1] > 0.0]
-    values = gup_coefficient_batch([factors[i][0] for i in chosen],
-                                   [_series_argument(points[i]) for i in chosen],
-                                   [factors[i][2] for i in chosen],
-                                   [factors[i][6] for i in chosen])
-    coefficients = [None] * len(points)
-    for i, value in zip(chosen, values):
-        coefficients[i] = value
-    return coefficients
 
 
 def p2_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
@@ -381,7 +364,77 @@ def p2_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
     """
     if not d.zeta < 1.0:
         raise ValueError("mirror-accelerating case requires zeta < 1")
-    return ProbabilityBreakdown(*p2_at_zeta(p2_zeta_free(d, p2_ybar_factors(d.y, d.eps)), d))
+    return ProbabilityBreakdown(*_p2_at_zeta(_p2_zeta_free(d), d))
+
+
+# closed_rows takes its points this many at a time, so the points it
+# holds and the arrays of its batched L stay small however long the run.
+_BATCH_ROWS = 4096
+
+
+def closed_rows(points: Iterable[DimensionlessConfig], want_p1: bool,
+                want_p2: bool) -> Iterator[Iterator[tuple]]:
+    """The closed forms at every point, _BATCH_ROWS points to a batch:
+    for each batch, an iterator of (d, p1's fields, p2's fields) per
+    point d, each fields tuple the ProbabilityBreakdown's, or None where
+    that probability is not wanted or, for p2, where zeta >= 1.
+
+    The first ValueError that p1_closed and p2_closed, called point by
+    point, would raise is raised instead, once the batches before it are
+    taken.  Each batch first computes the zeta-free halves of its points,
+    up to the first point where one raises, choosing the points before
+    it whose L is summed from the convergent series; then L for the
+    chosen points all at once, where there are two or more (gup_batch,
+    which loads numpy); then each point in order.  The point whose half
+    raised is computed alone when its turn comes, so it raises again
+    after every error before it.  The per-point results are kept in
+    lists rather than tuples, so a batch adds few objects for the
+    garbage collector to track.
+    """
+    points = iter(points)
+    x1 = key1 = factors1 = ybar_key2 = key2 = factors2 = None
+    while batch := list(itertools.islice(points, _BATCH_ROWS)):
+        halves1, halves2 = [], []
+        # the row index, ybar, r, log Gamma(i ybar) and psi of each row L is summed for
+        chosen, ybars, rs, log_gammas, psis = [], [], [], [], []
+        try:
+            for i, d in enumerate(batch):
+                key = (d.x, d.y, d.eps)
+                if want_p1 and key != key1:
+                    if d.x != x1:
+                        x_factors1, x1 = _p1_x_factors(d.x), d.x
+                    factors1, key1 = _p1_zeta_free(d, x_factors1), key
+                if want_p2 and d.zeta < 1.0:
+                    if key != key2:
+                        if key[1:] != ybar_key2:
+                            ybar_factors2, ybar_key2 = _p2_ybar_factors(d.y, d.eps), key[1:]
+                            line2 = _asymptotic_line(ybar_factors2[0])
+                        factors2, key2 = _p2_zeta_free(d, ybar_factors2), key
+                    r = 2.0 * d.zeta * d.x
+                    if factors2[1] > 0.0 and 0.0 < r < line2:  # eta > 0, convergent branch
+                        chosen.append(i)
+                        ybars.append(factors2[0])
+                        rs.append(r)
+                        log_gammas.append(factors2[2])
+                        psis.append(factors2[6])
+                halves1.append(factors1)
+                halves2.append(factors2)
+        except ValueError:
+            unreached = [None] * (len(batch) - len(halves1))
+            halves1 += unreached
+            halves2 += unreached
+        coefficients = [None] * len(batch)
+        if len(chosen) > 1:
+            from .gup_batch import gup_coefficient_batch  # numpy: only where two rows need L
+
+            for i, value in zip(chosen, gup_coefficient_batch(ybars, rs, log_gammas, psis)):
+                coefficients[i] = value
+        ones, twos = [], []
+        for d, half1, half2, coefficient in zip(batch, halves1, halves2, coefficients):
+            ones.append(_p1_at_zeta(half1 or _p1_zeta_free(d), d) if want_p1 else None)
+            twos.append(_p2_at_zeta(half2 or _p2_zeta_free(d), d, coefficient)
+                        if want_p2 and d.zeta < 1.0 else None)
+        yield zip(batch, ones, twos)
 
 
 def p1_closed_si(p: PhysicalConfig) -> float:

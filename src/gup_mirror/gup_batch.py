@@ -12,8 +12,11 @@ the real operations CPython rounds, in CPython's order (`_product`;
 not + - * / (log r, the first term's exp and modulus) is computed row by
 row with math and cmath, as the scalar does.
 
-Only sweeps import this module, so it imports numpy at the top; the
-one-point modes sum L with the scalar function and never load either.
+`closed_form.closed_rows` selects the rows: those on the convergent
+branch (0 < r below `closed_form._asymptotic_line`) in a batch of more
+than one point.  This module sums every row it is given.  Only that
+batch imports it, so it imports numpy at the top; the one-point
+modes sum L with the scalar function and never load either.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 
 import numpy as np
 
-from .closed_form import _ASYMPTOTIC_MIN_Z, _ASYMPTOTIC_SLOPE, _L_TOLERANCE
+from .closed_form import _L_TOLERANCE
 
 __all__ = ["gup_coefficient_batch"]
 
@@ -93,7 +96,9 @@ def gup_coefficient_batch(ybars: list[float], rs: list[float], log_gammas: list[
                           psis: list[complex]) -> list[complex | None]:
     """closed_form._gup_coefficient(ybar, r, log_gamma_iy, psi) at many rows at
     once, bit for bit, or None at each row where the scalar function
-    takes its asymptotic branch or raises.  Never raises.
+    raises.  Never raises.  Every row must be on the convergent branch,
+    0 < r < closed_form._asymptotic_line(ybar); closed_form.closed_rows chooses
+    the rows, and this function sums each row it is given.
 
     A row stops adding terms where its own bound falls below
     _L_TOLERANCE: the rows are sorted by their number of terms, so the
@@ -101,21 +106,16 @@ def gup_coefficient_batch(ybars: list[float], rs: list[float], log_gammas: list[
     whose complex products are fused every row is None.
     """
     coefficients = [None] * len(ybars)
-    if not _complex_products_unfused():
+    if not coefficients or not _complex_products_unfused():
         return coefficients
     ybar = np.array(ybars, dtype=float)
     r = np.array(rs, dtype=float)
-    modulus = np.array([abs(complex(1.0, value)) for value in ybars])
     with np.errstate(all="ignore"):
         # Overflow and 0 * inf happen where the scalar sum meets them too,
         # and leave the same infinities and NaNs in the same rows.
-        rows = np.flatnonzero((0.0 < r) & (r < _ASYMPTOTIC_MIN_Z + _ASYMPTOTIC_SLOPE * modulus))
-        if not rows.size:
-            return coefficients
-        ybar, r = ybar[rows], r[rows]
-        log_gamma_iy = np.array(log_gammas, dtype=complex)[rows]
+        log_gamma_iy = np.array(log_gammas, dtype=complex)
         # the first Kummer term exp(conj(log Gamma(i ybar)) + a log z), as the scalar's
-        log_r = np.array(list(map(math.log, r.tolist())))
+        log_r = np.array(list(map(math.log, rs)))
         half_pi = 0.5 * math.pi
         product = _product((1.0, ybar), (log_r, half_pi))
         kummer, size = [], []
@@ -133,11 +133,11 @@ def gup_coefficient_batch(ybars: list[float], rs: list[float], log_gammas: list[
         total = _quotient(kummer, (1.0, ybar))
         terms = _term_counts(np.array(size), r)
         # psi(a) - log z
-        rest = np.array(psis, dtype=complex)[rows]
+        rest = np.array(psis, dtype=complex)
         rest = rest.real - log_r, rest.imag - half_pi
-        order = np.argsort(-terms, kind="stable")
-        ybar, r, terms, rows, *parts = (
-            column[order] for column in (ybar, r, terms, rows, *kummer, *total, *rest))
+        rows = np.argsort(-terms, kind="stable")
+        ybar, r, terms, *parts = (
+            column[rows] for column in (ybar, r, terms, *kummer, *total, *rest))
         kummer, total, rest = parts[:2], parts[2:4], parts[4:]
         if ybar.min() == ybar.max():
             ybar = float(ybar[0])  # then each divisor's parts are plain floats

@@ -20,24 +20,15 @@ SI sweep builds it once, for its base, and each row then checks only its
 swept value against the sign rule and reduces the five inputs with
 `units.dimensionless_groups`, the formulas `to_dimensionless` uses.
 
-The runner computes no route of its own.  The closed-form modes call
-the pieces of each closed form in `closed_form`, and each tier of
-zeta-free factors is computed again only when the inputs it reads differ
-from those it was last computed for: p1's x factors on x, p2's ybar
-factors on (y, eps), and the rest of each zeta-free half on (x, y, eps),
-each only for rows that need its probability.  So a zeta sweep computes
-every tier once, and an omega0 sweep evaluates p2's Gamma values once.
-A sweep takes its rows _BATCH_ROWS at a time: first both zeta-free
-halves of those rows, up to the first row where one raises, then L for
-the rows before it all at once (`closed_form.p2_gup_coefficients`, on
-numpy, which a sweep has loaded), then each row in order.  The row
-whose half raised, and each row the batch leaves to the scalar sum, is
-computed the scalar way when its turn comes, so a sweep reports the
-error that row by row evaluation meets first, and a sweep that fails
-early sums no L past the failing row.  The one-point modes sum L row by
-row and never load numpy.  Each `verify` row is read from one
-`amplitude.verify_pair` record, the one place where the closed forms
-meet the quadrature oracle.
+The runner computes no route of its own.  The closed-form modes take
+their rows from `closed_form.closed_rows`, which owns how the pieces of
+each closed form are reused from row to row and how L is summed (see
+`closed_form`), and reports the error that row by row evaluation meets
+first.  `_points` builds the points as `closed_rows` takes them, a
+batch at a time, so a sweep that fails early builds no point past its
+failing batch.  The one-point modes never load numpy.  Each `verify`
+row is read from one `amplitude.verify_pair` record, the one place
+where the closed forms meet the quadrature oracle.
 
 All rows are computed before the output file is opened, so a run that
 fails writes nothing.  Each row is then written from one `%` template:
@@ -53,20 +44,12 @@ import math
 import os
 import stat
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .amplitude import QuadratureConvergenceError, verify_pair
-from .closed_form import (
-    p1_at_zeta,
-    p1_x_factors,
-    p1_zeta_free,
-    p2_at_zeta,
-    p2_gup_coefficients,
-    p2_ybar_factors,
-    p2_zeta_free,
-    temperatures,
-)
+from .closed_form import closed_rows, temperatures
 from .equivalence import beta_bound, q_parameter
 from .units import (
     DimensionlessConfig,
@@ -354,7 +337,7 @@ def _validate_base_point(cfg: RunConfig) -> None:
             f"mode '{cfg.mode}' requires zeta < 1 (atom inside the mirror wedge); got {base.zeta!r}"
         )
     if cfg.sweep is not None:
-        _points(cfg, [cfg.sweep.minimum, cfg.sweep.maximum])
+        list(_points(cfg, [cfg.sweep.minimum, cfg.sweep.maximum]))
 
 
 def _physical_config(values: dict[str, float], convention: str) -> PhysicalConfig:
@@ -369,8 +352,10 @@ _DEFAULT_GRID_Y = (0.5, 1.0, 2.0)
 _DEFAULT_GRID_ZETA = (0.3, 0.5, 0.9)
 
 
-def _points(cfg: RunConfig, sweep_values: list[float] | None = None) -> list[DimensionlessConfig]:
-    """The dimensionless points of a physics run, from either block.
+def _points(cfg: RunConfig,
+            sweep_values: list[float] | None = None) -> Iterator[DimensionlessConfig]:
+    """The dimensionless points of a physics run, from either block, built
+    as they are taken.
 
     Without `sweep_values`: the block as written, or the default grid.
     With them: one point per value, the sweep parameter set to it.  An
@@ -380,38 +365,36 @@ def _points(cfg: RunConfig, sweep_values: list[float] | None = None) -> list[Dim
     the errors a PhysicalConfig of its own would raise, in their order.
     """
     if cfg.default_grid:
-        return [
-            DimensionlessConfig(x=x, y=y, zeta=zeta)
-            for x in _DEFAULT_GRID_X
-            for y in _DEFAULT_GRID_Y
-            for zeta in _DEFAULT_GRID_ZETA
-        ]
+        for x in _DEFAULT_GRID_X:
+            for y in _DEFAULT_GRID_Y:
+                for zeta in _DEFAULT_GRID_ZETA:
+                    yield DimensionlessConfig(x=x, y=y, zeta=zeta)
+        return
     if cfg.dimensionless is not None:
         if sweep_values is None:
-            return [DimensionlessConfig(**cfg.dimensionless)]
+            yield DimensionlessConfig(**cfg.dimensionless)
+            return
         values = dict(cfg.dimensionless)
-        points = []
         for value in sweep_values:
             values[cfg.sweep.param] = value
-            points.append(DimensionlessConfig(**values))
-        return points
+            yield DimensionlessConfig(**values)
+        return
     base = _physical_config(cfg.physical, cfg.freq_convention)
     if sweep_values is None:
-        return [to_dimensionless(base)]
+        yield to_dimensionless(base)
+        return
     param = cfg.sweep.param
     scale = _FREQ_SCALE[cfg.freq_convention] if param in ("omega0", "nu") else 1.0
     # dimensionless_groups' arguments, which come in _PHYSICAL_KEYS order
     inputs = [base.a, base.omega0, base.nu, base.z0, base.beta]
     swept = _PHYSICAL_KEYS.index(param)
-    points = []
     for value in sweep_values:
         value *= scale
         problem = sign_problem(param, value)
         if problem is not None:
             raise ValueError(problem)
         inputs[swept] = value
-        points.append(DimensionlessConfig(*dimensionless_groups(*inputs)))
-    return points
+        yield DimensionlessConfig(*dimensionless_groups(*inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +497,6 @@ def run(cfg: RunConfig, stderr=None) -> int:
     return 0
 
 
-# A sweep sums L for this many rows at once, so the arrays that takes stay
-# small however long the sweep.
-_BATCH_ROWS = 4096
-
-
 def _physics_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple]]:
     """One row per point in ROW_COLUMNS order; None renders as an empty cell."""
     axis = cfg.sweep.values().tolist() if cfg.sweep is not None else None
@@ -534,43 +512,11 @@ def _physics_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple]]:
         return ROW_COLUMNS, rows
     want_p1 = cfg.mode in ("p1", "compare", "sweep")
     want_p2 = cfg.mode in ("p2", "compare", "sweep")
-    # each tier of zeta-free factors is computed again only when the inputs
-    # it reads differ from those it was last computed for
-    x1 = key1 = factors1 = ybar_key2 = key2 = factors2 = None
-    for start in range(0, len(points), _BATCH_ROWS):
-        chunk = points[start:start + _BATCH_ROWS]
-        # both probabilities' zeta-free factors, up to the first row where
-        # they raise; that row raises again below, after every error before it
-        halves = []
-        try:
-            for d in chunk:
-                key = (d.x, d.y, d.eps)
-                if want_p1 and key != key1:
-                    if d.x != x1:
-                        x_factors1, x1 = p1_x_factors(d.x), d.x
-                    factors1, key1 = p1_zeta_free(d, x_factors1), key
-                if want_p2 and d.zeta < 1.0 and key != key2:
-                    if key[1:] != ybar_key2:
-                        ybar_factors2, ybar_key2 = p2_ybar_factors(d.y, d.eps), key[1:]
-                    factors2, key2 = p2_zeta_free(d, ybar_factors2), key
-                halves.append((factors1, factors2))
-        except ValueError:
-            pass
-        # a sweep has numpy loaded: L for all its rows before that one at once
-        coefficients = ()
-        if want_p2 and cfg.sweep is not None:
-            coefficients = p2_gup_coefficients([half[1] for half in halves], chunk)
-        for d, half, coefficient in itertools.zip_longest(chunk, halves, coefficients):
-            p1 = phase1 = p2 = phase2 = None
-            if want_p1:
-                half1 = half[0] if half else p1_zeta_free(d, p1_x_factors(d.x))
-                p1, _, _, _, phase1, _ = p1_at_zeta(half1, d)
-            if want_p2 and d.zeta < 1.0:
-                half2 = half[1] if half else p2_zeta_free(d, p2_ybar_factors(d.y, d.eps))
-                p2, _, _, _, phase2, _ = p2_at_zeta(half2, d, coefficient)
+    for batch in closed_rows(points, want_p1, want_p2):
+        for d, one, two in batch:  # a fields tuple is (total, ..., phase_argument, sin2)
             q_value = q_parameter(d.eps, d.zeta)
-            rows.append((d.x, d.y, d.zeta, d.eps, p1, p2, None, None, phase1, phase2,
-                         q_value, 1.0 + q_value))
+            rows.append((d.x, d.y, d.zeta, d.eps, one and one[0], two and two[0], None, None,
+                         one and one[4], two and two[4], q_value, 1.0 + q_value))
     return ROW_COLUMNS, rows
 
 

@@ -3,10 +3,11 @@
 import cmath
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gup_mirror import (
@@ -23,11 +24,12 @@ from gup_mirror import (
     temperatures,
     to_dimensionless,
 )
+from gup_mirror import closed_form
 from gup_mirror.closed_form import (
-    _ASYMPTOTIC_MIN_Z,
-    _ASYMPTOTIC_SLOPE,
     _L_TOLERANCE,
+    _asymptotic_line,
     _gup_coefficient,
+    closed_rows,
 )
 from gup_mirror.gup_batch import _complex_products_unfused, gup_coefficient_batch
 from gup_mirror.special import digamma, log_gamma
@@ -216,16 +218,20 @@ def test_tabled_series_keeps_its_bits(ybar):
     log_gamma_iy = log_gamma(complex(0.0, ybar))
     psi = digamma(complex(1.0, ybar))
     # radii up to the asymptotic switch, out of order
-    asymptotic_from = _ASYMPTOTIC_MIN_Z + _ASYMPTOTIC_SLOPE * abs(complex(1.0, ybar))
+    asymptotic_from = _asymptotic_line(ybar)
     radii = np.geomspace(1e-3, 0.999 * asymptotic_from, 40)
     for r in np.concatenate([radii[::2], radii[1::2][::-1]]).tolist():
         assert _gup_coefficient(ybar, r, log_gamma_iy, psi) == _convergent_l(ybar, r, log_gamma_iy)
 
 
+def _convergent(ybar, r):
+    """Whether closed_rows hands the row to the batch: L is summed from its
+    convergent series there."""
+    return 0.0 < r < _asymptotic_line(ybar)
+
+
 def _scalar_or_none(ybar, r, log_gamma_iy):
-    """_gup_coefficient, or None where it raises or takes its asymptotic branch."""
-    if not 0.0 < r < _ASYMPTOTIC_MIN_Z + _ASYMPTOTIC_SLOPE * abs(complex(1.0, ybar)):
-        return None
+    """_gup_coefficient, or None where it raises."""
     try:
         return _gup_coefficient(ybar, r, log_gamma_iy, digamma(complex(1.0, ybar)))
     except ValueError:
@@ -246,7 +252,7 @@ def _l_rows(draw):
     ybars = [draw(ybar)] * count if draw(st.booleans()) else [draw(ybar) for _ in range(count)]
     rows = []
     for value in ybars:
-        line = _ASYMPTOTIC_MIN_Z + _ASYMPTOTIC_SLOPE * abs(complex(1.0, value))
+        line = _asymptotic_line(value)
         below = st.floats(1e-6, line, exclude_max=True)
         rows.append((value, draw(st.one_of(below, below, below, st.floats(line, 2.0 * line)))))
     return rows
@@ -255,6 +261,8 @@ def _l_rows(draw):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(_l_rows())
 def test_batched_gup_coefficients_match_scalar_bit_for_bit(rows):
+    # the batch is handed only the rows on the convergent branch, as closed_rows chooses them
+    rows = [row for row in rows if _convergent(*row)]
     log_gammas = [log_gamma(complex(0.0, ybar)) for ybar, _ in rows]
     psis = [digamma(complex(1.0, ybar)) for ybar, _ in rows]
     batch = gup_coefficient_batch([ybar for ybar, _ in rows], [r for _, r in rows], log_gammas,
@@ -273,14 +281,110 @@ def test_batched_gup_coefficients_decline_where_scalar_raises():
         (2.7, 11.0),
         (1e-300, 18.0),  # terms up to 1.1e308, and still a finite sum
     ]
+    assert [_convergent(*row) for row in rows] == [True, True, False, True, False, True, True]
+    rows = [row for row in rows if _convergent(*row)]
     ybars = [ybar for ybar, _ in rows]
     log_gammas = [log_gamma(complex(0.0, ybar)) for ybar in ybars]
     psis = [digamma(complex(1.0, ybar)) for ybar in ybars]
     batch = gup_coefficient_batch(ybars, [r for _, r in rows], log_gammas, psis)
-    assert [value is None for value in batch] == [False, True, True, True, True, False, False]
+    assert [value is None for value in batch] == [False, True, True, False, False]
     for (ybar, r), lg, value in zip(rows, log_gammas, batch):
         assert repr(value) == repr(_scalar_or_none(ybar, r, lg))
     with pytest.raises(ValueError, match=r"ybar=9.95e-308, r=18.0: the first term of its series "
                                          "overflows a double"):
         _gup_coefficient(9.95e-308, 18.0, log_gammas[1], psis[1])
     assert gup_coefficient_batch([], [], [], []) == []
+
+
+def test_gup_coefficient_at_underflowed_r_names_l():
+    # r = 2 zeta x rounds to 0 at x zeta below about 2.5e-324; log r once
+    # raised a bare "math domain error"
+    with pytest.raises(ValueError, match=r"^L\(1 \+ i ybar, i r\) at ybar=0.995, r=0.0: "
+                                         r"r = 2 zeta x underflows to zero$"):
+        _gup_coefficient(0.995, 0.0, log_gamma(0.995j), digamma(complex(1.0, 0.995)))
+
+
+# Dimensionless ranges: a typical box, where most sweeps succeed and many
+# rows cross L's asymptotic line (large x zeta) or zeta = 1, and an
+# extreme one, where p1's guard eps y^2/(1 + x^2), a total that is not a
+# finite double (tiny x), L's bound (y near 1000) or r = 2 zeta x (x zeta
+# below about 1e-323) fail; eps is drawn from a list that holds 0.
+_TYPICAL = {"x": (0.05, 100.0), "y": (0.05, 20.0), "zeta": (0.01, 1.2)}
+_EXTREME = {"x": (1e-160, 1e3), "y": (1e-307, 1e3), "zeta": (1e-300, 2.0)}
+_EPS = (0.0, 1e-6, 1e-3, 0.01, 0.05)
+# SI ranges: a carries zeta across 1, nu carries eps towards its guard
+_SI_RANGES = {"omega0": (1e9, 1e13), "nu": (1e9, 3e12), "a": (1e19, 2e21)}
+
+
+def _doubles(low, high):
+    """Doubles in [low, high], log-uniform inside, and now and then an end."""
+    inside = st.floats(math.log10(low), math.log10(high)).map(
+        lambda e: min(max(10.0**e, low), high))
+    return st.one_of(st.just(low), st.just(high), inside, inside, inside, inside)
+
+
+@st.composite
+def _sweep_points(draw):
+    """The points of a dimensionless or SI sweep of 2-60 rows, linear or log."""
+    param = draw(st.sampled_from([*_TYPICAL, "eps", *_SI_RANGES]))
+    ranges = _EXTREME if draw(st.integers(0, 3)) == 0 else _TYPICAL
+    if param == "eps":
+        ends = sorted(draw(st.sampled_from(_EPS + (0.099,))) for _ in range(2))
+    else:
+        ends = sorted(draw(_doubles(*{**ranges, **_SI_RANGES}[param])) for _ in range(2))
+    spacing = draw(st.sampled_from([np.linspace, np.geomspace]))
+    assume(ends[0] < ends[1] and (spacing is np.linspace or ends[0] > 0.0))
+    values = spacing(*ends, draw(st.integers(2, 60))).tolist()
+    if param not in _SI_RANGES:
+        base = {key: draw(_doubles(*bounds)) for key, bounds in ranges.items()}
+        base["eps"] = draw(st.sampled_from(_EPS))
+        build = lambda value: DimensionlessConfig(**{**base, param: value})  # noqa: E731
+    else:
+        scale = draw(st.sampled_from([1.0, 2.0 * math.pi]))  # angular or ordinary
+        si = {"a": 3e20, "omega0": 8e10, "nu": 2e11, "z0": 1.8e-4,
+              "beta": draw(st.sampled_from([0.0, 2e57, 2e59]))}
+
+        def build(value):
+            p = {**si, param: value}
+            return to_dimensionless(PhysicalConfig(a=p["a"], omega0=p["omega0"] * scale,
+                                                   nu=p["nu"] * scale, z0=p["z0"],
+                                                   beta=p["beta"]))
+    try:
+        return [build(value) for value in values]
+    except ValueError:  # a point no run can reach
+        assume(False)
+
+
+def _point_by_point(points, want_p1, want_p2):
+    """closed_rows' rows from one p1_closed and p2_closed call per point,
+    up to the first ValueError, and that error's message (None if none)."""
+    rows = []
+    try:
+        for d in points:
+            one = tuple(p1_closed(d)) if want_p1 else None
+            two = tuple(p2_closed(d)) if want_p2 and d.zeta < 1.0 else None
+            rows.append((d, one, two))
+    except ValueError as exc:
+        return rows, str(exc)
+    return rows, None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_sweep_points(), st.sampled_from([(True, True), (True, False), (False, True)]),
+       st.sampled_from([1, 2, 7, 4096]))
+def test_closed_rows_match_point_by_point_calls(points, wanted, batch_rows):
+    # every point's fields bit for bit, or the first error a point by point
+    # run meets, whatever the batch size
+    expected, message = _point_by_point(points, *wanted)
+    rows = []
+    with mock.patch.object(closed_form, "_BATCH_ROWS", batch_rows):
+        try:
+            for batch in closed_rows(iter(points), *wanted):
+                batch = list(batch)
+                assert 0 < len(batch) <= batch_rows
+                rows.extend(batch)
+        except ValueError as exc:
+            assert str(exc) == message
+        else:
+            assert message is None and len(rows) == len(points)
+    assert repr(rows) == repr(expected[:len(rows)])

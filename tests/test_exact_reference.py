@@ -40,7 +40,7 @@ from gup_mirror import (
     to_dimensionless,
 )
 from gup_mirror import amplitude
-from gup_mirror.closed_form import _ASYMPTOTIC_MIN_Z, _ASYMPTOTIC_SLOPE, _gup_coefficient
+from gup_mirror.closed_form import _asymptotic_line, _gup_coefficient
 from gup_mirror.special import digamma
 
 mpmath = pytest.importorskip("mpmath")
@@ -303,7 +303,7 @@ def coefficient_reference(ybar: float, r: float) -> complex:
 def test_gup_coefficient_matches_tricomi_derivative(ybar):
     # series below the crossover, asymptotic series above it; both are
     # summed to terms of 1e-8, and meet within 5e-9 at the crossover
-    crossover = _ASYMPTOTIC_MIN_Z + _ASYMPTOTIC_SLOPE * abs(complex(1.0, ybar))
+    crossover = _asymptotic_line(ybar)
     lg = log_gamma(complex(0.0, ybar))
     psi = digamma(complex(1.0, ybar))
     for r in (0.05, 1.0, 9.0, crossover - 0.5, crossover + 0.5, 1e3):

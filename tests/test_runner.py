@@ -31,7 +31,8 @@ from gup_mirror import (
     run,
     to_dimensionless,
 )
-from gup_mirror import closed_form, gup_batch, special
+from gup_mirror import closed_form, gup_batch, runner, special
+from gup_mirror.closed_form import _BATCH_ROWS
 from gup_mirror.cli import main
 from gup_mirror.runner import ROW_COLUMNS, _physics_rows, _write_csv
 
@@ -758,6 +759,29 @@ def test_overflowing_gup_series_start_is_one_line_exit_1(tmp_path, capsys, mode,
     assert not out.exists()
 
 
+_UNDERFLOWING_R = "x = 1e-150\ny = 1\nzeta = 1e-300\neps = 0.01\n"
+
+
+@pytest.mark.parametrize("mode, block", [
+    pytest.param("p2", _UNDERFLOWING_R, id="p2"),
+    pytest.param("compare", _UNDERFLOWING_R, id="compare"),
+    # every row's r underflows; none reaches the batched sum
+    pytest.param("sweep", _UNDERFLOWING_R + "sweep_param = zeta\nsweep_min = 1e-300\n"
+                                            "sweep_max = 1e-299\nsweep_count = 5\n",
+                 id="zeta-sweep"),
+])
+def test_underflowing_gup_series_argument_is_one_line_exit_1(tmp_path, capsys, mode, block):
+    # r = 2 zeta x = 2e-450 rounds to 0, and log r was a bare "math domain error"
+    config = tmp_path / "run.conf"
+    out = tmp_path / "out.csv"
+    config.write_text(block)
+    assert main([mode, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: L(1 + i ybar, i r) at ybar=0.995, r=0.0: "
+        "r = 2 zeta x underflows to zero\n")
+    assert not out.exists()
+
+
 _DAMPING = "x = 301\ny = 200\nzeta = 0.5\neps = 1e-6\n"
 
 
@@ -842,34 +866,61 @@ def test_sweep_reports_first_failing_row(tmp_path, capsys, block, first):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("block, summed", [
+@pytest.mark.parametrize("block, failing, summed", [
     # p1's guard eps y^2/(1 + x^2) fails from y = 5, the 5th row
     pytest.param("x = 1\ny = 1\nzeta = 0.5\neps = 0.01\nsweep_param = y\nsweep_min = 1\n"
-                 "sweep_max = 10\nsweep_count = 10\n", 4, id="p1-guard-mid-sweep"),
+                 "sweep_max = 10\nsweep_count = 10\n", 4, 4, id="p1-guard-mid-sweep"),
     # ... and from the first row here, where all 500 rows' L once took 30 ms
     pytest.param("x = 1\ny = 200\nzeta = 0.5\neps = 0.005\nsweep_param = x\nsweep_min = 1\n"
-                 "sweep_max = 400\nsweep_count = 500\n", 0, id="p1-guard-first-row"),
-    # p2's x^2 overflows at the 4th row, x = 1e200
+                 "sweep_max = 400\nsweep_count = 500\n", 0, 0, id="p1-guard-first-row"),
+    # p2's x^2 overflows from the 155th row, x = 5.9e154; of the rows
+    # before it only x = 1 and x = 10.1 are below the asymptotic line
     pytest.param("x = 1\ny = 1\nzeta = 0.5\neps = 0.01\nsweep_param = x\nsweep_min = 1\n"
-                 "sweep_max = 1e200\nsweep_count = 4\nsweep_spacing = log\n", 3,
+                 "sweep_max = 1e200\nsweep_count = 200\nsweep_spacing = log\n", 154, 2,
                  id="p2-x-squared"),
 ])
 def test_sweep_sums_l_only_for_rows_before_first_failing_half(tmp_path, capsys, monkeypatch,
-                                                              block, summed):
+                                                              block, failing, summed):
     received = []
     batch = gup_batch.gup_coefficient_batch
 
-    def recording(ybars, *columns):
-        received.append(len(ybars))
-        return batch(ybars, *columns)
+    def recording(ybars, rs, *columns):
+        received.extend(zip(ybars, rs))
+        return batch(ybars, rs, *columns)
 
     monkeypatch.setattr(gup_batch, "gup_coefficient_batch", recording)
     config = tmp_path / "run.conf"
     config.write_text(block)
-    message = _first_scalar_error(parse_config("mode = sweep\n" + block))
+    cfg = parse_config("mode = sweep\n" + block)
+    message = _first_scalar_error(cfg)
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr().err == f"configuration error: {message}\n"
-    assert received == [summed]
+    # each row's (ybar, r) is its own in these sweeps
+    rows = [(d.y * (1.0 - 0.5 * d.eps), 2.0 * d.zeta * d.x)
+            for d in (_scalar_point(cfg, value) for value in cfg.sweep.values().tolist())]
+    assert len(set(rows)) == len(rows)
+    assert not set(received) & set(rows[failing:])
+    assert set(received) <= set(rows[:failing]) and len(received) == summed
+
+
+def test_failing_sweep_builds_points_one_batch_at_a_time(monkeypatch):
+    # a million rows, of which the first fails p1's guard: the points past
+    # the first batch are never built
+    built = Counter()
+    original = runner.DimensionlessConfig
+
+    def counting(*args, **kwargs):
+        built["points"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "DimensionlessConfig", counting)
+    cfg = parse_config("mode = sweep\nx = 1\ny = 200\nzeta = 0.5\neps = 0.005\n"
+                       "sweep_param = x\nsweep_min = 1\nsweep_max = 400\n"
+                       "sweep_count = 1000000\nout = unused.csv")
+    assert built["points"] == 3  # the base point and both endpoints
+    with pytest.raises(ValueError, match=r"eps y\^2/\(1 \+ x\^2\)=100\.0"):
+        _physics_rows(cfg)
+    assert built["points"] <= 3 + _BATCH_ROWS
 
 
 @pytest.mark.parametrize("convention, param, lo, hi", [
