@@ -12,7 +12,13 @@ real t != 0 and nothing else (DLMF sections 5.4 and 5.11):
   |t| in [1e-3, 1e3], |Arg| taken on the continuous branch;
 * log|Gamma(i t)| = (log pi - log|t| - log sinh pi|t|) / 2, with log sinh
   in a form that cannot overflow;
-* Gamma(-i t) is the conjugate of Gamma(i t), to the bit.
+* Gamma(-i t) is the conjugate of Gamma(i t), to the bit, so its reduced
+  phase is the negated one and lies in [-pi, pi).
+
+One private kernel, _arg_gamma, sums the phase.  gamma_phase_set is that
+kernel, the finiteness check and the reduction: theta skips the modulus,
+which probability 1 never reads.  log_gamma is the same kernel plus the
+modulus, so theta is log_gamma(-i x).imag to the bit.
 
 digamma (recurrence and asymptotic series) gives psi(1 + i ybar) for
 probability 2's GUP coefficient, and planck_factor the thermal
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import repeat
 
 __all__ = ["log_gamma", "digamma", "gamma_phase_set", "planck_factor"]
 
@@ -41,9 +48,30 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 /
 _LOG_TWO_PI = math.log(2.0 * math.pi)
 
 
+def _arg_gamma(t: float) -> float:
+    """Arg Gamma(i t) for t > 0 on the continuous branch, not reduced.
+
+    Im[(z - 1/2) log z - z + series / z] at z = 12 + i t, less arg(k + i t)
+    for k = 0..11, as one math.fsum of the 15 terms.  The terms are handed
+    over negated and the sum subtracted from 0.0, which gives the same bits
+    as the sum of the terms themselves, +0.0 included.  An overflowing term
+    makes the result inf.
+    """
+    shifted = complex(_SHIFT, t)
+    w = 1.0 / shifted
+    w2 = w * w
+    c0, c1, c2, c3, c4, c5, c6 = _STIRLING
+    # complex(c6, 0.0) is the first Horner step, 0j * w2 + c6, to the bit
+    series = ((((((complex(c6, 0.0) * w2 + c5) * w2 + c4) * w2 + c3) * w2 + c2) * w2 + c1) * w2
+              + c0)
+    return 0.0 - math.fsum([(0.5 - _SHIFT) * math.atan2(t, _SHIFT),
+                             t * (1.0 - math.log(abs(shifted))), -(series * w).imag,
+                             *map(math.atan2, repeat(t, _SHIFT), range(_SHIFT))])
+
+
 def log_gamma(z: complex) -> complex:
-    """log Gamma(i t) at z = i t: log|Gamma| as real part, Arg Gamma in
-    (-pi, pi] as imaginary part.
+    """log Gamma(i t) at z = i t: log|Gamma| as real part, Arg Gamma as
+    imaginary part, in (-pi, pi] for t > 0 and in [-pi, pi) for t < 0.
 
     Raises ValueError off the imaginary axis, at the pole t = 0, and where
     the value is not a finite double (|t| above about 1e305).
@@ -51,16 +79,7 @@ def log_gamma(z: complex) -> complex:
     t = abs(z.imag)
     if z.real != 0.0 or t == 0.0:
         raise ValueError(f"log_gamma takes i t with real t != 0, not {z}")
-    shifted = complex(_SHIFT, t)
-    w = 1.0 / shifted
-    w2 = w * w
-    series = 0j
-    for coeff in reversed(_STIRLING):
-        series = series * w2 + coeff
-    # Im[(z - 1/2) log z - z + series / z] at z = 12 + i t, less arg(k + i t)
-    phase = math.fsum([(_SHIFT - 0.5) * math.atan2(t, _SHIFT),
-                       t * (math.log(abs(shifted)) - 1.0), (series * w).imag,
-                       *(-math.atan2(t, k) for k in range(_SHIFT))])
+    phase = _arg_gamma(t)
     u = math.pi * t  # |Gamma(i t)|^2 = pi / (t sinh u) = 2 pi / (t e^u (1 - e^{-2u}))
     modulus = 0.5 * (_LOG_TWO_PI - math.log(t) - u - math.log(-math.expm1(-2.0 * u)))
     if not (math.isfinite(phase) and math.isfinite(modulus)):
@@ -97,11 +116,15 @@ def _principal(angle: float) -> float:
 
 
 def gamma_phase_set(x: float) -> float:
-    """theta = Arg Gamma(-i x) in (-pi, pi], the Gamma phase of the
-    accelerating-atom closed form at atom frequency x."""
+    """theta = Arg Gamma(-i x) in [-pi, pi), the Gamma phase of the
+    accelerating-atom closed form at atom frequency x: the imaginary part
+    of log_gamma(-i x), to the bit, without its modulus."""
     if not x > 0.0:
         raise ValueError("x must be strictly positive")
-    return log_gamma(complex(0.0, -x)).imag
+    phase = _arg_gamma(x)
+    if not math.isfinite(phase):
+        raise ValueError(f"log Gamma({complex(0.0, -x)}) is not a finite double")
+    return -_principal(phase)
 
 
 def planck_factor(w: float) -> float:

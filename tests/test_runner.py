@@ -194,9 +194,10 @@ def test_workers_key_starts_no_thread(tmp_path, monkeypatch):
 
 
 # Every binding through which a run reaches a Gamma-layer function:
-# gamma_phase_set calls log_gamma through its own module's name.
-_GAMMA_BINDINGS = ((closed_form, "gamma_phase_set"), (special, "log_gamma"),
-                   (closed_form, "log_gamma"), (closed_form, "digamma"))
+# gamma_phase_set and log_gamma both sum the phase in special's one kernel,
+# _arg_gamma, so counting the kernel counts each Gamma value computed.
+_GAMMA_BINDINGS = ((closed_form, "gamma_phase_set"), (special, "_arg_gamma"),
+                   (closed_form, "digamma"))
 
 
 def _count_calls(monkeypatch, bindings=_GAMMA_BINDINGS):
@@ -281,7 +282,7 @@ _SWEEP_BASE = {"x": 1.3, "y": 0.8, "zeta": 0.5, "eps": 0.005}
 _SI_BLOCK = {"a": 3e20, "omega0": 8e10, "nu": 2e11, "z0": 1.8e-4, "beta": 2e57}
 
 
-# Calls a 300-row run makes to (gamma_phase_set, log_gamma, digamma).
+# Calls a 300-row run makes to (gamma_phase_set, the phase kernel, digamma).
 @pytest.mark.parametrize("param, lo, hi, spacing, eps, calls", [
     # each Gamma value computed once for all 300 rows: one phase set (one
     # log Gamma value for p1), one log Gamma(i ybar) for p2, one digamma
@@ -304,7 +305,7 @@ def test_sweep_matches_uncached_scalar_calls(tmp_path, monkeypatch, param, lo, h
     cfg = parse_config(text)
     counts = _count_calls(monkeypatch)
     assert run(cfg) == 0
-    assert (counts["gamma_phase_set"], counts["log_gamma"], counts["digamma"]) == calls
+    assert (counts["gamma_phase_set"], counts["_arg_gamma"], counts["digamma"]) == calls
     values = np.geomspace(lo, hi, 300) if spacing == "log" else np.linspace(lo, hi, 300)
     points = [DimensionlessConfig(**{**base, param: float(value)}) for value in values]
     assert read(out) == _scalar_csv(points)
@@ -345,11 +346,11 @@ def test_cold_p1_run_evaluates_log_gamma_once(tmp_path, monkeypatch):
     cfg = parse_config(f"mode = p1\nx = 1.3\ny = 0.8\nzeta = 0.5\neps = 0.005\nout = {out}")
     counts = _count_calls(monkeypatch)
     assert run(cfg) == 0
-    assert counts["log_gamma"] == 1 and counts["digamma"] == 0
+    assert counts["_arg_gamma"] == 1 and counts["digamma"] == 0
 
 
 @pytest.mark.parametrize("convention", ["angular", "ordinary"])
-# `inside` rows have zeta < 1; calls to (gamma_phase_set, log_gamma, digamma)
+# `inside` rows have zeta < 1; calls to (gamma_phase_set, the phase kernel, digamma)
 # are counted as in the dimensionless sweeps
 @pytest.mark.parametrize("param, lo, hi, inside, calls", [
     # x, y and zeta change every row
@@ -373,7 +374,7 @@ def test_si_sweep_matches_uncached_scalar_calls(tmp_path, monkeypatch, param, lo
     cfg = parse_config(text)
     counts = _count_calls(monkeypatch)
     assert run(cfg) == 0
-    assert (counts["gamma_phase_set"], counts["log_gamma"], counts["digamma"]) == calls
+    assert (counts["gamma_phase_set"], counts["_arg_gamma"], counts["digamma"]) == calls
     scale = 2.0 * math.pi if convention == "ordinary" else 1.0
     points = []
     for value in np.linspace(lo, hi, 300):
@@ -693,6 +694,11 @@ def test_unwritable_output_is_one_line_exit_1(tmp_path, capsys):
                  "p1 is not a finite double at DimensionlessConfig(x=1.0, y=1e+200, zeta=1e+200, "
                  "eps=0.0)",
                  id="p1-infinite-phase"),
+    # t log t overflows in the phase of Gamma(-i x) for p1 and of Gamma(i ybar) for p2
+    pytest.param("p1", "x = 1e306\ny = 1\nzeta = 0.5\n",
+                 "log Gamma(-1e+306j) is not a finite double", id="p1-gamma-overflow"),
+    pytest.param("p2", "x = 1\ny = 1e306\nzeta = 0.5\n",
+                 "log Gamma(1e+306j) is not a finite double", id="p2-gamma-overflow"),
 ])
 def test_domain_error_is_one_line_exit_1(tmp_path, capsys, mode, block, message):
     config = tmp_path / "run.conf"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gup_mirror import DimensionlessConfig, gamma_phase_set, log_gamma, p1_closed, planck_factor
 from gup_mirror.cli import main
@@ -60,6 +62,71 @@ def test_log_gamma_on_the_imaginary_axis_matches_mpmath(tmp_path, capsys):
     config.write_text("x = 1.7e308\ny = 1\nzeta = 0.5\n")
     assert main(["p1", "--config", str(config), "--out", str(tmp_path / "far.csv")]) == 1
     assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+# log Gamma(i t) as the Gamma layer first computed it: the Horner loop over
+# the Stirling coefficients, the recurrence terms from a generator inside
+# one fsum, and its own reduction.  The layer must keep these bits.
+_SHIFT = 12
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _reference_principal(angle):
+    reduced = math.remainder(angle, 2.0 * math.pi)
+    if reduced <= -math.pi:
+        reduced += 2.0 * math.pi
+    return reduced
+
+
+def _reference_log_gamma(z):
+    t = abs(z.imag)
+    if z.real != 0.0 or t == 0.0:
+        raise ValueError(f"log_gamma takes i t with real t != 0, not {z}")
+    shifted = complex(_SHIFT, t)
+    w = 1.0 / shifted
+    w2 = w * w
+    series = 0j
+    for coeff in reversed(_STIRLING):
+        series = series * w2 + coeff
+    phase = math.fsum([(_SHIFT - 0.5) * math.atan2(t, _SHIFT),
+                       t * (math.log(abs(shifted)) - 1.0), (series * w).imag,
+                       *(-math.atan2(t, k) for k in range(_SHIFT))])
+    u = math.pi * t
+    modulus = 0.5 * (math.log(2.0 * math.pi) - math.log(t) - u - math.log(-math.expm1(-2.0 * u)))
+    if not (math.isfinite(phase) and math.isfinite(modulus)):
+        raise ValueError(f"log Gamma({z}) is not a finite double")
+    phase = _reference_principal(phase)
+    return complex(modulus, phase if z.imag > 0.0 else -phase)
+
+
+def _reference_phase_set(x):
+    if not x > 0.0:
+        raise ValueError("x must be strictly positive")
+    return _reference_log_gamma(complex(0.0, -x)).imag
+
+
+def _outcome(f, *args):
+    """repr of f(*args), or the ValueError it raises, as text."""
+    try:
+        return repr(f(*args))
+    except ValueError as error:
+        return f"ValueError: {error}"
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None)
+@given(st.floats(-300.0, 306.0).map(lambda e: 10.0 ** e))
+@example(5e-324)
+@example(2.6e305)
+@example(1e306)
+@example(1.7e308)
+@example(math.inf)
+@example(math.nan)
+def test_log_gamma_and_phase_set_keep_the_reference_bits(t):
+    # values, signed zeros and error messages alike, on both half-axes; t log t
+    # overflows from t of about 2.6e305
+    for z in (complex(0.0, t), complex(0.0, -t)):
+        assert _outcome(log_gamma, z) == _outcome(_reference_log_gamma, z)
+    assert _outcome(gamma_phase_set, t) == _outcome(_reference_phase_set, t)
 
 
 def test_modulus_identity_on_imaginary_axis():
