@@ -40,9 +40,12 @@ U being Tricomi's confluent hypergeometric function.  The amplitude's
 core is Gamma(a) c^{a - i eta} U(a, a + 1 - i eta, c x) times unit
 phases, c = 2 i zeta.  To first order in eta, U(a, a + 1 - i eta, z) =
 z^{-a} (1 - i eta L), and 1 - i eta L -> exp(-i eta L) gives the damping
-and the GUP phase above.  L is evaluated without quadrature: from the
-connection formula of U in terms of Kummer's M (DLMF section 13.2) for
-|z| < 17 + 1.5 |a|, from its asymptotic series beyond.
+and the GUP phase above.  L is a special function like log Gamma and
+psi, and is summed in `special` without quadrature: from the connection
+formula of U in terms of Kummer's M (DLMF section 13.2) for
+|z| < 17 + 1.5 |a|, from its asymptotic series beyond.  This module keeps
+p2's formula, which reads L, and chooses the rows whose L is summed
+together.
 
 Each probability is written once, in two halves.  `_p1_zeta_free` and
 `_p2_zeta_free` compute what zeta does not enter (the prefactor, the
@@ -64,10 +67,11 @@ last computed for (p1's x factors on x, p2's ybar factors on (y, eps),
 the rest of each zeta-free half on (x, y, eps)), so a zeta sweep
 computes every tier once and an omega0 sweep evaluates the Gamma values
 of ybar once.  It sums L together for the rows on the convergent
-branch (0 < r below `_asymptotic_line`), on numpy arrays in `gup_batch`,
-which gives each row the bits `_gup_coefficient` gives it, where a
-batch has two such rows or more.  Every other row, and a row the batch
-declines, has L summed the scalar way.
+branch (0 < r below `special.asymptotic_line`), with
+`special.gup_coefficient_batch`, which gives each row the bits
+`special.gup_coefficient` gives it, where a batch has two such rows or
+more.  Every other row, and a row the batch declines, has L summed the
+scalar way.
 
 Limits of the GUP terms:
 
@@ -98,14 +102,14 @@ grid.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .special import digamma, gamma_phase_set, log_gamma, planck_factor
+from .special import (asymptotic_line, digamma, gamma_phase_set, gup_coefficient,
+                      gup_coefficient_batch, log_gamma, planck_factor)
 from .units import (
     CODATA,
     DimensionlessConfig,
@@ -222,80 +226,6 @@ def p1_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
     return ProbabilityBreakdown(*_p1_at_zeta(_p1_zeta_free(d), d))
 
 
-# L is summed from its asymptotic series once |z| >= 17 + 1.5 |a|.  The
-# smallest asymptotic term shrinks like e^{-|z|} but grows with |a|; the
-# convergent series lose digits to cancellation as |z| grows, fewer the
-# larger |a| is.  Against mpmath, L is off by at most 5e-9 on either side
-# of this line for ybar >= 0.7, and by 2e-7 at ybar = 0.02, where it is
-# multiplied by eta = eps y / 2 <= 1e-3.
-_ASYMPTOTIC_MIN_Z = 17.0
-_ASYMPTOTIC_SLOPE = 1.5
-# Size of the last term summed into L.  The first-order form is itself
-# off by O(eta^2); an error of 1e-8 in L moves the probability by
-# ~2 eta 1e-8 / |tan phase|, far below that for any eta > 1e-6.
-_L_TOLERANCE = 1e-8
-
-
-def _asymptotic_line(ybar: float) -> float:
-    """The r = 2 zeta x from which L(1 + i ybar, i r) is summed from its
-    asymptotic series, 17 + 1.5 |1 + i ybar|; below it, and above 0, L
-    is summed from its convergent series."""
-    return _ASYMPTOTIC_MIN_Z + _ASYMPTOTIC_SLOPE * abs(complex(1.0, ybar))
-
-
-def _unsummable(ybar: float, r: float, reason: str) -> ValueError:
-    return ValueError(f"L(1 + i ybar, i r) at ybar={ybar!r}, r={r!r}: {reason}")
-
-
-def _gup_coefficient(ybar: float, r: float, log_gamma_iy: complex, psi: complex) -> complex:
-    """L(a, z) = z^a dU(a, b, z)/db at b = a + 1, a = 1 + i ybar, z = i r.
-
-    log_gamma_iy is log Gamma(i ybar), Gamma(-a) = -conj(Gamma(i ybar)) / a,
-    and psi is psi(a).
-    """
-    if r == 0.0:
-        raise _unsummable(ybar, r, "r = 2 zeta x underflows to zero")
-    a = complex(1.0, ybar)
-    z = complex(0.0, r)
-    if r >= _asymptotic_line(ybar):
-        # sum_{n>=1} (-1)^{n+1} (a)_n / (n z^n), cut before its terms grow
-        total = 0j
-        term = -1.0 + 0j
-        previous = math.inf
-        n = 0
-        while True:
-            n += 1
-            term *= -(a + (n - 1)) / z
-            size = abs(term) / n
-            if size >= previous:
-                return total
-            total += term / n
-            if size < _L_TOLERANCE:
-                return total
-            previous = size
-    # connection formula (DLMF section 13.2) expanded to first order in b - a - 1:
-    #   L = psi(a) - ln z - sum_{n>=1} z^n / (n (1-a)_n) - Gamma(-a) z^a M(a, a+1, z),
-    #   Gamma(-a) z^a M(a, a+1, z) = -conj(Gamma(i ybar)) z^a sum_{n>=0} z^n / (n! (a+n))
-    log_z = complex(math.log(r), 0.5 * math.pi)
-    power = 1.0 + 0j  # z^n / (1-a)_n
-    try:  # kummer is conj(Gamma(i ybar)) z^a z^n / n!
-        kummer = cmath.exp(log_gamma_iy.conjugate() + a * log_z)
-        size = abs(kummer) + 1.0  # bounds both terms' moduli up to a factor 1/ybar
-    except OverflowError:
-        raise _unsummable(ybar, r, "the first term of its series overflows a double") from None
-    total = kummer / a
-    n = 0
-    while size >= _L_TOLERANCE:
-        n += 1
-        power *= z / (n - a)
-        kummer *= z / n
-        total += kummer / (n + a) - power / n
-        size *= r / n
-        if size == math.inf:  # it never falls below the tolerance again
-            raise _unsummable(ybar, r, "the bound on its series terms overflows a double")
-    return psi - log_z + total
-
-
 def _p2_ybar_factors(y: float, eps: float) -> tuple:
     """p2's factors that read y and eps alone, in the order _p2_zeta_free
     unpacks them: ybar = y (1 - eps/2), eta = eps y / 2,
@@ -342,7 +272,7 @@ def _p2_at_zeta(factors: tuple, d: DimensionlessConfig,
     gup_phase = 0.0
     if eta > 0.0:
         if coefficient is None:
-            coefficient = _gup_coefficient(ybar, 2.0 * d.zeta * d.x, log_gamma_iy, psi)
+            coefficient = gup_coefficient(ybar, 2.0 * d.zeta * d.x, log_gamma_iy, psi)
         try:
             damping = math.exp(2.0 * eta * coefficient.imag)
         except OverflowError:
@@ -384,8 +314,8 @@ def closed_rows(points: Iterable[DimensionlessConfig], want_p1: bool,
     taken.  Each batch first computes the zeta-free halves of its points,
     up to the first point where one raises, choosing the points before
     it whose L is summed from the convergent series; then L for the
-    chosen points all at once, where there are two or more (gup_batch,
-    which loads numpy); then each point in order.  The point whose half
+    chosen points all at once, where there are two or more
+    (gup_coefficient_batch, which loads numpy); then each point in order.  The point whose half
     raised is computed alone when its turn comes, so it raises again
     after every error before it.  The per-point results are kept in
     lists rather than tuples, so a batch adds few objects for the
@@ -408,7 +338,7 @@ def closed_rows(points: Iterable[DimensionlessConfig], want_p1: bool,
                     if key != key2:
                         if key[1:] != ybar_key2:
                             ybar_factors2, ybar_key2 = _p2_ybar_factors(d.y, d.eps), key[1:]
-                            line2 = _asymptotic_line(ybar_factors2[0])
+                            line2 = asymptotic_line(ybar_factors2[0])
                         factors2, key2 = _p2_zeta_free(d, ybar_factors2), key
                     r = 2.0 * d.zeta * d.x
                     if factors2[1] > 0.0 and 0.0 < r < line2:  # eta > 0, convergent branch
@@ -425,8 +355,6 @@ def closed_rows(points: Iterable[DimensionlessConfig], want_p1: bool,
             halves2 += unreached
         coefficients = [None] * len(batch)
         if len(chosen) > 1:
-            from .gup_batch import gup_coefficient_batch  # numpy: only where two rows need L
-
             for i, value in zip(chosen, gup_coefficient_batch(ybars, rs, log_gammas, psis)):
                 coefficients[i] = value
         ones, twos = [], []

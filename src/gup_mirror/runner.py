@@ -22,13 +22,14 @@ swept value against the sign rule and reduces the five inputs with
 
 The runner computes no route of its own.  The closed-form modes take
 their rows from `closed_form.closed_rows`, which owns how the pieces of
-each closed form are reused from row to row and how L is summed (see
-`closed_form`), and reports the error that row by row evaluation meets
-first.  `_points` builds the points as `closed_rows` takes them, a
-batch at a time, so a sweep that fails early builds no point past its
-failing batch.  The one-point modes never load numpy.  Each `verify`
-row is read from one `amplitude.verify_pair` record, the one place
-where the closed forms meet the quadrature oracle.
+each closed form are reused from row to row and which rows have L
+summed together (see `closed_form`; `special` sums L), and reports the
+error that row by row evaluation meets first.  `_points` builds the
+points as `closed_rows` takes them, a batch at a time, so a sweep that
+fails early builds no point past its failing batch.  The one-point
+modes never load numpy.  Each `verify` row is read from one
+`amplitude.verify_pair` record, the one place where the closed forms
+meet the quadrature oracle.
 
 All rows are computed before the output file is opened, so a run that
 fails writes nothing.  Each row is then written from one `%` template:

@@ -25,14 +25,16 @@ from gup_mirror import (
     to_dimensionless,
 )
 from gup_mirror import closed_form
-from gup_mirror.closed_form import (
+from gup_mirror.closed_form import closed_rows
+from gup_mirror.special import (
     _L_TOLERANCE,
-    _asymptotic_line,
-    _gup_coefficient,
-    closed_rows,
+    _complex_products_unfused,
+    asymptotic_line,
+    digamma,
+    gup_coefficient,
+    gup_coefficient_batch,
+    log_gamma,
 )
-from gup_mirror.gup_batch import _complex_products_unfused, gup_coefficient_batch
-from gup_mirror.special import digamma, log_gamma
 
 GRID_XY = (0.5, 1.0, 2.0)
 GRID_ZETA = (0.3, 0.5, 0.9)
@@ -218,22 +220,22 @@ def test_tabled_series_keeps_its_bits(ybar):
     log_gamma_iy = log_gamma(complex(0.0, ybar))
     psi = digamma(complex(1.0, ybar))
     # radii up to the asymptotic switch, out of order
-    asymptotic_from = _asymptotic_line(ybar)
+    asymptotic_from = asymptotic_line(ybar)
     radii = np.geomspace(1e-3, 0.999 * asymptotic_from, 40)
     for r in np.concatenate([radii[::2], radii[1::2][::-1]]).tolist():
-        assert _gup_coefficient(ybar, r, log_gamma_iy, psi) == _convergent_l(ybar, r, log_gamma_iy)
+        assert gup_coefficient(ybar, r, log_gamma_iy, psi) == _convergent_l(ybar, r, log_gamma_iy)
 
 
 def _convergent(ybar, r):
     """Whether closed_rows hands the row to the batch: L is summed from its
     convergent series there."""
-    return 0.0 < r < _asymptotic_line(ybar)
+    return 0.0 < r < asymptotic_line(ybar)
 
 
 def _scalar_or_none(ybar, r, log_gamma_iy):
-    """_gup_coefficient, or None where it raises."""
+    """gup_coefficient, or None where it raises."""
     try:
-        return _gup_coefficient(ybar, r, log_gamma_iy, digamma(complex(1.0, ybar)))
+        return gup_coefficient(ybar, r, log_gamma_iy, digamma(complex(1.0, ybar)))
     except ValueError:
         return None
 
@@ -252,7 +254,7 @@ def _l_rows(draw):
     ybars = [draw(ybar)] * count if draw(st.booleans()) else [draw(ybar) for _ in range(count)]
     rows = []
     for value in ybars:
-        line = _asymptotic_line(value)
+        line = asymptotic_line(value)
         below = st.floats(1e-6, line, exclude_max=True)
         rows.append((value, draw(st.one_of(below, below, below, st.floats(line, 2.0 * line)))))
     return rows
@@ -292,7 +294,7 @@ def test_batched_gup_coefficients_decline_where_scalar_raises():
         assert repr(value) == repr(_scalar_or_none(ybar, r, lg))
     with pytest.raises(ValueError, match=r"ybar=9.95e-308, r=18.0: the first term of its series "
                                          "overflows a double"):
-        _gup_coefficient(9.95e-308, 18.0, log_gammas[1], psis[1])
+        gup_coefficient(9.95e-308, 18.0, log_gammas[1], psis[1])
     assert gup_coefficient_batch([], [], [], []) == []
 
 
@@ -301,7 +303,7 @@ def test_gup_coefficient_at_underflowed_r_names_l():
     # raised a bare "math domain error"
     with pytest.raises(ValueError, match=r"^L\(1 \+ i ybar, i r\) at ybar=0.995, r=0.0: "
                                          r"r = 2 zeta x underflows to zero$"):
-        _gup_coefficient(0.995, 0.0, log_gamma(0.995j), digamma(complex(1.0, 0.995)))
+        gup_coefficient(0.995, 0.0, log_gamma(0.995j), digamma(complex(1.0, 0.995)))
 
 
 # Dimensionless ranges: a typical box, where most sweeps succeed and many

@@ -31,7 +31,7 @@ from gup_mirror import (
     run,
     to_dimensionless,
 )
-from gup_mirror import closed_form, gup_batch, runner, special
+from gup_mirror import closed_form, runner, special
 from gup_mirror.closed_form import _BATCH_ROWS
 from gup_mirror.cli import main
 from gup_mirror.runner import ROW_COLUMNS, _physics_rows, _write_csv
@@ -888,13 +888,13 @@ def test_sweep_reports_first_failing_row(tmp_path, capsys, block, first):
 def test_sweep_sums_l_only_for_rows_before_first_failing_half(tmp_path, capsys, monkeypatch,
                                                               block, failing, summed):
     received = []
-    batch = gup_batch.gup_coefficient_batch
+    batch = closed_form.gup_coefficient_batch
 
     def recording(ybars, rs, *columns):
         received.extend(zip(ybars, rs))
         return batch(ybars, rs, *columns)
 
-    monkeypatch.setattr(gup_batch, "gup_coefficient_batch", recording)
+    monkeypatch.setattr(closed_form, "gup_coefficient_batch", recording)
     config = tmp_path / "run.conf"
     config.write_text(block)
     cfg = parse_config("mode = sweep\n" + block)
