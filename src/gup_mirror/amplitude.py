@@ -78,7 +78,13 @@ zero and p1's Abel sums never meet their poles at x h = 2 pi n.  Where
 the rotation e^{-pi omega/2} has underflowed to 0, from omega of about
 474.4, the amplitude is 0 and no sum is taken, so h never falls below
 2^-8.  One evaluation on nodes at most 1/8 apart gives the first sums,
-down to h = 1/8, where every point of the benchmark's box stops.
+down to h = 1/8, where every point of the benchmark's box stops.  Each
+evaluation fills one array, the projection and its modulus as two rows,
+and each level of the rule is one reduction of it.  Where eps = 0 the
+GUP factors A2 and eta are exact zeros, and the terms they multiply are
+not evaluated, since they would add exact zeros; p1's remainder takes
+its sigma <= 0 form on the leading nodes and its sigma > 0 form on the
+rest, so its nodes must ascend.
 
 Error control.  The rule returns an error estimate for the real
 projection it sums: its last difference plus a bound on its rounding.
@@ -198,11 +204,12 @@ def quad(f, lower: float, upper: float, omega: float, abel=None) -> tuple[float,
     """h sum g(j h) over the nodes j h in [lower, upper], plus abel(h)'s sum
     if given, and its error estimate.
 
-    f maps an array of nodes to two arrays: the integrand g there, and a
-    modulus |g| that bounds it without oscillating (g without its sine or
-    cosine).  abel(h) returns the Abel sum at step h of terms that were
-    subtracted from g because they do not decay (p1's, on sigma <= 0), and
-    a bound on its rounding.  The rule suits integrands that are
+    f maps an ascending array of n nodes to one float64 array of shape
+    (2, n): row 0 the integrand g there, row 1 a modulus |g| that bounds
+    it without oscillating (g without its sine or cosine).  abel(h)
+    returns the Abel sum at step h of terms that were subtracted from g
+    because they do not decay (p1's, on sigma <= 0), and a bound on its
+    rounding.  The rule suits integrands that are
     negligible at both limits, or made so by abel, and analytic in a strip
     about the real axis, where it converges geometrically in 1/h: its
     error is the sum of the integrand's Fourier transform at the aliased
@@ -216,10 +223,12 @@ def quad(f, lower: float, upper: float, omega: float, abel=None) -> tuple[float,
     the earlier sum.  f is evaluated once on the nodes j 2^-k, at most 1/8
     apart, whose strided sub-sums are the sums down to that spacing (the
     h = 1/2, 1/4 and 1/8 sums at small omega); only a finer h calls f
-    again.  The rule stops when two successive sums agree to
-    _PIECE_TOLERANCE, absolute or relative, or to within the rounding term
-    below, past which a halving resolves only rounding noise, or before a
-    halving would pass _TRAPEZOID_LIMIT nodes.
+    again.  Each level's nodes are one strided view of f's array, summed
+    in one reduction along its rows, each row numpy's pairwise sum.  The
+    rule stops when two successive sums agree to _PIECE_TOLERANCE,
+    absolute or relative, or to within the rounding term below, past
+    which a halving resolves only rounding noise, or before a halving
+    would pass _TRAPEZOID_LIMIT nodes.
 
     The estimate is the last difference, which bounds the error of the
     coarser sum, plus _ROUNDOFF h sum|g| and abel's bound for rounding,
@@ -238,14 +247,17 @@ def quad(f, lower: float, upper: float, omega: float, abel=None) -> tuple[float,
     # multiples of each halved h
     step = round(h / spacing)
     views = [(0, step)] + [(s // 2, s) for s in (step >> k for k in range(step.bit_length() - 1))]
-    levels = iter([tuple(part[(offset - first) % s::s] for part in grid) for offset, s in views])
+    levels = iter([grid[:, (offset - first) % s::s] for offset, s in views])
     count, total, scale, value = 0, 0.0, 0.0, None
     while True:
-        values, moduli = next(levels, None) or f(
-            np.arange(math.ceil(lower / h) | 1, math.floor(upper / h) + 1, 2) * h)
-        count += values.size
-        total += float(values.sum())
-        scale += float(moduli.sum())
+        level = next(levels, None)
+        if level is None:
+            level = f(np.arange(math.ceil(lower / h) | 1, math.floor(upper / h) + 1, 2) * h)
+        # each row's own pairwise sum, both rows in one reduction
+        values_sum, moduli_sum = np.add.reduce(level, axis=1).tolist()
+        count += level.shape[1]
+        total += values_sum
+        scale += moduli_sum
         tail, tail_rounding = abel(h) if abel else (0.0, 0.0)
         previous, value = value, h * total + tail
         if previous is not None:
@@ -296,6 +308,11 @@ def _rotated_mellin(x: float, a1: float, a2: float, c: float) -> tuple[float, fl
     (h/2) (1 + coth(lambda h / 2)), Abel-summed for lambda = i x, where it
     is (h/2) (1 - i cot(x h / 2)), and continued analytically for the
     growing lambda = i x - 1.
+
+    The integrand takes ascending nodes: each form of the remainder is
+    evaluated only on its own side of sigma = 0.  Where a2 is 0 (eps = 0)
+    the terms it multiplies, in the remainder and in the Abel sums, are
+    exact zeros and are skipped.
     """
     import numpy as np
 
@@ -303,12 +320,22 @@ def _rotated_mellin(x: float, a1: float, a2: float, c: float) -> tuple[float, fl
     upper = max(0.0, _decay_limit(a1))
     phase = cmath.exp(-1j * c)
 
-    def integrand(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z = a1 * np.exp(sigma)
-        m = np.expm1(-z)
-        inverse = a2 * np.exp(-sigma)
-        decay = np.where(sigma <= 0.0, m - inverse * (m + z), np.exp(-z) * (1.0 - inverse))
-        return np.sin(x * sigma - c) * decay, np.abs(decay)
+    def integrand(sigma: np.ndarray) -> np.ndarray:
+        # -z = -a1 e^sigma; negating a1 first rounds to the same bits
+        minus_z = -a1 * np.exp(sigma)
+        # the nodes ascend: those up to sigma = 0 carry the subtracted form
+        split = np.searchsorted(sigma, 0.0, side="right")
+        out = np.empty((2, sigma.size))
+        decay = out[1]
+        np.expm1(minus_z[:split], out=decay[:split])
+        np.exp(minus_z[split:], out=decay[split:])
+        if a2:
+            inverse = a2 * np.exp(-sigma)
+            decay[:split] -= inverse[:split] * (decay[:split] - minus_z[:split])
+            decay[split:] *= 1.0 - inverse[split:]
+        np.multiply(np.sin(x * sigma - c), decay, out=out[0])
+        np.abs(decay, out=decay)
+        return out
 
     def abel(h: float) -> tuple[float, float]:
         half = 0.5 * h
@@ -316,6 +343,8 @@ def _rotated_mellin(x: float, a1: float, a2: float, c: float) -> tuple[float, fl
         # the cotangent is taken as its limit, inf, and the sum as nan
         t = x * half
         power = (1.0 + a1 * a2) * half * complex(1.0, -1.0 / math.tan(t) if t else -math.inf)
+        if not a2:
+            return (phase * power).imag, _ABEL_ROUNDOFF * abs(power)
         inverse = a2 * half * (1.0 + 1.0 / cmath.tanh(complex(-half, x * half)))
         return (phase * (power - inverse)).imag, _ABEL_ROUNDOFF * (abs(power) + abs(inverse))
 
@@ -349,18 +378,26 @@ def _accel_mirror_core(x: float, ybar: float, eta: float, zeta: float) -> tuple[
     and its error estimate, by the trapezoid rule in sigma = ln s.
 
     In sigma the integrand is bounded by e^{sigma - x e^sigma}, which
-    sets both limits.
+    sets both limits.  Where eta is 0 (eps = 0) the terms it multiplies,
+    eta atan2(-s, 2 zeta) and eta ln hypot(2 zeta, s), are exact zeros and
+    are skipped.
     """
     import numpy as np
 
     atom_phase = x * zeta
     two_zeta = 2.0 * zeta
 
-    def integrand(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def integrand(sigma: np.ndarray) -> np.ndarray:
         s = np.exp(sigma)
-        modulus = np.exp(sigma - x * s + eta * np.arctan2(-s, two_zeta))
-        phase = ybar * sigma - atom_phase - eta * np.log(np.hypot(two_zeta, s))
-        return modulus * np.cos(phase), modulus
+        exponent = sigma - x * s
+        phase = ybar * sigma - atom_phase
+        if eta:
+            exponent += eta * np.arctan2(-s, two_zeta)
+            phase -= eta * np.log(np.hypot(two_zeta, s))
+        out = np.empty((2, sigma.size))
+        np.exp(exponent, out=out[1])
+        np.multiply(out[1], np.cos(phase), out=out[0])
+        return out
 
     return quad(integrand, math.log(_NEGLIGIBLE), _decay_limit(x), ybar)
 

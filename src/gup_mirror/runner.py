@@ -413,11 +413,13 @@ _WRITE_LINES = 4096
 def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
     """Cells: None as empty, str as is, numbers with 17 significant digits.
 
-    Every row is written from one `%` template.  A column whose cells are
-    all equal is rendered once, into the template; a column of floats is
-    a `%.17g` field; any other column is rendered cell by cell into a `%s`
-    field.  0.0 and -0.0 compare equal but render as 0 and -0, so a
-    column of zeros is never taken as equal.
+    Every row is written from one `%` template.  A single row whose cells
+    are all floats (a one-point verify, temperatures) is one `%.17g` field
+    per cell.  Otherwise a column whose cells are all equal is rendered
+    once, into the template; a column of floats is a `%.17g` field; any
+    other column is rendered cell by cell into a `%s` field.  0.0 and -0.0
+    compare equal but render as 0 and -0, so a column of zeros is never
+    taken as equal.  Both give the bytes of rendering cell by cell.
 
     The lines go to the file descriptor as UTF-8, _WRITE_LINES at a time,
     each chunk in as many os.write calls as it takes, so a one-row CSV
@@ -430,23 +432,24 @@ def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
     device or a pipe takes the output too.
     """
     count = len(rows)
-    fields = []
-    varying = []
-    for column in zip(*rows):
-        first = column[0]
-        if (first is None or first) and column == (first,) * count:
-            fields.append(_render(first).replace("%", "%%"))
-        elif set(map(type, column)) == {float}:
-            fields.append("%.17g")
-            varying.append(column)
-        else:
-            fields.append("%s")
-            varying.append(map(_render, column))
+    if count == 1 and all(type(cell) is float for cell in rows[0]):
+        fields, cells = ("%.17g",) * len(rows[0]), rows
+    else:
+        fields = []
+        varying = []
+        for column in zip(*rows):
+            first = column[0]
+            if (first is None or first) and column == (first,) * count:
+                fields.append(_render(first).replace("%", "%%"))
+            elif set(map(type, column)) == {float}:
+                fields.append("%.17g")
+                varying.append(column)
+            else:
+                fields.append("%s")
+                varying.append(map(_render, column))
+        cells = zip(*varying) if varying else itertools.repeat((), count)
     template = ",".join(fields) + "\n"
-    lines = itertools.chain(
-        [",".join(header) + "\n"],
-        (template % cells for cells in (zip(*varying) if varying else itertools.repeat((), count))),
-    )
+    lines = itertools.chain([",".join(header) + "\n"], (template % row for row in cells))
     try:
         descriptor = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:

@@ -256,12 +256,13 @@ def test_one_real_quadrature_per_contour_piece(monkeypatch, oracle, point, evalu
         nodes = []
 
         def recorded(t):
-            values, moduli = f(t)
+            result = f(t)
+            values, moduli = result
             assert values.dtype == moduli.dtype == np.float64
             assert values.shape == moduli.shape == t.shape
             assert (np.abs(values) <= moduli).all()
             nodes.append(t)
-            return values, moduli
+            return result
 
         result = original(recorded, lower, upper, *rest)
         calls.append((nodes, lower, upper))

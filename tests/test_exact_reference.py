@@ -20,6 +20,7 @@ The trapezoid rule that both probabilities use is also checked against
 itself evaluated one halving at a time.
 """
 
+import cmath
 import itertools
 import math
 import warnings
@@ -204,6 +205,80 @@ def test_trapezoid_equals_pass_by_pass_rule(monkeypatch, points):
             args = calls.pop()
             expected = [v.hex() for v in pass_by_pass_quad(*args)]
             assert [v.hex() for v in original(*args)] == expected, (oracle.__name__, d)
+
+
+def unskipped_p1(x, a1, a2, c):
+    """p1's integrand and Abel sum with every GUP term at every eps, and
+    np.where over both branches of the remainder at every node."""
+    phase = cmath.exp(-1j * c)
+
+    def integrand(sigma):
+        z = a1 * np.exp(sigma)
+        m = np.expm1(-z)
+        inverse = a2 * np.exp(-sigma)
+        decay = np.where(sigma <= 0.0, m - inverse * (m + z), np.exp(-z) * (1.0 - inverse))
+        return np.sin(x * sigma - c) * decay, np.abs(decay)
+
+    def abel(h):
+        half = 0.5 * h
+        t = x * half
+        power = (1.0 + a1 * a2) * half * complex(1.0, -1.0 / math.tan(t) if t else -math.inf)
+        inverse = a2 * half * (1.0 + 1.0 / cmath.tanh(complex(-half, x * half)))
+        return (phase * (power - inverse)).imag, amplitude._ABEL_ROUNDOFF * (abs(power) + abs(inverse))
+
+    return integrand, abel
+
+
+def unskipped_p2(x, ybar, eta, zeta):
+    """p2's integrand with both eta terms at every eps."""
+    def integrand(sigma):
+        s = np.exp(sigma)
+        modulus = np.exp(sigma - x * s + eta * np.arctan2(-s, 2.0 * zeta))
+        phase = ybar * sigma - x * zeta - eta * np.log(np.hypot(2.0 * zeta, s))
+        return modulus * np.cos(phase), modulus
+
+    return integrand, None
+
+
+_BOX = np.random.default_rng(26).uniform((0.5, 0.5, 0.3), (2.0, 2.0, 0.9), size=(12, 3)).tolist()
+BIT_POINTS = _BOX + [[d.x, d.y, d.zeta] for d in FINE_START_POINTS] + [[5e-7, 1.0, 0.5]]
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 1e-2, 0.099])
+def test_integrands_keep_the_bits_of_every_term(monkeypatch, eps):
+    # the oracle skips the GUP terms where they are exact zeros (eps = 0)
+    # and evaluates each branch of p1's remainder only on its own nodes;
+    # on every node and step the rule uses, both rows of each integrand
+    # and p1's Abel sum and rounding term keep the bits of the form that
+    # evaluates everything
+    original, calls = amplitude.quad, []
+
+    def recorded(f, lower, upper, omega, abel=None):
+        nodes, steps = [], []
+        calls.append((f, abel, nodes, steps))
+        return original(lambda t: nodes.append(t) or f(t), lower, upper, omega,
+                        abel and (lambda h: steps.append(h) or abel(h)))
+
+    monkeypatch.setattr(amplitude, "quad", recorded)
+    for x, y, zeta in BIT_POINTS:
+        d = DimensionlessConfig(x, y, zeta, eps)
+        a1, a2 = y * (1.0 - 0.5 * eps), 0.5 * y * eps
+        for oracle, (integrand, abel) in (
+                (p1_numeric, unskipped_p1(x, a1, a2, y * (1.0 - eps) * zeta)),
+                (p2_numeric, unskipped_p2(x, a1, 0.5 * eps * y, zeta))):
+            try:
+                oracle(d)
+            except amplitude.QuadratureConvergenceError:
+                pass
+            f, got_abel, nodes, steps = calls.pop()
+            assert nodes and (abel is None or steps)
+            for sigma in nodes:
+                rows = f(sigma)
+                assert [row.tobytes() for row in rows] == [row.tobytes() for row in integrand(sigma)], (
+                    oracle.__name__, d)
+            for h in steps:
+                assert [v.hex() for v in got_abel(h)] == [v.hex() for v in abel(h)], (
+                    oracle.__name__, d, h)
 
 
 @pytest.mark.parametrize("x, y, zeta, eps", [

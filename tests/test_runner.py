@@ -260,8 +260,11 @@ def test_writer_matches_cell_by_cell_rendering(tmp_path):
     rows[7] = rows[7][:5] + (math.nan,) + rows[7][6:]
     rows[8] = rows[8][:5] + (-math.inf,) + rows[8][6:]
     rows[9] = rows[9][:5] + (5e-324,) + rows[9][6:]
+    # single rows of floats only, as a one-point verify writes
+    single = [[(0.0, -0.0, math.nan, -math.inf, 5e-324, _random_double(rng), math.inf)],
+              [tuple(_random_double(rng) for _ in header)], [(-0.0,) * 7]]
     out = tmp_path / "cells.csv"
-    for chosen in (rows, rows[:1], [rows[3]] * 3, [(0.0,) * 7, (-0.0,) * 7]):
+    for chosen in (rows, rows[:1], [rows[3]] * 3, [(0.0,) * 7, (-0.0,) * 7], *single):
         _write_csv(str(out), header, chosen)
         assert read(out) == _reference_csv(header, chosen)
 
@@ -591,6 +594,14 @@ def test_output_over_longer_file_matches_fresh_write(tmp_path):
     assert main(["verify", "--config", str(verify), "--out", str(fresh)]) == 0
     assert read(reused) == read(fresh)
     assert len(read(fresh)) < longer
+    # a one-point verify, one row of floats, over the longer verify output
+    point = tmp_path / "point.conf"
+    point.write_text("x = 1.1\ny = 1.2\nzeta = 0.55\neps = 0.01\n")
+    longer = reused.stat().st_size
+    assert main(["verify", "--config", str(point), "--out", str(reused)]) == 0
+    assert main(["verify", "--config", str(point), "--out", str(fresh)]) == 0
+    assert read(reused) == read(fresh)
+    assert len(read(fresh).splitlines()) == 2 and len(read(fresh)) < longer
 
 
 def test_failed_write_over_longer_file_leaves_no_old_bytes(tmp_path, monkeypatch):
