@@ -104,7 +104,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .closed_form import ProbabilityBreakdown, p1_closed, p2_closed
@@ -125,8 +124,7 @@ class QuadratureConvergenceError(RuntimeError):
     the integrand does not decay within the range of doubles."""
 
 
-@dataclass(frozen=True)
-class AmplitudeResult:
+class AmplitudeResult(NamedTuple):
     """Oracle output for one probability evaluation.
 
     probability            dimensionless P a^2 / (g^2 c^2) = |amplitude|^2 / 4

@@ -11,7 +11,6 @@ single document.  Flags only pick the mode and the output path.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .runner import MODES, ConfigError, parse_config, run
@@ -48,7 +47,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error in {args.config!r}: {exc}", file=sys.stderr)
         return 1
     if args.out is not None:
-        cfg = dataclasses.replace(cfg, out=args.out)
+        cfg = cfg._replace(out=args.out)
     return run(cfg)
 
 

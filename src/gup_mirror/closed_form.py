@@ -105,7 +105,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .special import (asymptotic_line, digamma, gamma_phase_set, gup_coefficient,
@@ -151,8 +150,7 @@ class ProbabilityBreakdown(NamedTuple):
         return self.phase_argument % math.pi
 
 
-@dataclass(frozen=True)
-class TemperaturePair:
+class TemperaturePair(NamedTuple):
     """Unruh temperature and its GUP-modified counterpart, in kelvin."""
 
     unruh: float

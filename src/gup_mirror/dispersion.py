@@ -19,9 +19,9 @@ model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .units import require_perturbative
+from .units import CheckedRecord, require_perturbative
 
 __all__ = [
     "Wavenumber",
@@ -34,16 +34,20 @@ __all__ = [
 EXACT_EPS_MAX = 0.125
 
 
-@dataclass(frozen=True)
-class Wavenumber:
-    """Propagating wavenumber in units of nu/c, with the eps it was computed at."""
-
+class _WavenumberFields(NamedTuple):
     k: float
     eps: float
 
-    def __post_init__(self) -> None:
-        if not self.k > 0.0:
+
+class Wavenumber(CheckedRecord, _WavenumberFields):
+    """Propagating wavenumber in units of nu/c, with the eps it was computed at."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: float, eps: float) -> Wavenumber:
+        if not k > 0.0:
             raise ValueError("k must be strictly positive")
+        return tuple.__new__(cls, (k, eps))
 
 
 def wavenumber_perturbative(eps: float) -> Wavenumber:

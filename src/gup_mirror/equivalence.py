@@ -24,7 +24,7 @@ abstract in PAPER.md does not settle which of the two to use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .closed_form import p1_closed, p2_closed
 from .units import CODATA, DimensionlessConfig
@@ -39,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(NamedTuple):
     """Mismatch diagnostics between the two probabilities at x = y.
 
     q_value        spatial-mismatch parameter Q
@@ -62,8 +61,7 @@ class ViolationReport:
     planck_defect: float | None
 
 
-@dataclass(frozen=True)
-class BetaBound:
+class BetaBound(NamedTuple):
     """Upper bound on the GUP parameter.
 
     beta_max_si            bound in (kg m/s)^-2

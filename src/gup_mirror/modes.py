@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dispersion import wavenumber_perturbative
-from .units import require_perturbative
+from .units import CheckedRecord, require_perturbative
 
 __all__ = [
     "SpacetimePoint",
@@ -36,31 +36,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpacetimePoint:
-    """Event with time in units c/a and position in units c^2/a."""
-
+class _SpacetimeFields(NamedTuple):
     t: float
     z: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.t) and math.isfinite(self.z)):
+
+class SpacetimePoint(CheckedRecord, _SpacetimeFields):
+    """Event with time in units c/a and position in units c^2/a."""
+
+    __slots__ = ()
+
+    def __new__(cls, t: float, z: float) -> SpacetimePoint:
+        if not (math.isfinite(t) and math.isfinite(z)):
             raise ValueError("spacetime coordinates must be finite")
+        return tuple.__new__(cls, (t, z))
 
 
-@dataclass(frozen=True)
-class ModeSpec:
+class _ModeFields(NamedTuple):
+    y: float
+    eps: float
+    zeta0: float
+
+
+class ModeSpec(CheckedRecord, _ModeFields):
     """Field mode parameters: frequency y = nu c / a, GUP strength eps,
     and the static-mirror position zeta0 (units c^2/a)."""
 
-    y: float
-    eps: float = 0.0
-    zeta0: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.y > 0.0:
+    def __new__(cls, y: float, eps: float = 0.0, zeta0: float = 1.0) -> ModeSpec:
+        if not y > 0.0:
             raise ValueError("y must be strictly positive")
-        require_perturbative(self.eps)
+        require_perturbative(eps)
+        return tuple.__new__(cls, (y, eps, zeta0))
 
     @property
     def y_tilde(self) -> float:

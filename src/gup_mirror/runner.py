@@ -35,7 +35,10 @@ All rows are computed before the output file is opened, so a run that
 fails writes nothing.  Each row is then written from one `%` template:
 a column whose cells are all equal (and not zero) is rendered once, into
 the template, and the other cells are formatted per row.  Only sweeps and
-`verify` load numpy; nothing loads scipy.
+`verify` load numpy; nothing loads scipy.  The modules every mode can call
+are imported here, at module level; `SweepAxis` and `RunConfig`, like
+every record in the package, are NamedTuples, so nothing imports
+`dataclasses`.
 """
 
 from __future__ import annotations
@@ -46,8 +49,7 @@ import os
 import stat
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .amplitude import QuadratureConvergenceError, verify_pair
 from .closed_form import closed_rows, temperatures
@@ -109,8 +111,7 @@ class ConfigError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-@dataclass(frozen=True)
-class SweepAxis:
+class SweepAxis(NamedTuple):
     param: str
     minimum: float
     maximum: float
@@ -125,8 +126,7 @@ class SweepAxis:
         return np.linspace(self.minimum, self.maximum, self.count)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully validated description of one CLI run."""
 
     mode: str

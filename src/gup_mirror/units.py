@@ -25,7 +25,8 @@ only for eps well below one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
+from typing import NamedTuple
 
 __all__ = [
     "PhysicalConstants",
@@ -40,6 +41,7 @@ __all__ = [
     "sign_problem",
     "require_perturbative",
     "EPS_GUARD",
+    "CheckedRecord",
 ]
 
 # Hard validity guard on the dimensionless GUP strength: the wavenumber and
@@ -59,8 +61,23 @@ def require_perturbative(value: float, name: str = "eps") -> None:
         )
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class CheckedRecord:
+    """Base of a NamedTuple record whose ``__new__`` checks its fields.
+
+    A NamedTuple's own ``_make``, which ``_replace`` calls, builds the
+    tuple directly; here it calls the class, so no record is built
+    unchecked.  Pickle and copy call ``__new__`` too.  List this base
+    before the NamedTuple, whose ``_make`` it overrides.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable[float]):
+        return cls(*iterable)
+
+
+class PhysicalConstants(NamedTuple):
     """Fundamental constants in SI units (CODATA 2018 values).
 
     c           speed of light, m/s
@@ -79,8 +96,16 @@ class PhysicalConstants:
 CODATA = PhysicalConstants()
 
 
-@dataclass(frozen=True)
-class PhysicalConfig:
+class _PhysicalFields(NamedTuple):
+    a: float
+    omega0: float
+    nu: float
+    z0: float
+    g: float
+    beta: float
+
+
+class PhysicalConfig(CheckedRecord, _PhysicalFields):
     """System parameters in SI units.
 
     a       proper acceleration, m/s^2
@@ -91,19 +116,17 @@ class PhysicalConfig:
     beta    GUP parameter, (kg*m/s)^-2
     """
 
-    a: float
-    omega0: float
-    nu: float
-    z0: float
-    g: float = 1.0
-    beta: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, a: float, omega0: float, nu: float, z0: float,
+                g: float = 1.0, beta: float = 0.0) -> PhysicalConfig:
+        self = tuple.__new__(cls, (a, omega0, nu, z0, g, beta))
         # The sign rule only; the case-specific wedge bound z0 < c^2/a is
         # reported by validate_physical and enforced where it applies.
         problems = _sign_problems(self)
         if problems:
             raise ValueError(problems[0])
+        return self
 
 
 _SIGNED_FIELDS = ("a", "omega0", "nu", "z0", "g", "beta")
@@ -123,24 +146,28 @@ def _sign_problems(p: PhysicalConfig) -> list[str]:
             if (problem := sign_problem(name, getattr(p, name))) is not None]
 
 
-@dataclass(frozen=True)
-class DimensionlessConfig:
-    """The four dimensionless groups every probability formula reduces to."""
-
+class _DimensionlessFields(NamedTuple):
     x: float
     y: float
     zeta: float
-    eps: float = 0.0
+    eps: float
 
-    def __post_init__(self) -> None:
+
+class DimensionlessConfig(CheckedRecord, _DimensionlessFields):
+    """The four dimensionless groups every probability formula reduces to."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float, zeta: float, eps: float = 0.0) -> DimensionlessConfig:
         # NaN fails both comparisons
-        if not 0.0 < self.x < math.inf:
-            raise ValueError(f"x must be strictly positive and finite, got {self.x!r}")
-        if not 0.0 < self.y < math.inf:
-            raise ValueError(f"y must be strictly positive and finite, got {self.y!r}")
-        if not 0.0 < self.zeta < math.inf:
-            raise ValueError(f"zeta must be strictly positive and finite, got {self.zeta!r}")
-        require_perturbative(self.eps)
+        if not 0.0 < x < math.inf:
+            raise ValueError(f"x must be strictly positive and finite, got {x!r}")
+        if not 0.0 < y < math.inf:
+            raise ValueError(f"y must be strictly positive and finite, got {y!r}")
+        if not 0.0 < zeta < math.inf:
+            raise ValueError(f"zeta must be strictly positive and finite, got {zeta!r}")
+        require_perturbative(eps)
+        return tuple.__new__(cls, (x, y, zeta, eps))
 
 
 def validate_physical(p: PhysicalConfig) -> list[str]:

@@ -321,20 +321,25 @@ def test_p2_integrand_matches_scalar_complex_form(monkeypatch, point):
 def test_import_leaves_scipy_unloaded(tmp_path):
     # the package never imports scipy, a single-point closed-form run never
     # pays for numpy, L's series summed (eps > 0) or not, and the oracle runs
-    # with scipy unimportable
+    # with scipy unimportable; a CLI run, and the runner alone, load neither
+    # dataclasses nor a module that no mode calls
     compare = "mode = compare\nx = 1\ny = 1\nzeta = 0.5\n"
     path = os.pathsep.join(p for p in (str(Path(gup_mirror.__file__).resolve().parents[1]),
                                        os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, PYTHONPATH=path)
-    runs = [("scipy", "import gup_mirror")]
+    runs = [(("scipy",), "import gup_mirror")]
     for name, extra in (("c", ""), ("c-gup", "eps = 0.01\n")):
         text = f"{compare}{extra}out = {tmp_path / name}.csv"
-        runs.append(("numpy", "import gup_mirror; "
-                               f"gup_mirror.run(gup_mirror.parse_config({text!r}))"))
-    for module, code in runs:
-        result = subprocess.run([sys.executable, "-c", f"import sys; {code}; print({module!r} in sys.modules)"],
-                                capture_output=True, text=True, env=env, timeout=60, check=True)
-        assert result.stdout.strip() == "False", module
+        runs.append((("numpy",), "import gup_mirror; "
+                                 f"gup_mirror.run(gup_mirror.parse_config({text!r}))"))
+    for module in ("gup_mirror.cli", "gup_mirror.runner"):
+        runs.append((("dataclasses", "gup_mirror.dispersion", "gup_mirror.modes"),
+                     f"import {module}"))
+    for modules, code in runs:
+        result = subprocess.run(
+            [sys.executable, "-c", f"import sys; {code}; print([m for m in {modules!r} if m in sys.modules])"],
+            capture_output=True, text=True, env=env, timeout=60, check=True)
+        assert result.stdout.strip() == "[]", (code, result.stdout)
     for name in ("c", "c-gup"):
         assert (tmp_path / f"{name}.csv").read_text().count("\n") == 2
     config, out = tmp_path / "verify.conf", tmp_path / "verify.csv"

@@ -1,6 +1,5 @@
 """Config parsing, run orchestration, CSV contract, exit codes."""
 
-import dataclasses
 import errno
 import math
 import os
@@ -339,7 +338,7 @@ def test_zeta_free_factors_computed_once_per_run_of_equal_x_y_eps(monkeypatch, m
 
     monkeypatch.setattr(closed_form, "planck_factor", counting)
     cfg = parse_config(f"mode = sweep\n{text}sweep_count = 300\nout = unused.csv")
-    _, rows = _physics_rows(dataclasses.replace(cfg, mode=mode))
+    _, rows = _physics_rows(cfg._replace(mode=mode))
     assert len(rows) == 300 and len(counted) == calls
 
 

@@ -1,7 +1,8 @@
 """Unit-system boundary: constants, validation, dimensionless reduction."""
 
-import dataclasses
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,8 @@ from gup_mirror import (
     DimensionlessConfig,
     ModeSpec,
     PhysicalConfig,
+    SpacetimePoint,
+    Wavenumber,
     physical_from_dimensionless,
     to_dimensionless,
     validate_physical,
@@ -24,7 +27,7 @@ def test_constants_positive_and_frozen():
     assert CODATA.hbar == 1.054571817e-34
     assert CODATA.k_B == 1.380649e-23
     assert CODATA.planck_mass == 2.176434e-8
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         CODATA.c = 1.0
 
 
@@ -72,10 +75,7 @@ def test_validate_physical_reports_violations():
     assert len(problems) == 1 and "z0" in problems[0]
 
     # bypass the constructor to probe the total validation function
-    bad = object.__new__(PhysicalConfig)
-    for name, value in (("a", 1.0), ("omega0", 1.0), ("nu", 1.0),
-                        ("z0", 0.5 * k.c**2), ("g", 1.0), ("beta", -1.0)):
-        object.__setattr__(bad, name, value)
+    bad = tuple.__new__(PhysicalConfig, (1.0, 1.0, 1.0, 0.5 * k.c**2, 1.0, -1.0))
     problems = validate_physical(bad)
     assert len(problems) == 1 and "beta" in problems[0]
 
@@ -96,11 +96,47 @@ def test_constructor_rejects_invalid():
                 DimensionlessConfig(**values)
 
 
+# (record, its repr, one invalid field, the constructor's message for it);
+# each repr is the one the records printed as frozen dataclasses
+_CHECKED_RECORDS = [
+    pytest.param(DimensionlessConfig(1.0, 1.0, 0.5),
+                 "DimensionlessConfig(x=1.0, y=1.0, zeta=0.5, eps=0.0)",
+                 {"x": -1.0}, "x must be strictly positive and finite, got -1.0",
+                 id="DimensionlessConfig"),
+    pytest.param(PhysicalConfig(a=9.8, omega0=1e9, nu=1e9, z0=1e10),
+                 "PhysicalConfig(a=9.8, omega0=1000000000.0, nu=1000000000.0, "
+                 "z0=10000000000.0, g=1.0, beta=0.0)",
+                 {"nu": 0.0}, "nu=0.0 violates nu > 0", id="PhysicalConfig"),
+    pytest.param(Wavenumber(k=0.99, eps=0.01), "Wavenumber(k=0.99, eps=0.01)",
+                 {"k": 0.0}, "k must be strictly positive", id="Wavenumber"),
+    pytest.param(SpacetimePoint(t=0.5, z=1.25), "SpacetimePoint(t=0.5, z=1.25)",
+                 {"t": math.inf}, "spacetime coordinates must be finite", id="SpacetimePoint"),
+    pytest.param(ModeSpec(y=2.0, eps=0.01, zeta0=0.5), "ModeSpec(y=2.0, eps=0.01, zeta0=0.5)",
+                 {"eps": 0.2}, "eps=0.2: perturbative regime violated (need 0 <= eps < 0.1)",
+                 id="ModeSpec"),
+]
+
+
+@pytest.mark.parametrize("record, text, invalid, message", _CHECKED_RECORDS)
+def test_checked_records_cannot_be_built_unchecked(record, text, invalid, message):
+    cls = type(record)
+    assert repr(record) == str(record) == text
+    fields = {**record._asdict(), **invalid}
+    with pytest.raises(ValueError) as err:
+        cls(**fields)
+    assert str(err.value) == message
+    for build in (lambda: record._replace(**invalid), lambda: cls._make(fields.values())):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+    for twin in (record._replace(), cls._make(record), pickle.loads(pickle.dumps(record)),
+                 copy.deepcopy(record), copy.copy(record)):
+        assert type(twin) is cls and twin == record
+
+
 def test_constructor_raises_first_problem_validate_physical_reports():
-    bad = object.__new__(PhysicalConfig)
     fields = {"a": -1.0, "omega0": 1.0, "nu": 0.0, "z0": 1.0, "g": 1.0, "beta": -2.0}
-    for name, value in fields.items():
-        object.__setattr__(bad, name, value)
+    bad = tuple.__new__(PhysicalConfig, tuple(fields.values()))
     problems = validate_physical(bad)
     assert problems == ["a=-1.0 violates a > 0", "nu=0.0 violates nu > 0",
                         "beta=-2.0 violates beta >= 0"]
