@@ -58,20 +58,25 @@ zeta-free half is itself split by the inputs its factors read:
 `_p1_x_factors(x)` holds theta, 2 pi / x, the Planck factor and
 1/(1 + x^2), and `_p2_ybar_factors(y, eps)` holds ybar, eta,
 log Gamma(i ybar), the Planck factor and psi(1 + i ybar), which L
-reads.  Each zeta-free half computes its tier's factors unless it is
-handed them; `p1_closed` and `p2_closed` let it.
+reads.  `p1_closed` and `p2_closed` compute the tiers and the at-zeta
+half for one point.
 
-`closed_rows` evaluates many rows, _BATCH_ROWS at a time.  It computes
-each tier again only when the inputs it reads differ from those it was
-last computed for (p1's x factors on x, p2's ybar factors on (y, eps),
-the rest of each zeta-free half on (x, y, eps)), so a zeta sweep
-computes every tier once and an omega0 sweep evaluates the Gamma values
-of ybar once.  It sums L together for the rows on the convergent
-branch (0 < r below `special.asymptotic_line`), with
-`special.gup_coefficient_batch`, which gives each row the bits
-`special.gup_coefficient` gives it, where a batch has two such rows or
-more.  Every other row, and a row the batch declines, has L summed the
-scalar way.
+`closed_rows` evaluates a batch of rows given as four columns, x, y,
+zeta and eps, and returns each probability's fields as columns.  It
+computes each tier once per run of rows with equal inputs to it, found
+by comparing floats (p1's x factors per run of x, p2's ybar factors per
+run of (y, eps), the rest of each zeta-free half per run of
+(x, y, eps)), so a zeta sweep computes every tier once per batch and an
+omega0 sweep evaluates the Gamma values of ybar once.  It sums L
+together for the rows on the convergent branch (0 < r below
+`special.asymptotic_line`), with `special.gup_coefficient_batch`, which
+gives each row the bits `special.gup_coefficient` gives it, where a
+batch has two such rows or more.  It then maps `_p1_at_zeta` and
+`_p2_at_zeta`, the functions `p1_closed` and `p2_closed` call, over the
+rows, so there is one copy of each formula; every other row, and a row
+the batch declines, has L summed the scalar way there.  Where anything
+raises, the batch is evaluated again point by point, so the error is
+the one a point by point run meets first.
 
 Limits of the GUP terms:
 
@@ -104,7 +109,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator
+from contextlib import suppress
 from typing import NamedTuple
 
 from .special import (asymptotic_line, digamma, gamma_phase_set, gup_coefficient,
@@ -157,14 +162,15 @@ class TemperaturePair(NamedTuple):
     modified: float
 
 
-def _assemble(name: str, d: DimensionlessConfig, prefactor: float, damping: float,
-              planck: float, phase: float) -> tuple[float, ...]:
-    """The ProbabilityBreakdown fields of probability `name` at d, as a plain
-    tuple; a ValueError unless its total is a finite double."""
+def _assemble(name: str, point: tuple, prefactor: float, damping: float, planck: float,
+              phase: float) -> tuple[float, ...]:
+    """The ProbabilityBreakdown fields of probability `name` at `point`,
+    (x, y, zeta, eps), as a plain tuple; a ValueError unless its total is
+    a finite double."""
     sin2 = math.sin(phase) ** 2 if math.isfinite(phase) else math.nan
     total = prefactor * damping * planck * sin2
     if not math.isfinite(total):
-        raise ValueError(f"{name} is not a finite double at {d}")
+        raise ValueError(f"{name} is not a finite double at {DimensionlessConfig(*point)}")
     return total, prefactor, damping, planck, phase, sin2
 
 
@@ -179,40 +185,38 @@ def _p1_x_factors(x: float) -> tuple[float, float, float, float]:
     return gamma_phase_set(x), 2.0 * math.pi / x, planck_factor(x), 1.0 / (1.0 + x * x)
 
 
-def _p1_zeta_free(d: DimensionlessConfig,
-                  x_factors: tuple[float, ...] | None = None) -> tuple[float, ...]:
-    """p1's factors that zeta does not enter, at (d.x, d.y, d.eps), from
-    _p1_x_factors(d.x) (computed here when not given), in the order
-    _p1_at_zeta unpacks them.
+def _p1_zeta_free(x: float, y: float, eps: float, x_factors: tuple) -> tuple[float, ...]:
+    """p1's factors that zeta does not enter, at (x, y, eps), from
+    _p1_x_factors(x), in the order _p1_at_zeta unpacks them.
 
     Raises ValueError when the damping exponent eps y^2 / (1 + x^2) is
     not below EPS_GUARD, or when eps > 0 and y^2 overflows a double.
     """
-    theta, prefactor, planck, omega = x_factors or _p1_x_factors(d.x)  # -Omega cos Delta is omega
+    theta, prefactor, planck, omega = x_factors  # -Omega cos Delta is omega
     try:  # the GUP terms vanish at eps = 0, where y^2 is not needed
-        y_squared = d.y**2 if d.eps > 0.0 else 0.0
+        y_squared = y**2 if eps > 0.0 else 0.0
     except OverflowError:
-        raise ValueError(f"y={d.y!r}: y^2 overflows a double") from None
-    exponent = d.eps * y_squared * omega
+        raise ValueError(f"y={y!r}: y^2 overflows a double") from None
+    exponent = eps * y_squared * omega
     require_perturbative(exponent, "eps y^2/(1 + x^2)")
     return (
         prefactor,
         math.exp(exponent),
         planck,
-        d.y * (1.0 - d.eps),
-        d.x * math.log(d.y),
-        0.5 * d.eps * d.x,
+        y * (1.0 - eps),
+        x * math.log(y),
+        0.5 * eps * x,
         theta,
-        0.5 * d.eps * y_squared * d.x * omega,  # Omega sin Delta is x omega
+        0.5 * eps * y_squared * x * omega,  # Omega sin Delta is x omega
     )
 
 
-def _p1_at_zeta(factors: tuple[float, ...], d: DimensionlessConfig) -> tuple[float, ...]:
-    """p1 at d from _p1_zeta_free's factors at (d.x, d.y, d.eps): the
-    ProbabilityBreakdown fields as a plain tuple."""
+def _p1_at_zeta(factors: tuple[float, ...], point: tuple) -> tuple[float, ...]:
+    """p1 at `point`, (x, y, zeta, eps), from _p1_zeta_free's factors at
+    its (x, y, eps): the ProbabilityBreakdown fields as a plain tuple."""
     prefactor, damping, planck, drift, log_term, eps_term, theta, gup_term = factors
-    phase = drift * d.zeta + log_term - eps_term + theta - gup_term
-    return _assemble("p1", d, prefactor, damping, planck, phase)
+    phase = drift * point[2] + log_term - eps_term + theta - gup_term
+    return _assemble("p1", point, prefactor, damping, planck, phase)
 
 
 def p1_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
@@ -221,7 +225,8 @@ def p1_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
     Raises ValueError when the damping exponent eps y^2 / (1 + x^2) is
     not below EPS_GUARD, or when eps > 0 and y^2 overflows a double.
     """
-    return ProbabilityBreakdown(*_p1_at_zeta(_p1_zeta_free(d), d))
+    factors = _p1_zeta_free(d.x, d.y, d.eps, _p1_x_factors(d.x))
+    return ProbabilityBreakdown(*_p1_at_zeta(factors, d))
 
 
 def _p2_ybar_factors(y: float, eps: float) -> tuple:
@@ -240,45 +245,49 @@ def _p2_ybar_factors(y: float, eps: float) -> tuple:
     return ybar, eta, log_gamma_iy, planck_factor(ybar), psi
 
 
-def _p2_zeta_free(d: DimensionlessConfig, ybar_factors: tuple | None = None) -> tuple:
-    """p2's factors that zeta does not enter, at (d.x, d.y, d.eps), from
-    _p2_ybar_factors(d.y, d.eps) (computed here when not given), in the
-    order _p2_at_zeta unpacks them.
+def _p2_zeta_free(x: float, ybar_factors: tuple) -> tuple:
+    """p2's factors that zeta does not enter, at x and the (y, eps) of
+    ybar_factors, in the order _p2_at_zeta unpacks them.
 
     Raises ValueError when x^2 overflows a double or underflows to zero.
     """
-    ybar, eta, log_gamma_iy, planck, psi = ybar_factors or _p2_ybar_factors(d.y, d.eps)
+    ybar, eta, log_gamma_iy, planck, psi = ybar_factors
     try:
-        prefactor = 2.0 * math.pi * ybar / d.x**2
+        prefactor = 2.0 * math.pi * ybar / x**2
     except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"x={d.x!r}: x^2 overflows a double or underflows to zero") from None
-    return ybar, eta, log_gamma_iy, prefactor, planck, ybar * math.log(d.x), psi
+        raise ValueError(f"x={x!r}: x^2 overflows a double or underflows to zero") from None
+    return ybar, eta, log_gamma_iy, prefactor, planck, ybar * math.log(x), psi
 
 
-def _p2_at_zeta(factors: tuple, d: DimensionlessConfig,
+def _p2_at_zeta(factors: tuple, point: tuple,
                 coefficient: complex | None = None) -> tuple[float, ...]:
-    """p2 at d, which must have zeta < 1, from _p2_zeta_free's factors at
-    (d.x, d.y, d.eps): the ProbabilityBreakdown fields as a plain tuple.
-    `coefficient` is L at d when it is already known (closed_rows' batch);
-    without it L is summed here.
+    """p2 at `point`, (x, y, zeta, eps) with zeta < 1, from _p2_zeta_free's
+    factors at its (x, y, eps): the ProbabilityBreakdown fields as a plain
+    tuple.  `coefficient` is L there when it is already known (closed_rows'
+    batch); without it L is summed here.  closed_rows hands a row with
+    zeta >= 1 no factors, and its fields are None.
 
     Raises ValueError when the series for L cannot be summed in doubles,
     or when the damping exp(2 eta Im L) overflows a double.
     """
+    if factors is None:
+        return (None,) * 6
     ybar, eta, log_gamma_iy, prefactor, planck, log_term, psi = factors
+    x, _, zeta, _ = point
     damping = 1.0
     gup_phase = 0.0
     if eta > 0.0:
         if coefficient is None:
-            coefficient = gup_coefficient(ybar, 2.0 * d.zeta * d.x, log_gamma_iy, psi)
+            coefficient = gup_coefficient(ybar, 2.0 * zeta * x, log_gamma_iy, psi)
         try:
             damping = math.exp(2.0 * eta * coefficient.imag)
         except OverflowError:
-            raise ValueError(f"p2's damping exp(2 eta Im L) overflows a double at {d}, "
-                             f"where Im L={coefficient.imag!r}") from None
-        gup_phase = eta * (math.log(2.0 * d.zeta) + coefficient.real)
-    phase = d.x * d.zeta + log_term + gup_phase - log_gamma_iy.imag
-    return _assemble("p2", d, prefactor, damping, planck, phase)
+            raise ValueError(f"p2's damping exp(2 eta Im L) overflows a double at "
+                             f"{DimensionlessConfig(*point)}, where Im L={coefficient.imag!r}"
+                             ) from None
+        gup_phase = eta * (math.log(2.0 * zeta) + coefficient.real)
+    phase = x * zeta + log_term + gup_phase - log_gamma_iy.imag
+    return _assemble("p2", point, prefactor, damping, planck, phase)
 
 
 def p2_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
@@ -292,75 +301,71 @@ def p2_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
     """
     if not d.zeta < 1.0:
         raise ValueError("mirror-accelerating case requires zeta < 1")
-    return ProbabilityBreakdown(*_p2_at_zeta(_p2_zeta_free(d), d))
+    return ProbabilityBreakdown(*_p2_at_zeta(_p2_zeta_free(d.x, _p2_ybar_factors(d.y, d.eps)), d))
 
 
-# closed_rows takes its points this many at a time, so the points it
-# holds and the arrays of its batched L stay small however long the run.
-_BATCH_ROWS = 4096
+def closed_rows(xs, ys, zetas, epss, want_p1: bool, want_p2: bool) -> tuple:
+    """The closed forms at every row of the columns x, y, zeta and eps:
+    (p1's fields, p2's fields), each the six ProbabilityBreakdown fields as
+    columns.  A probability's cells are None where it is not wanted, and
+    p2's at the rows where zeta >= 1.
 
-
-def closed_rows(points: Iterable[DimensionlessConfig], want_p1: bool,
-                want_p2: bool) -> Iterator[Iterator[tuple]]:
-    """The closed forms at every point, _BATCH_ROWS points to a batch:
-    for each batch, an iterator of (d, p1's fields, p2's fields) per
-    point d, each fields tuple the ProbabilityBreakdown's, or None where
-    that probability is not wanted or, for p2, where zeta >= 1.
-
-    The first ValueError that p1_closed and p2_closed, called point by
-    point, would raise is raised instead, once the batches before it are
-    taken.  Each batch first computes the zeta-free halves of its points,
-    up to the first point where one raises, choosing the points before
-    it whose L is summed from the convergent series; then L for the
-    chosen points all at once, where there are two or more
-    (gup_coefficient_batch, which loads numpy); then each point in order.  The point whose half
-    raised is computed alone when its turn comes, so it raises again
-    after every error before it.  The per-point results are kept in
-    lists rather than tuples, so a batch adds few objects for the
-    garbage collector to track.
+    Each tier is computed once per run of equal inputs, found by float
+    compares: p1's x factors per run of equal x, p2's ybar factors per run
+    of equal (y, eps) with zeta < 1, and the rest of each zeta-free half
+    per run of equal (x, y, eps).  The halves are computed up to the first
+    row where one raises.  L is then summed all at once for the rows
+    before it on the convergent branch (eta > 0, 0 < r below
+    asymptotic_line), where there are two or more
+    (gup_coefficient_batch, which loads numpy); the at-zeta halves map
+    over the rows, and sum L the scalar way at every other row.  Where
+    anything raised, the rows are evaluated again point by point, with
+    p1_closed and p2_closed, so the first ValueError they raise is raised.
     """
-    points = iter(points)
-    x1 = key1 = factors1 = ybar_key2 = key2 = factors2 = None
-    while batch := list(itertools.islice(points, _BATCH_ROWS)):
-        halves1, halves2 = [], []
-        # the row index, ybar, r, log Gamma(i ybar) and psi of each row L is summed for
-        chosen, ybars, rs, log_gammas, psis = [], [], [], [], []
-        try:
-            for i, d in enumerate(batch):
-                key = (d.x, d.y, d.eps)
-                if want_p1 and key != key1:
-                    if d.x != x1:
-                        x_factors1, x1 = _p1_x_factors(d.x), d.x
-                    factors1, key1 = _p1_zeta_free(d, x_factors1), key
-                if want_p2 and d.zeta < 1.0:
-                    if key != key2:
-                        if key[1:] != ybar_key2:
-                            ybar_factors2, ybar_key2 = _p2_ybar_factors(d.y, d.eps), key[1:]
-                            line2 = asymptotic_line(ybar_factors2[0])
-                        factors2, key2 = _p2_zeta_free(d, ybar_factors2), key
-                    r = 2.0 * d.zeta * d.x
-                    if factors2[1] > 0.0 and 0.0 < r < line2:  # eta > 0, convergent branch
-                        chosen.append(i)
-                        ybars.append(factors2[0])
-                        rs.append(r)
-                        log_gammas.append(factors2[2])
-                        psis.append(factors2[6])
-                halves1.append(factors1)
-                halves2.append(factors2)
-        except ValueError:
-            unreached = [None] * (len(batch) - len(halves1))
-            halves1 += unreached
-            halves2 += unreached
-        coefficients = [None] * len(batch)
-        if len(chosen) > 1:
-            for i, value in zip(chosen, gup_coefficient_batch(ybars, rs, log_gammas, psis)):
-                coefficients[i] = value
-        ones, twos = [], []
-        for d, half1, half2, coefficient in zip(batch, halves1, halves2, coefficients):
-            ones.append(_p1_at_zeta(half1 or _p1_zeta_free(d), d) if want_p1 else None)
-            twos.append(_p2_at_zeta(half2 or _p2_zeta_free(d), d, coefficient)
-                        if want_p2 and d.zeta < 1.0 else None)
-        yield zip(batch, ones, twos)
+    halves1, halves2, lines = [], [], []
+    x0 = y0 = eps0 = half1 = line = None
+    # a ValueError leaves its row, and those after it, to the point by point pass below
+    with suppress(ValueError):
+        for x, y, zeta, eps in zip(xs, ys, zetas, epss):
+            if x != x0 or y != y0 or eps != eps0:  # a new run of (x, y, eps)
+                if want_p1:
+                    if x != x0:
+                        x_factors = _p1_x_factors(x)
+                    half1 = _p1_zeta_free(x, y, eps, x_factors)
+                if y != y0 or eps != eps0:
+                    ybar_factors = None  # computed at the run's first row with zeta < 1
+                x0, y0, eps0, half2 = x, y, eps, None
+            if want_p2 and zeta < 1.0 and half2 is None:
+                if ybar_factors is None:
+                    ybar_factors = _p2_ybar_factors(y, eps)
+                    line = asymptotic_line(ybar_factors[0])
+                half2 = _p2_zeta_free(x, ybar_factors)
+            halves1.append(half1)
+            halves2.append(half2 if zeta < 1.0 else None)
+            lines.append(line)
+    coefficients = [None] * len(halves2)
+    # (row, ybar, r, log Gamma(i ybar), psi) of each row whose L the batch sums
+    chosen = [(row, half[0], 2.0 * zeta * x, half[2], half[6])
+              for row, (half, x, zeta, line) in enumerate(zip(halves2, xs, zetas, lines))
+              if half and half[1] > 0.0 and 0.0 < 2.0 * zeta * x < line]
+    if len(chosen) > 1:
+        rows, *columns = zip(*chosen)
+        for row, coefficient in zip(rows, gup_coefficient_batch(*columns)):
+            coefficients[row] = coefficient
+    ones = twos = [[None] * len(xs)] * 6
+    with suppress(ValueError):
+        if want_p1:
+            ones = list(zip(*map(_p1_at_zeta, halves1, zip(xs, ys, zetas, epss))))
+        if want_p2:
+            twos = list(zip(*map(_p2_at_zeta, halves2, zip(xs, ys, zetas, epss), coefficients)))
+        if len(halves1) == len(xs):
+            return ones, twos
+    for point in itertools.starmap(DimensionlessConfig, zip(xs, ys, zetas, epss)):
+        if want_p1:
+            p1_closed(point)
+        if want_p2 and point.zeta < 1.0:
+            p2_closed(point)
+    raise AssertionError("a row raised in a batch and raises alone nowhere")
 
 
 def p1_closed_si(p: PhysicalConfig) -> float:

@@ -11,30 +11,38 @@ but has no effect: rows are pure Python and hold the interpreter lock,
 so threads cannot compute them in parallel.
 
 A run holds one parameter block, dimensionless or SI.  `_points` is the
-one path from either block to `DimensionlessConfig`s: the base point and
-the sweep endpoints that `parse_config` checks, and every row of a
-physics run.  `_physical_config` is the one place an SI block becomes a
+one path from either block to the points of a physics run: the base
+point and the sweep endpoints that `parse_config` checks, and every row.
+It yields them as batches of at most _BATCH_ROWS rows, each four
+columns, x, y, zeta and eps: a constant column repeats one value, and a
+sweep's swept column is one slice of its axis, converted to floats when
+the batch is taken, so a sweep that fails early converts no value past
+its failing batch.  No `DimensionlessConfig` is built per row; each
+batch is checked once against the constructor's rules (`_check_rows`),
+and a row is built only to raise the constructor's error.
+`_physical_config` is the one place an SI block becomes a
 `PhysicalConfig`, with omega0 and nu scaled to rad/s by the frequency
 convention; the bound and temperatures rows are built from it too.  An
 SI sweep builds it once, for its base, and each row then checks only its
 swept value against the sign rule and reduces the five inputs with
 `units.dimensionless_groups`, the formulas `to_dimensionless` uses.
 
-The runner computes no route of its own.  The closed-form modes take
-their rows from `closed_form.closed_rows`, which owns how the pieces of
-each closed form are reused from row to row and which rows have L
-summed together (see `closed_form`; `special` sums L), and reports the
-error that row by row evaluation meets first.  `_points` builds the
-points as `closed_rows` takes them, a batch at a time, so a sweep that
-fails early builds no point past its failing batch.  The one-point
+The runner computes no route of its own.  The closed-form modes (p1,
+p2, compare, sweep, and the default grid) take each batch's columns
+from `closed_form.closed_rows`, which owns how the pieces of each closed
+form are reused from row to row and which rows have L summed together
+(see `closed_form`; `special` sums L), and raises the error that point
+by point evaluation meets first.  Q and R are computed once per batch
+where zeta and eps are constant, and per row otherwise.  The one-point
 modes never load numpy.  Each `verify` row is read from one
 `amplitude.verify_pair` record, the one place where the closed forms
 meet the quadrature oracle.
 
 All rows are computed before the output file is opened, so a run that
-fails writes nothing.  Each row is then written from one `%` template:
-a column whose cells are all equal (and not zero) is rendered once, into
-the template, and the other cells are formatted per row.  Only sweeps and
+fails writes nothing.  The writer takes the output as columns.  Each
+row is written from one `%` template: a column whose cells are all
+equal (and not zero) is rendered once, into the template, and the other
+cells are formatted per row.  Only sweeps and
 `verify` load numpy; nothing loads scipy.  The modules every mode can call
 are imported here, at module level; `SweepAxis` and `RunConfig`, like
 every record in the package, are NamedTuples, so nothing imports
@@ -48,7 +56,7 @@ import math
 import os
 import stat
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING, NamedTuple
 
 from .amplitude import QuadratureConvergenceError, verify_pair
@@ -332,13 +340,13 @@ def _validate_base_point(cfg: RunConfig) -> None:
         return
     if cfg.default_grid:
         return
-    (base,) = _points(cfg)
-    if cfg.mode in ("p2", "verify") and not base.zeta < 1.0:
+    zeta = next(_points(cfg))[2][0]
+    if cfg.mode in ("p2", "verify") and not zeta < 1.0:
         raise ValueError(
-            f"mode '{cfg.mode}' requires zeta < 1 (atom inside the mirror wedge); got {base.zeta!r}"
+            f"mode '{cfg.mode}' requires zeta < 1 (atom inside the mirror wedge); got {zeta!r}"
         )
     if cfg.sweep is not None:
-        list(_points(cfg, [cfg.sweep.minimum, cfg.sweep.maximum]))
+        list(_points(cfg, [[cfg.sweep.minimum, cfg.sweep.maximum]]))
 
 
 def _physical_config(values: dict[str, float], convention: str) -> PhysicalConfig:
@@ -348,54 +356,82 @@ def _physical_config(values: dict[str, float], convention: str) -> PhysicalConfi
                              "nu": values["nu"] * scale})
 
 
-_DEFAULT_GRID_X = (0.5, 1.0, 2.0)
-_DEFAULT_GRID_Y = (0.5, 1.0, 2.0)
-_DEFAULT_GRID_ZETA = (0.3, 0.5, 0.9)
+# The values of x, y, zeta and eps whose every combination is a point of
+# the default grid.
+_DEFAULT_GRID = ((0.5, 1.0, 2.0), (0.5, 1.0, 2.0), (0.3, 0.5, 0.9), (0.0,))
 
 
-def _points(cfg: RunConfig,
-            sweep_values: list[float] | None = None) -> Iterator[DimensionlessConfig]:
-    """The dimensionless points of a physics run, from either block, built
-    as they are taken.
+# Rows are computed this many at a time, so the swept values converted to
+# floats, the columns of a batch and the arrays of the batched L stay
+# small however long the run.
+_BATCH_ROWS = 4096
 
-    Without `sweep_values`: the block as written, or the default grid.
-    With them: one point per value, the sweep parameter set to it.  An
-    SI sweep validates its base PhysicalConfig once; each row applies
-    the sign rule to its swept value alone and reduces the inputs with
-    `dimensionless_groups`, as `to_dimensionless` does, so a row meets
-    the errors a PhysicalConfig of its own would raise, in their order.
+
+def _check_rows(columns: list) -> None:
+    """Raise what DimensionlessConfig raises at the first row of the
+    columns (x, y, zeta, eps) that it rejects.  Its rules bound each field
+    to an interval, so the point of the columns' least values and the
+    point of their greatest (one point if they are equal) stand for every
+    row; the rows are built one by one only where one of them is rejected."""
+    try:
+        for point in {tuple(map(min, columns)), tuple(map(max, columns))}:
+            DimensionlessConfig(*point)
+    except ValueError:
+        for row in zip(*columns):
+            DimensionlessConfig(*row)
+
+
+def _points(cfg: RunConfig, swept_batches: Iterable[list[float]] | None = None
+            ) -> Iterator[list]:
+    """The points of a physics run, from either block, as batches of four
+    columns, x, y, zeta and eps, built as they are taken.
+
+    Without `swept_batches`: one batch, the block as written or the
+    default grid.  With them: one batch per list of swept values, whose
+    column is that list; every other column repeats its one value.  Each
+    batch is checked once by _check_rows.  An SI sweep validates its base
+    PhysicalConfig once; each row applies the sign rule to its swept value
+    alone and reduces the inputs with `dimensionless_groups`, as
+    `to_dimensionless` does, so a row meets the errors a PhysicalConfig of
+    its own would raise, in their order.
     """
     if cfg.default_grid:
-        for x in _DEFAULT_GRID_X:
-            for y in _DEFAULT_GRID_Y:
-                for zeta in _DEFAULT_GRID_ZETA:
-                    yield DimensionlessConfig(x=x, y=y, zeta=zeta)
+        yield list(zip(*itertools.product(*_DEFAULT_GRID)))
         return
     if cfg.dimensionless is not None:
-        if sweep_values is None:
-            yield DimensionlessConfig(**cfg.dimensionless)
+        if swept_batches is None:
+            yield list(zip(DimensionlessConfig(**cfg.dimensionless)))
             return
-        values = dict(cfg.dimensionless)
-        for value in sweep_values:
-            values[cfg.sweep.param] = value
-            yield DimensionlessConfig(**values)
+        fields = {"eps": 0.0, **cfg.dimensionless}
+        for values in swept_batches:
+            columns = [values if key == cfg.sweep.param else [fields[key]] * len(values)
+                       for key in _DIMENSIONLESS_KEYS]
+            _check_rows(columns)
+            yield columns
         return
     base = _physical_config(cfg.physical, cfg.freq_convention)
-    if sweep_values is None:
-        yield to_dimensionless(base)
+    if swept_batches is None:
+        yield list(zip(to_dimensionless(base)))
         return
     param = cfg.sweep.param
     scale = _FREQ_SCALE[cfg.freq_convention] if param in ("omega0", "nu") else 1.0
     # dimensionless_groups' arguments, which come in _PHYSICAL_KEYS order
     inputs = [base.a, base.omega0, base.nu, base.z0, base.beta]
     swept = _PHYSICAL_KEYS.index(param)
-    for value in sweep_values:
-        value *= scale
-        problem = sign_problem(param, value)
-        if problem is not None:
-            raise ValueError(problem)
-        inputs[swept] = value
-        yield DimensionlessConfig(*dimensionless_groups(*inputs))
+    for values in swept_batches:
+        rows = []
+        try:
+            for value in values:
+                value *= scale
+                problem = sign_problem(param, value)
+                if problem is not None:
+                    raise ValueError(problem)
+                inputs[swept] = value
+                rows.append(dimensionless_groups(*inputs))
+        finally:  # where a value raised, a row before it may be no point, which comes first
+            if columns := list(zip(*rows)):
+                _check_rows(columns)
+        yield columns
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +446,9 @@ def _render(cell) -> str:
 _WRITE_LINES = 4096
 
 
-def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
-    """Cells: None as empty, str as is, numbers with 17 significant digits.
+def _write_csv(path: str, header: tuple[str, ...], columns: list) -> None:
+    """Write the cells of `columns`, one sequence per header name: None as
+    empty, str as is, numbers with 17 significant digits.
 
     Every row is written from one `%` template.  A single row whose cells
     are all floats (a one-point verify, temperatures) is one `%.17g` field
@@ -431,15 +468,16 @@ def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
     no old bytes remain after them.  Only a regular file is cut, so a
     device or a pipe takes the output too.
     """
-    count = len(rows)
-    if count == 1 and all(type(cell) is float for cell in rows[0]):
-        fields, cells = ("%.17g",) * len(rows[0]), rows
+    count = len(columns[0])
+    if count == 1 and all(type(column[0]) is float for column in columns):
+        fields, cells = ("%.17g",) * len(columns), zip(*columns)
     else:
         fields = []
         varying = []
-        for column in zip(*rows):
+        for column in columns:
             first = column[0]
-            if (first is None or first) and column == (first,) * count:
+            # a column of floats seldom ends where it starts, so count is rarely run
+            if (first is None or first) and column[-1] == first and column.count(first) == count:
                 fields.append(_render(first).replace("%", "%%"))
             elif set(map(type, column)) == {float}:
                 fields.append("%.17g")
@@ -483,12 +521,12 @@ def run(cfg: RunConfig, stderr=None) -> int:
         if cfg.out is None:
             raise ConfigError("no output path: set 'out = ...' or pass --out")
         if cfg.mode == "bound":
-            header, rows = _bound_rows(cfg)
+            header, columns = _bound_rows(cfg)
         elif cfg.mode == "temperatures":
-            header, rows = _temperature_rows(cfg)
+            header, columns = _temperature_rows(cfg)
         else:
-            header, rows = _physics_rows(cfg)
-        _write_csv(cfg.out, header, rows)
+            header, columns = _physics_rows(cfg)
+        _write_csv(cfg.out, header, columns)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=stderr)
         return 1
@@ -501,27 +539,39 @@ def run(cfg: RunConfig, stderr=None) -> int:
     return 0
 
 
-def _physics_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple]]:
-    """One row per point in ROW_COLUMNS order; None renders as an empty cell."""
-    axis = cfg.sweep.values().tolist() if cfg.sweep is not None else None
-    points = _points(cfg, axis)
-    rows = []
+def _physics_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list]:
+    """The CSV's columns, in ROW_COLUMNS order; None renders as an empty cell."""
+    axis = cfg.sweep.values() if cfg.sweep is not None else None
+    batches = _points(cfg, None if axis is None else (
+        axis[start:start + _BATCH_ROWS].tolist() for start in range(0, len(axis), _BATCH_ROWS)))
     if cfg.mode == "verify":
-        for r in map(verify_pair, points):
-            d, one, two = r.config, r.p1_breakdown, r.p2_breakdown
-            q_value = q_parameter(d.eps, d.zeta)
-            rows.append((d.x, d.y, d.zeta, d.eps, one.total, two.total, r.p1_numeric,
-                         r.p2_numeric, one.phase_argument, two.phase_argument,
-                         q_value, 1.0 + q_value))
-        return ROW_COLUMNS, rows
+        rows = []
+        for batch in batches:
+            for point in zip(*batch):
+                r = verify_pair(DimensionlessConfig(*point))
+                d, one, two = r.config, r.p1_breakdown, r.p2_breakdown
+                q_value = q_parameter(d.eps, d.zeta)
+                rows.append((d.x, d.y, d.zeta, d.eps, one.total, two.total, r.p1_numeric,
+                             r.p2_numeric, one.phase_argument, two.phase_argument,
+                             q_value, 1.0 + q_value))
+        return ROW_COLUMNS, list(zip(*rows))
     want_p1 = cfg.mode in ("p1", "compare", "sweep")
     want_p2 = cfg.mode in ("p2", "compare", "sweep")
-    for batch in closed_rows(points, want_p1, want_p2):
-        for d, one, two in batch:  # a fields tuple is (total, ..., phase_argument, sin2)
-            q_value = q_parameter(d.eps, d.zeta)
-            rows.append((d.x, d.y, d.zeta, d.eps, one and one[0], two and two[0], None, None,
-                         one and one[4], two and two[4], q_value, 1.0 + q_value))
-    return ROW_COLUMNS, rows
+    columns = [[] for _ in ROW_COLUMNS]
+    for xs, ys, zetas, epss in batches:
+        ones, twos = closed_rows(xs, ys, zetas, epss, want_p1, want_p2)
+        count = len(xs)
+        # Q once for the batch where zeta and eps are the same on every row
+        q_values = ([q_parameter(epss[0], zetas[0])] * count
+                    if zetas.count(zetas[0]) == count == epss.count(epss[0])
+                    else list(map(q_parameter, epss, zetas)))
+        empty = [None] * count
+        # the fields columns are (total, ..., phase_argument, sin2)
+        for column, cells in zip(columns, (xs, ys, zetas, epss, ones[0], twos[0], empty, empty,
+                                           ones[4], twos[4], q_values,
+                                           [1.0 + q_value for q_value in q_values])):
+            column.extend(cells)
+    return ROW_COLUMNS, columns
 
 
 _BOUND_COLUMNS = (
@@ -530,7 +580,7 @@ _BOUND_COLUMNS = (
 )
 
 
-def _bound_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple]]:
+def _bound_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list]:
     rows = []
     for convention in _FREQ_SCALE:
         p = _physical_config(cfg.physical, convention)
@@ -539,13 +589,13 @@ def _bound_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple]]:
             (convention, p.omega0, p.nu, bound.beta_max_si,
              bound.beta_max_planck_units, bound.tolerance_factor)
         )
-    return _BOUND_COLUMNS, rows
+    return _BOUND_COLUMNS, list(zip(*rows))
 
 
 _TEMPERATURE_COLUMNS = ("a_m_s2", "eps", "unruh_K", "modified_K")
 
 
-def _temperature_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple]]:
+def _temperature_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list]:
     p = _physical_config(cfg.physical, cfg.freq_convention)
     pair = temperatures(p)
-    return _TEMPERATURE_COLUMNS, [(p.a, gup_strength(p), pair.unruh, pair.modified)]
+    return _TEMPERATURE_COLUMNS, [[p.a], [gup_strength(p)], [pair.unruh], [pair.modified]]

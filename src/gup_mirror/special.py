@@ -44,10 +44,10 @@ batch imports numpy, inside the functions that use it, so the one-point
 modes, which sum L with gup_coefficient, never load it.
 
 Nothing here is memoised.  Every function is pure, so a caller that
-needs one value for many rows computes it once: the runner keys each
-closed form's zeta-free factors on the inputs they read (see
-closed_form), so a sweep evaluates each Gamma value it needs once per
-run of rows that share those inputs.
+needs one value for many rows computes it once: closed_form.closed_rows
+computes each closed form's zeta-free factors once per run of rows with
+equal inputs to them, so a sweep evaluates each Gamma value it needs
+once per run of rows that share those inputs.
 """
 
 from __future__ import annotations

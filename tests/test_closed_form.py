@@ -3,11 +3,10 @@
 import cmath
 import math
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gup_mirror import (
@@ -24,7 +23,6 @@ from gup_mirror import (
     temperatures,
     to_dimensionless,
 )
-from gup_mirror import closed_form
 from gup_mirror.closed_form import closed_rows
 from gup_mirror.special import (
     _L_TOLERANCE,
@@ -371,22 +369,56 @@ def _point_by_point(points, want_p1, want_p2):
     return rows, None
 
 
+# Row 122 of sweep-zeta's first text at seed 41, where sin(phase) * sin(phase)
+# in place of sin(phase) ** 2 (libm's pow) moves p2's total by one ulp.
+_SQUARING_POINT = DimensionlessConfig(1.071531034993657, 0.8460787794657127, 0.26705977609538,
+                                      0.0014656717741790657)
+
+
+def _closed_rows_by_point(points, wanted, batch_rows, rows):
+    """Append to `rows` closed_rows' columns turned into (d, p1's fields,
+    p2's fields) per point, the points taken batch_rows at a time, as the
+    runner takes them."""
+    for start in range(0, len(points), batch_rows):
+        batch = points[start:start + batch_rows]
+        ones, twos = closed_rows(*map(list, zip(*batch)), *wanted)
+        for fields, want in ((ones, wanted[0]), (twos, wanted[1])):
+            assert len(fields) == 6 and all(len(column) == len(batch) for column in fields)
+            # an unwanted probability's cells are empty, and p2's from zeta = 1
+            assert all(cell is None for column in fields for cell in column) or want
+        for i, d in enumerate(batch):
+            one = tuple(column[i] for column in ones) if wanted[0] else None
+            two = tuple(column[i] for column in twos) if wanted[1] else None
+            if two is not None and not d.zeta < 1.0:
+                assert two == (None,) * 6
+                two = None
+            rows.append((d, one, two))
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_sweep_points(), st.sampled_from([(True, True), (True, False), (False, True)]),
        st.sampled_from([1, 2, 7, 4096]))
+@example([_SQUARING_POINT, _SQUARING_POINT._replace(zeta=0.5)], (True, True), 4096)
+# an eps sweep: each row's tiers read its own eps
+@example([_SQUARING_POINT._replace(eps=eps) for eps in (0.0, 0.01, 0.02)], (True, True), 4096)
 def test_closed_rows_match_point_by_point_calls(points, wanted, batch_rows):
     # every point's fields bit for bit, or the first error a point by point
     # run meets, whatever the batch size
     expected, message = _point_by_point(points, *wanted)
     rows = []
-    with mock.patch.object(closed_form, "_BATCH_ROWS", batch_rows):
-        try:
-            for batch in closed_rows(iter(points), *wanted):
-                batch = list(batch)
-                assert 0 < len(batch) <= batch_rows
-                rows.extend(batch)
-        except ValueError as exc:
-            assert str(exc) == message
-        else:
-            assert message is None and len(rows) == len(points)
+    try:
+        _closed_rows_by_point(points, wanted, batch_rows, rows)
+    except ValueError as exc:
+        assert str(exc) == message
+    else:
+        assert message is None and len(rows) == len(points)
     assert repr(rows) == repr(expected[:len(rows)])
+
+
+def test_squaring_is_libm_pow():
+    # the batch's p2 at this point is p2_closed's to the bit, and sin ** 2
+    # gives 0.014491593659896206 where sin * sin gives ...204
+    sweep = [_SQUARING_POINT._replace(zeta=zeta) for zeta in (0.2, 0.26705977609538, 0.3)]
+    _, twos = closed_rows(*map(list, zip(*sweep)), False, True)
+    assert [repr(total) for total in twos[0]] == [repr(p2_closed(d).total) for d in sweep]
+    assert twos[0][1] == p2_closed(_SQUARING_POINT).total == 0.014491593659896206

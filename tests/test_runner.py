@@ -31,7 +31,7 @@ from gup_mirror import (
     to_dimensionless,
 )
 from gup_mirror import closed_form, runner, special
-from gup_mirror.closed_form import _BATCH_ROWS
+from gup_mirror.runner import _BATCH_ROWS
 from gup_mirror.cli import main
 from gup_mirror.runner import ROW_COLUMNS, _physics_rows, _write_csv
 
@@ -264,7 +264,7 @@ def test_writer_matches_cell_by_cell_rendering(tmp_path):
               [tuple(_random_double(rng) for _ in header)], [(-0.0,) * 7]]
     out = tmp_path / "cells.csv"
     for chosen in (rows, rows[:1], [rows[3]] * 3, [(0.0,) * 7, (-0.0,) * 7], *single):
-        _write_csv(str(out), header, chosen)
+        _write_csv(str(out), header, list(zip(*chosen)))  # the writer takes columns
         assert read(out) == _reference_csv(header, chosen)
 
 
@@ -275,7 +275,7 @@ def test_zeta_sweep_across_wedge_matches_cell_by_cell_rendering(tmp_path):
                        "sweep_param = zeta\nsweep_min = 0.3\nsweep_max = 1.7\n"
                        f"sweep_count = 57\nout = {out}")
     assert run(cfg) == 0
-    _, rows = _physics_rows(cfg)
+    rows = list(zip(*_physics_rows(cfg)[1]))  # _physics_rows gives columns
     assert rows[0][5] is not None and rows[-1][5] is None
     assert read(out) == _reference_csv(ROW_COLUMNS, rows)
 
@@ -338,7 +338,7 @@ def test_zeta_free_factors_computed_once_per_run_of_equal_x_y_eps(monkeypatch, m
 
     monkeypatch.setattr(closed_form, "planck_factor", counting)
     cfg = parse_config(f"mode = sweep\n{text}sweep_count = 300\nout = unused.csv")
-    _, rows = _physics_rows(cfg._replace(mode=mode))
+    rows = list(zip(*_physics_rows(cfg._replace(mode=mode))[1]))  # columns, as rows
     assert len(rows) == 300 and len(counted) == calls
 
 
@@ -386,6 +386,36 @@ def test_si_sweep_matches_uncached_scalar_calls(tmp_path, monkeypatch, param, lo
             z0=si["z0"], beta=si["beta"])))
     assert all(0.0 < d.eps < 0.1 for d in (points[0], points[-1]))
     assert [d.zeta < 1.0 for d in points] == [True] * inside + [False] * (300 - inside)
+    assert read(out) == _scalar_csv(points)
+
+
+@pytest.mark.parametrize("block, param, lo, hi, calls", [
+    # zeta and eps are the same on every row of these: Q once for the batch
+    pytest.param("freq_convention = ordinary\n" + "".join(
+        f"{key} = {value!r}\n" for key, value in _SI_BLOCK.items()), "omega0", 8e10, 6e11, 1,
+        id="si-omega0"),
+    pytest.param("".join(f"{key} = {value!r}\n" for key, value in _SWEEP_BASE.items()),
+                 "x", 0.2, 5.0, 1, id="x"),
+    # a new zeta each row: Q per row
+    pytest.param("".join(f"{key} = {value!r}\n" for key, value in _SWEEP_BASE.items()),
+                 "zeta", 0.05, 0.95, 300, id="zeta"),
+])
+def test_q_computed_once_where_zeta_and_eps_are_constant(tmp_path, monkeypatch, block, param,
+                                                         lo, hi, calls):
+    counted = []
+    original = runner.q_parameter
+
+    def counting(eps, zeta):
+        counted.append((eps, zeta))
+        return original(eps, zeta)
+
+    monkeypatch.setattr(runner, "q_parameter", counting)
+    out = tmp_path / "q.csv"
+    cfg = parse_config(f"mode = sweep\n{block}sweep_param = {param}\nsweep_min = {lo!r}\n"
+                       f"sweep_max = {hi!r}\nsweep_count = 300\nout = {out}")
+    assert run(cfg) == 0
+    assert len(counted) == calls
+    points = [_scalar_point(cfg, value) for value in cfg.sweep.values().tolist()]
     assert read(out) == _scalar_csv(points)
 
 
@@ -920,8 +950,8 @@ def test_sweep_sums_l_only_for_rows_before_first_failing_half(tmp_path, capsys, 
 
 
 def test_failing_sweep_builds_points_one_batch_at_a_time(monkeypatch):
-    # a million rows, of which the first fails p1's guard: the points past
-    # the first batch are never built
+    # a million rows, of which the first fails p1's guard: the swept values
+    # past the first batch are never converted to floats
     built = Counter()
     original = runner.DimensionlessConfig
 
@@ -929,6 +959,13 @@ def test_failing_sweep_builds_points_one_batch_at_a_time(monkeypatch):
         built["points"] += 1
         return original(*args, **kwargs)
 
+    class Axis(np.ndarray):
+        def tolist(self):
+            built["values"] += self.size
+            return super().tolist()
+
+    values = SweepAxis.values
+    monkeypatch.setattr(SweepAxis, "values", lambda axis: values(axis).view(Axis))
     monkeypatch.setattr(runner, "DimensionlessConfig", counting)
     cfg = parse_config("mode = sweep\nx = 1\ny = 200\nzeta = 0.5\neps = 0.005\n"
                        "sweep_param = x\nsweep_min = 1\nsweep_max = 400\n"
@@ -936,6 +973,7 @@ def test_failing_sweep_builds_points_one_batch_at_a_time(monkeypatch):
     assert built["points"] == 3  # the base point and both endpoints
     with pytest.raises(ValueError, match=r"eps y\^2/\(1 \+ x\^2\)=100\.0"):
         _physics_rows(cfg)
+    assert 0 < built["values"] <= 3 + _BATCH_ROWS
     assert built["points"] <= 3 + _BATCH_ROWS
 
 
