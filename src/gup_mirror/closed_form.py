@@ -41,11 +41,12 @@ core is Gamma(a) c^{a - i eta} U(a, a + 1 - i eta, c x) times unit
 phases, c = 2 i zeta.  To first order in eta, U(a, a + 1 - i eta, z) =
 z^{-a} (1 - i eta L), and 1 - i eta L -> exp(-i eta L) gives the damping
 and the GUP phase above.  L is a special function like log Gamma and
-psi, and is summed in `special` without quadrature: from the connection
-formula of U in terms of Kummer's M (DLMF section 13.2) for
-|z| < 17 + 1.5 |a|, from its asymptotic series beyond.  This module keeps
-p2's formula, which reads L, and chooses the rows whose L is summed
-together.
+psi, and is summed in `special` without quadrature: for
+|z| < 17 + 1.5 |a| from the connection formula of U in terms of Kummer's
+M (DLMF section 13.2), two polynomials in z whose coefficients read ybar
+alone, each summed by Horner's rule; from its asymptotic series beyond.
+This module keeps p2's formula, which reads L, and chooses the rows whose
+L is summed together.
 
 Each probability is written once, in two halves.  `_p1_zeta_free` and
 `_p2_zeta_free` compute what zeta does not enter (the prefactor, the
@@ -69,9 +70,10 @@ run of (y, eps), the rest of each zeta-free half per run of
 (x, y, eps)), so a zeta sweep computes every tier once per batch and an
 omega0 sweep evaluates the Gamma values of ybar once.  It sums L
 together for the rows on the convergent branch (0 < r below
-`special.asymptotic_line`), with `special.gup_coefficient_batch`, which
-gives each row the bits `special.gup_coefficient` gives it, where a
-batch has two such rows or more.  It then maps `_p1_at_zeta` and
+`special.asymptotic_line`), where a batch has two such rows or more, with
+`special.gup_coefficient_batch`: the Horner sums of all those rows on
+float64 arrays, with one coefficient table where the rows share ybar,
+which give each row the bits `special.gup_coefficient` gives it.  It then maps `_p1_at_zeta` and
 `_p2_at_zeta`, the functions `p1_closed` and `p2_closed` call, over the
 rows, so there is one copy of each formula; every other row, and a row
 the batch declines, has L summed the scalar way there.  Where anything

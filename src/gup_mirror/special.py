@@ -31,17 +31,20 @@ gup_coefficient sums L(a, z) = z^a dU(a, b, z)/db at b = a + 1,
 a = 1 + i ybar, z = i r (U is Tricomi's function, DLMF section 13.2),
 from log Gamma(i ybar) and psi(1 + i ybar): from its convergent series
 for 0 < r below asymptotic_line(ybar), from its asymptotic series on and
-above it.  gup_coefficient_batch sums the convergent series of many rows
-together, each row with its own ybar, r, log Gamma(i ybar) and psi, on
-float64 arrays, and gives every row the bits gup_coefficient gives it.
-numpy's complex type cannot do that: its multiply and divide round
-differently from CPython's.  So each complex * and / of the scalar loop
-is repeated as the real operations CPython rounds, in CPython's order
-(`_product`; `_quotient`, Smith's method with its branch picked per
-row).  What is not + - * / (log r, the first term's exp and modulus) is
-computed row by row with math and cmath, as the scalar does.  Only the
-batch imports numpy, inside the functions that use it, so the one-point
-modes, which sum L with gup_coefficient, never load it.
+above it.  The convergent series is two polynomials in z whose
+coefficients read ybar alone, scaled by the powers of a power of two s so
+that none underflows, and each is summed by Horner's rule in the real
+t = -(r/s)^2, as its even part plus i r/s times its odd part.
+gup_coefficient_batch sums many rows at once on float64 arrays, with one
+table of coefficients where the rows share ybar and a column per row
+otherwise, and gives every row the bits gup_coefficient gives it, on any
+build: each + - * / of the coefficients (_coefficients), of the Horner
+step acc * t + c and of the final combination (_combine) is one IEEE
+operation written once for floats and arrays alike, and numpy's complex
+type is never used.  The first term's exponent, exp and modulus and
+log r are computed row by row in both (_first_term).  Only the batch
+imports numpy, inside the functions that use it, so the one-point modes,
+which sum L with gup_coefficient, never load it.
 
 Nothing here is memoised.  Every function is pure, so a caller that
 needs one value for many rows computes it once: closed_form.closed_rows
@@ -64,6 +67,7 @@ __all__ = ["log_gamma", "digamma", "gamma_phase_set", "planck_factor", "asymptot
 _SHIFT = 12
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 _LOG_TWO_PI = math.log(2.0 * math.pi)
+_HALF_PI = 0.5 * math.pi
 
 
 def _arg_gamma(t: float) -> float:
@@ -165,17 +169,23 @@ def planck_factor(w: float) -> float:
 # smallest asymptotic term shrinks like e^{-|z|} but grows with |a|; the
 # convergent series lose digits to cancellation as |z| grows, fewer the
 # larger |a| is.  Against mpmath at r = line -/+ 0.5, L is off by at most
-# 5e-9 for 0.7 <= ybar <= 25 (4.2e-9 and 3.8e-9 at ybar = 25), and by 2e-7
-# at ybar = 0.02, where it is multiplied by eta = eps y / 2 <= 1e-3.  Above
-# ybar = 25 the convergent side loses more: 1.8e-8 at ybar = 30, 3.5e-7 at
-# 40, 3.1e-6 at 50, and at ybar = 100 4.7e-7 at r = 150, 9.8e-3 at r = 160
-# and 0.77 at r = 166 (ROADMAP item 3: choose the series by its own bound).
+# 1.3e-8 for 0.7 <= ybar <= 25 (1.2e-8 and 3.8e-9 at ybar = 25; the
+# convergent side's rounding is about u times its largest term), and by
+# 7e-8 at ybar = 0.02, where it is multiplied by eta = eps y / 2 <= 1e-3.
+# Above ybar = 25 the convergent side loses more: 1.0e-8 at ybar = 30,
+# 1.5e-7 at 40, 1.0e-6 at 50, and at ybar = 100 3.3e-6 at r = 150, 9.3e-3
+# at r = 160 and 1.1 at r = 166 (ROADMAP item 3: choose the series by its
+# own bound).
 _ASYMPTOTIC_MIN_Z = 17.0
 _ASYMPTOTIC_SLOPE = 1.5
 # Size of the last term summed into L.  The first-order form is itself
 # off by O(eta^2); an error of 1e-8 in L moves the probability by
 # ~2 eta 1e-8 / |tan phase|, far below that for any eta > 1e-6.
 _L_TOLERANCE = 1e-8
+# Steps x rows in one table of per-row coefficients: its 8 float64 columns
+# and the terms they are built from take about 32 MiB at most, and a table
+# of 850 steps (r near 710) still serves over 300 rows.
+_TABLE_CELLS = 2**18
 
 
 def asymptotic_line(ybar: float) -> float:
@@ -189,6 +199,72 @@ def _unsummable(ybar: float, r: float, reason: str) -> ValueError:
     return ValueError(f"L(1 + i ybar, i r) at ybar={ybar!r}, r={r!r}: {reason}")
 
 
+def _scale(line: float) -> float:
+    """The largest power of two not above line = asymptotic_line(ybar), or
+    512: the convergent series' coefficients are scaled by its powers, and
+    w = r / scale is exact.  The largest scaled Kummer coefficient,
+    scale^n / n!, is about e^scale, so 1024 would overflow it (from ybar of
+    about 671) where the terms themselves are finite."""
+    return math.ldexp(1.0, min(math.frexp(line)[1] - 1, 9))
+
+
+def _first_term(log_gamma_iy: complex, ybar: float, r: float) -> tuple[float, complex, float]:
+    """log r; the Kummer series' first term K = conj(Gamma(i ybar)) z^a,
+    exp(conj(log Gamma(i ybar)) + a log z) with a = 1 + i ybar and
+    log z = log r + i pi/2; and |K| + 1, which bounds both series' terms up
+    to a factor 1/ybar.  K is 0j and the bound inf where they overflow a
+    double."""
+    log_r = math.log(r)
+    try:
+        kummer = cmath.exp(complex(log_gamma_iy.real + (log_r - ybar * _HALF_PI),
+                                   (_HALF_PI + ybar * log_r) - log_gamma_iy.imag))
+        return log_r, kummer, abs(kummer) + 1.0
+    except OverflowError:
+        return log_r, 0j, math.inf
+
+
+def _coefficients(ybar, scale, steps: int) -> list:
+    """The two convergent series' coefficients, scaled by scale^n, as the
+    8 columns their Horner sums take: the real and imaginary parts of the
+    even and of the odd D_n = scale^n / (n! (a + n)), then of
+    C_n = scale^n / ((n + 1) (2 - a)_n), for n < 2 steps.
+
+    ybar and scale are floats, or float64 arrays of one value per row.
+    Each complex quotient is a product with the conjugate over the
+    squared modulus.
+    """
+    ybar2 = ybar * ybar
+    minus_ybar = -ybar
+    kummer = 1.0  # scale^n / n!
+    power_re, power_im = 1.0 + 0.0 * ybar, 0.0 * ybar  # scale^n / (2 - a)_n, a row if ybar is
+    terms = []  # D_n and C_n, n = 0, 1, ...
+    for n in map(float, range(2 * steps)):
+        shift = n + 1.0
+        modulus = shift * shift + ybar2  # |a + n|^2 = |n + 1 - i ybar|^2
+        gain = kummer / modulus
+        terms += gain * shift, gain * minus_ybar, power_re / shift, power_im / shift
+        kummer = kummer * scale / shift
+        ratio = scale / modulus  # scale / (n + 1 - i ybar) = (n + 1 + i ybar) ratio
+        re, im = shift * ratio, ybar * ratio
+        power_re, power_im = power_re * re - power_im * im, power_re * im + power_im * re
+    return [terms[0::8], terms[1::8], terms[4::8], terms[5::8],
+            terms[2::8], terms[3::8], terms[6::8], terms[7::8]]
+
+
+def _combine(sums, w, ratio, kummer, psi, log_r) -> tuple:
+    """L = psi(a) - log z + K D(z) + (r / ybar) C(z) as (real, imaginary)
+    parts, from the 8 Horner sums at t = -w^2 in _coefficients' order,
+    ratio = r / ybar, the first Kummer term K and psi(a).  Each series is
+    E(t) + i w O(t), its even part plus i w times its odd part.  The
+    arguments are numbers, or numpy arrays of one value per row."""
+    ed_re, ed_im, od_re, od_im, ec_re, ec_im, oc_re, oc_im = sums
+    d_re, d_im = ed_re - w * od_im, ed_im + w * od_re
+    return ((psi.real - log_r) + ((kummer.real * d_re - kummer.imag * d_im)
+                                  + ratio * (ec_re - w * oc_im)),
+            (psi.imag - _HALF_PI) + ((kummer.real * d_im + kummer.imag * d_re)
+                                     + ratio * (ec_im + w * oc_re)))
+
+
 def gup_coefficient(ybar: float, r: float, log_gamma_iy: complex, psi: complex) -> complex:
     """L(a, z) = z^a dU(a, b, z)/db at b = a + 1, a = 1 + i ybar, z = i r.
 
@@ -197,9 +273,10 @@ def gup_coefficient(ybar: float, r: float, log_gamma_iy: complex, psi: complex) 
     """
     if r == 0.0:
         raise _unsummable(ybar, r, "r = 2 zeta x underflows to zero")
-    a = complex(1.0, ybar)
-    z = complex(0.0, r)
-    if r >= asymptotic_line(ybar):
+    line = asymptotic_line(ybar)
+    if r >= line:
+        a = complex(1.0, ybar)
+        z = complex(0.0, r)
         # sum_{n>=1} (-1)^{n+1} (a)_n / (n z^n), cut before its terms grow
         total = 0j
         term = -1.0 + 0j
@@ -217,90 +294,62 @@ def gup_coefficient(ybar: float, r: float, log_gamma_iy: complex, psi: complex) 
             previous = size
     # connection formula (DLMF section 13.2) expanded to first order in b - a - 1:
     #   L = psi(a) - ln z - sum_{n>=1} z^n / (n (1-a)_n) - Gamma(-a) z^a M(a, a+1, z),
+    #   sum_{n>=1} z^n / (n (1-a)_n) = -(r / ybar) sum_{n>=0} z^n / ((n+1) (2-a)_n),
     #   Gamma(-a) z^a M(a, a+1, z) = -conj(Gamma(i ybar)) z^a sum_{n>=0} z^n / (n! (a+n))
-    log_z = complex(math.log(r), 0.5 * math.pi)
-    power = 1.0 + 0j  # z^n / (1-a)_n
-    try:  # kummer is conj(Gamma(i ybar)) z^a z^n / n!
-        kummer = cmath.exp(log_gamma_iy.conjugate() + a * log_z)
-        size = abs(kummer) + 1.0  # bounds both terms' moduli up to a factor 1/ybar
-    except OverflowError:
-        raise _unsummable(ybar, r, "the first term of its series overflows a double") from None
-    total = kummer / a
+    log_r, kummer, size = _first_term(log_gamma_iy, ybar, r)
+    if size == math.inf:
+        raise _unsummable(ybar, r, "the first term of its series overflows a double")
     n = 0
     while size >= _L_TOLERANCE:
         n += 1
-        power *= z / (n - a)
-        kummer *= z / n
-        total += kummer / (n + a) - power / n
         size *= r / n
         if size == math.inf:  # it never falls below the tolerance again
             raise _unsummable(ybar, r, "the bound on its series terms overflows a double")
-    return psi - log_z + total
-
-
-def _product(a: tuple, b: tuple) -> tuple:
-    """a * b for (real, imaginary) pairs of floats or float64 arrays, as
-    CPython's complex product rounds it."""
-    (ar, ai), (br, bi) = a, b
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _quotient(a: tuple, b: tuple) -> tuple:
-    """a / b for (real, imaginary) pairs of floats or float64 arrays, b
-    finite and not 0, as CPython's complex quotient rounds it: Smith's
-    method, dividing through by whichever part of b is larger in
-    modulus, that choice made per element."""
-    (ar, ai), (br, bi) = a, b
-    by_real = abs(br) >= abs(bi)
-    if not isinstance(by_real, bool) and (by_real.all() or not by_real.any()):
-        by_real = bool(by_real[0])
-    if by_real is not False:
-        ratio = bi / br
-        denom = br + bi * ratio
-        real_first = (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
-        if by_real is True:
-            return real_first
-    ratio = br / bi
-    denom = br * ratio + bi
-    imag_first = (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
-    if by_real is False:
-        return imag_first
-    import numpy as np
-
-    return (np.where(by_real, real_first[0], imag_first[0]),
-            np.where(by_real, real_first[1], imag_first[1]))
-
-
-def _complex_products_unfused() -> bool:
-    """Whether this interpreter rounds both real products in each part of a
-    complex product, as the batch does.  A build that contracts a product
-    and the sum after it into one fused multiply-add (compilers may, on
-    arm64 for one) rounds once where the batch rounds twice."""
-    u, v = 1.0 + 2.0**-30, 1.0 + 2.0**-31  # u * u and v * v are both inexact
-    return complex(u, v) * complex(u, v) == complex(u * u - v * v, u * v + v * u)
+    scale = _scale(line)
+    w = r / scale
+    t = -(w * w)
+    sums = []
+    for column in _coefficients(ybar, scale, n // 2 + 1):
+        total = 0.0
+        for coefficient in reversed(column):
+            total = total * t + coefficient
+        sums.append(total)
+    return complex(*_combine(sums, w, r / ybar, kummer, psi, log_r))
 
 
 def _term_counts(size: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """How many terms each row's convergent series sums: the first n at
-    which its bound size r^n / n! falls below _L_TOLERANCE, or 0 where
-    that bound overflows first (the scalar raises there).  size is
-    changed in place.  A bound that has fallen below the tolerance stays
-    below: it starts at 1 or more, so it gets there only once n > r, and
-    every later factor r / n is at most 1."""
+    """How many Horner steps each row's convergent series takes: with n the
+    first term at which its bound size r^n / n! falls below _L_TOLERANCE,
+    n // 2 + 1, so that its terms through n are summed; or 0 where that
+    bound overflows first (the scalar raises there).  size is changed in
+    place.  A bound that has fallen below the tolerance stays below: it
+    starts at 1 or more, so it gets there only once n > r, and every later
+    factor r / n is at most 1."""
     import numpy as np
 
     terms = np.zeros(size.size, dtype=np.intp)
     n = 0
-    while True:
-        summing = size >= _L_TOLERANCE
-        summing &= size != math.inf
-        if not summing.any():
-            break
+    while (summing := (size >= _L_TOLERANCE) & (size != math.inf)).any():
         terms += summing
         n += 1
         size *= r / n
-    terms[size == math.inf] = 0
-    return terms
+    return np.where(size == math.inf, 0, terms // 2 + 1)
+
+
+def _horner(table: np.ndarray, t: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The 8 Horner sums at t of rows sorted by their number of steps, most
+    first, so that the rows still summing are always a leading slice;
+    table[:, k] holds coefficient k of each row, or of all rows at once
+    where its last axis has length 1."""
+    import numpy as np
+
+    sums = np.zeros((8, t.size))
+    # summing[k] rows take k steps or more, and add coefficient k - 1
+    summing = np.cumsum(np.bincount(steps)[::-1])[::-1].tolist()
+    for k in range(len(summing) - 1, 0, -1):
+        m = summing[k]
+        sums[:, :m] = sums[:, :m] * t[:m] + table[:, k - 1, :m]
+    return sums
 
 
 def gup_coefficient_batch(ybars: list[float], rs: list[float], log_gammas: list[complex],
@@ -311,68 +360,48 @@ def gup_coefficient_batch(ybars: list[float], rs: list[float], log_gammas: list[
     0 < r < asymptotic_line(ybar); closed_form.closed_rows chooses the
     rows, and this function sums each row it is given.
 
-    A row stops adding terms where its own bound falls below
-    _L_TOLERANCE: the rows are sorted by their number of terms, so the
-    rows still summing are always a leading slice.  On an interpreter
-    whose complex products are fused every row is None.
+    Each row takes the Horner steps gup_coefficient takes.  Where every
+    row has one ybar, the coefficients are computed once, on floats;
+    otherwise each row has its own column of them, built for a block of
+    rows at a time, so that one table holds at most _TABLE_CELLS steps
+    times rows.
     """
     coefficients = [None] * len(ybars)
-    if not coefficients or not _complex_products_unfused():
+    if not coefficients:
         return coefficients
     import numpy as np
 
-    ybar = np.array(ybars, dtype=float)
-    r = np.array(rs, dtype=float)
     with np.errstate(all="ignore"):
         # Overflow and 0 * inf happen where the scalar sum meets them too,
         # and leave the same infinities and NaNs in the same rows.
-        log_gamma_iy = np.array(log_gammas, dtype=complex)
-        # the first Kummer term exp(conj(log Gamma(i ybar)) + a log z), as the scalar's
-        log_r = np.array(list(map(math.log, rs)))
-        half_pi = 0.5 * math.pi
-        product = _product((1.0, ybar), (log_r, half_pi))
-        kummer, size = [], []
-        for exponent in map(complex, (log_gamma_iy.real + product[0]).tolist(),
-                            ((-log_gamma_iy.imag) + product[1]).tolist()):
-            try:
-                first = cmath.exp(exponent)
-                size.append(abs(first) + 1.0)
-            except OverflowError:  # the scalar raises; the infinite bound declines the row
-                first = 0j
-                size.append(math.inf)
-            kummer.append(first)
-        kummer = np.array(kummer)
-        kummer = kummer.real, kummer.imag
-        total = _quotient(kummer, (1.0, ybar))
-        terms = _term_counts(np.array(size), r)
-        # psi(a) - log z
-        rest = np.array(psis, dtype=complex)
-        rest = rest.real - log_r, rest.imag - half_pi
-        rows = np.argsort(-terms, kind="stable")
-        ybar, r, terms, *parts = (
-            column[rows] for column in (ybar, r, terms, *kummer, *total, *rest))
-        kummer, total, rest = parts[:2], parts[2:4], parts[4:]
-        if ybar.min() == ybar.max():
-            ybar = float(ybar[0])  # then each divisor's parts are plain floats
-        minus_ybar = 0.0 - ybar  # the imaginary part of n - a
-        summing = np.cumsum(np.bincount(terms)[::-1])[::-1].tolist()  # rows with >= n terms
-        power = np.ones(rows.size), np.zeros(rows.size)
-        for n in range(1, len(summing)):
-            k = summing[n]
-            r_k = r[:k]
-            ybar_k, minus_k = ((ybar, minus_ybar) if isinstance(ybar, float)
-                               else (ybar[:k], minus_ybar[:k]))
-            # z / (n - a) with z = i r; z / n is exactly i r / n
-            power = _product((power[0][:k], power[1][:k]),
-                             _quotient((0.0, r_k), (n - 1.0, minus_k)))
-            kummer = _product((kummer[0][:k], kummer[1][:k]), (0.0, r_k / n))
-            term = _quotient(kummer, (n + 1.0, ybar_k))
-            correction = _quotient(power, (float(n), 0.0))
-            total[0][:k] += term[0] - correction[0]
-            total[1][:k] += term[1] - correction[1]
-        kept = summing[1] if len(summing) > 1 else 0
-        coefficient_re = (rest[0][:kept] + total[0][:kept]).tolist()
-        coefficient_im = (rest[1][:kept] + total[1][:kept]).tolist()
-    for i, re, im in zip(rows[:kept].tolist(), coefficient_re, coefficient_im):
-        coefficients[i] = complex(re, im)
+        # an infinite bound declines the row, where the scalar raises
+        log_r, kummer, size = zip(*map(_first_term, log_gammas, ybars, rs))
+        r = np.array(rs, dtype=float)
+        steps = _term_counts(np.array(size), r)
+        kept = int(np.count_nonzero(steps))
+        if not kept:
+            return coefficients
+        rows = np.argsort(-steps, kind="stable")[:kept]
+        r, steps = r[rows], steps[rows]
+        ybar = np.array(ybars, dtype=float)
+        if ybar.min() == ybar.max():  # one table of floats, (8, steps, 1)
+            ybar = float(ybar[0])
+            scale = _scale(asymptotic_line(ybar))
+            w = r / scale
+            table = np.array(_coefficients(ybar, scale, int(steps[0])))[..., None]
+            sums = _horner(table, -(w * w), steps)
+        else:  # a table of (8, steps, rows) per block of at most _TABLE_CELLS cells
+            ybar = ybar[rows]
+            scale = np.array(list(map(_scale, map(asymptotic_line, ybar.tolist()))))
+            w = r / scale
+            t = -(w * w)
+            block = _TABLE_CELLS // int(steps[0])
+            parts = [slice(i, i + block) for i in range(0, kept, block)]
+            sums = np.concatenate([
+                _horner(np.array(_coefficients(ybar[part], scale[part], int(steps[part.start]))),
+                        t[part], steps[part]) for part in parts], axis=1)
+        re, im = _combine(sums, w, r / ybar, np.array(kummer)[rows],
+                          np.array(psis, dtype=complex)[rows], np.array(log_r)[rows])
+    for i, value in zip(rows.tolist(), map(complex, re.tolist(), im.tolist())):
+        coefficients[i] = value
     return coefficients

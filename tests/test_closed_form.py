@@ -23,10 +23,10 @@ from gup_mirror import (
     temperatures,
     to_dimensionless,
 )
+from gup_mirror import special
 from gup_mirror.closed_form import closed_rows
 from gup_mirror.special import (
     _L_TOLERANCE,
-    _complex_products_unfused,
     asymptotic_line,
     digamma,
     gup_coefficient,
@@ -194,23 +194,57 @@ def test_temperature_pole_rejected():
         temperatures(p)
 
 
-def _convergent_l(ybar, r, log_gamma_iy):
-    """L's convergent series, written out apart from the package's."""
-    a = complex(1.0, ybar)
-    z = complex(0.0, r)
-    log_z = complex(math.log(r), 0.5 * math.pi)
-    power = 1.0 + 0j
-    kummer = cmath.exp(log_gamma_iy.conjugate() + a * log_z)
-    total = kummer / a
+def _convergent_l(ybar, r, log_gamma_iy, psi):
+    """L's convergent series, written out apart from the package's:
+    psi(a) - log z + K sum_n d_n z^n + (r / ybar) sum_n c_n z^n with K the
+    first Kummer term, d_n = 1/(n! (a + n)) and c_n = 1/((n + 1) (2 - a)_n),
+    z = i r.  Each coefficient is scaled by s^n, s the largest power of two
+    not above the asymptotic line or 512, and each series is summed as
+    E(t) + i w O(t), w = r / s and t = -w^2, with E and O its even and odd
+    terms, by Horner on the real and imaginary parts."""
+    half_pi = 0.5 * math.pi
+    log_r = math.log(r)
+    kummer = cmath.exp(complex(log_gamma_iy.real + (log_r - ybar * half_pi),
+                               (half_pi + ybar * log_r) - log_gamma_iy.imag))
     size = abs(kummer) + 1.0
-    n = 0
+    terms = 0
     while size >= _L_TOLERANCE:
-        n += 1
-        power *= z / (n - a)
-        kummer *= z / n
-        total += kummer / (n + a) - power / n
-        size *= r / n
-    return digamma(a) - log_z + total
+        terms += 1
+        size *= r / terms
+    s = math.ldexp(1.0, min(math.frexp(asymptotic_line(ybar))[1] - 1, 9))
+    d, c = [], []  # (re, im) of each scaled coefficient
+    factorial = 1.0  # s^n / n!
+    pochhammer = (1.0, 0.0)  # s^n / (2 - a)_n
+    for n in range(2 * (terms // 2 + 1)):
+        if n:  # times s / n, and s / (n - i ybar) = s (n + i ybar) / (n^2 + ybar^2)
+            factorial = factorial * s / n
+            ratio = s / (n * n + ybar * ybar)
+            re, im = n * ratio, ybar * ratio
+            pochhammer = (pochhammer[0] * re - pochhammer[1] * im,
+                          pochhammer[0] * im + pochhammer[1] * re)
+        # 1 / (a + n) = ((n + 1) - i ybar) / ((n + 1)^2 + ybar^2)
+        gain = factorial / ((n + 1.0) * (n + 1.0) + ybar * ybar)
+        d.append((gain * (n + 1.0), -(gain * ybar)))
+        c.append((pochhammer[0] / (n + 1.0), pochhammer[1] / (n + 1.0)))
+    w = r / s
+    t = -(w * w)
+
+    def horner(coefficients):
+        total = 0.0
+        for coefficient in reversed(coefficients):
+            total = total * t + coefficient
+        return total
+
+    def series(coefficients):  # E(t) + i w O(t)
+        even = [horner([pair[part] for pair in coefficients[0::2]]) for part in (0, 1)]
+        odd = [horner([pair[part] for pair in coefficients[1::2]]) for part in (0, 1)]
+        return even[0] - w * odd[1], even[1] + w * odd[0]
+
+    (d_re, d_im), (c_re, c_im) = series(d), series(c)
+    k_re = kummer.real * d_re - kummer.imag * d_im
+    k_im = kummer.real * d_im + kummer.imag * d_re
+    return complex((psi.real - log_r) + (k_re + r / ybar * c_re),
+                   (psi.imag - half_pi) + (k_im + r / ybar * c_im))
 
 
 @pytest.mark.parametrize("ybar", [0.02, 0.8, 7.0, 120.0])
@@ -221,7 +255,8 @@ def test_tabled_series_keeps_its_bits(ybar):
     asymptotic_from = asymptotic_line(ybar)
     radii = np.geomspace(1e-3, 0.999 * asymptotic_from, 40)
     for r in np.concatenate([radii[::2], radii[1::2][::-1]]).tolist():
-        assert gup_coefficient(ybar, r, log_gamma_iy, psi) == _convergent_l(ybar, r, log_gamma_iy)
+        assert gup_coefficient(ybar, r, log_gamma_iy, psi) == _convergent_l(ybar, r, log_gamma_iy,
+                                                                             psi)
 
 
 def _convergent(ybar, r):
@@ -236,11 +271,6 @@ def _scalar_or_none(ybar, r, log_gamma_iy):
         return gup_coefficient(ybar, r, log_gamma_iy, digamma(complex(1.0, ybar)))
     except ValueError:
         return None
-
-
-def test_interpreter_complex_products_are_unfused():
-    # otherwise every batched row would be None and the tests below vacuous
-    assert _complex_products_unfused()
 
 
 @st.composite
@@ -268,6 +298,20 @@ def test_batched_gup_coefficients_match_scalar_bit_for_bit(rows):
     batch = gup_coefficient_batch([ybar for ybar, _ in rows], [r for _, r in rows], log_gammas,
                                   psis)
     scalar = [_scalar_or_none(ybar, r, lg) for (ybar, r), lg in zip(rows, log_gammas)]
+    assert list(map(repr, batch)) == list(map(repr, scalar))
+
+
+def test_batched_gup_coefficients_in_blocks_match_scalar_bit_for_bit(monkeypatch):
+    # rows with their own ybar take their coefficients a block of rows at a
+    # time; these take 21 down to 7 steps, so 64 cells make 4 blocks of 3
+    monkeypatch.setattr(special, "_TABLE_CELLS", 64)
+    rows = [(0.3 + 0.7 * i, 9.5 - 0.75 * i) for i in range(12)]
+    log_gammas = [log_gamma(complex(0.0, ybar)) for ybar, _ in rows]
+    psis = [digamma(complex(1.0, ybar)) for ybar, _ in rows]
+    batch = gup_coefficient_batch([ybar for ybar, _ in rows], [r for _, r in rows], log_gammas,
+                                  psis)
+    scalar = [_scalar_or_none(ybar, r, lg) for (ybar, r), lg in zip(rows, log_gammas)]
+    assert None not in batch
     assert list(map(repr, batch)) == list(map(repr, scalar))
 
 
@@ -369,9 +413,9 @@ def _point_by_point(points, want_p1, want_p2):
     return rows, None
 
 
-# Row 122 of sweep-zeta's first text at seed 41, where sin(phase) * sin(phase)
+# Row 313 of sweep-zeta's fourth text at seed 41, where sin(phase) * sin(phase)
 # in place of sin(phase) ** 2 (libm's pow) moves p2's total by one ulp.
-_SQUARING_POINT = DimensionlessConfig(1.071531034993657, 0.8460787794657127, 0.26705977609538,
+_SQUARING_POINT = DimensionlessConfig(1.071531034993657, 0.8460787794657127, 0.4372351970710474,
                                       0.0014656717741790657)
 
 
@@ -417,8 +461,8 @@ def test_closed_rows_match_point_by_point_calls(points, wanted, batch_rows):
 
 def test_squaring_is_libm_pow():
     # the batch's p2 at this point is p2_closed's to the bit, and sin ** 2
-    # gives 0.014491593659896206 where sin * sin gives ...204
-    sweep = [_SQUARING_POINT._replace(zeta=zeta) for zeta in (0.2, 0.26705977609538, 0.3)]
+    # gives 0.010349319315828685 where sin * sin gives ...684
+    sweep = [_SQUARING_POINT._replace(zeta=zeta) for zeta in (0.4, 0.4372351970710474, 0.5)]
     _, twos = closed_rows(*map(list, zip(*sweep)), False, True)
     assert [repr(total) for total in twos[0]] == [repr(p2_closed(d).total) for d in sweep]
-    assert twos[0][1] == p2_closed(_SQUARING_POINT).total == 0.014491593659896206
+    assert twos[0][1] == p2_closed(_SQUARING_POINT).total == 0.010349319315828685

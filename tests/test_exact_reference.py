@@ -373,24 +373,28 @@ def coefficient_reference(ybar: float, r: float) -> complex:
         return complex(mpmath.power(z, a) * mpmath.diff(lambda b: mpmath.hyperu(a, b, z), a + 1))
 
 
-@pytest.mark.parametrize("ybar, radii", [
-    pytest.param(0.7, None, id="0.7"),
-    pytest.param(2.0, None, id="2.0"),
-    pytest.param(20.0, None, id="20.0"),
-    # ROADMAP item 3: below the line the convergent series is 0.77 off here
-    pytest.param(100.0, (166.0,), id="100.0-r166",
+@pytest.mark.parametrize("ybar, radii, bound", [
+    pytest.param(0.7, None, 1e-8, id="0.7"),
+    pytest.param(2.0, None, 1e-8, id="2.0"),
+    pytest.param(20.0, None, 1e-8, id="20.0"),
+    # past 170 terms (about 250 and 420), where 1/n! alone underflows; the
+    # largest terms are about 3e9 and 1e10, so rounding leaves some 1e-6
+    pytest.param(50.0, (90.0,), 1e-5, id="50.0-r90"),
+    pytest.param(100.0, (150.0,), 1e-5, id="100.0-r150"),
+    # ROADMAP item 3: below the line the convergent series is about 1 off here
+    pytest.param(100.0, (166.0,), 1e-8, id="100.0-r166",
                  marks=pytest.mark.xfail(strict=True, reason="L's branch line, ROADMAP item 3")),
 ])
-def test_gup_coefficient_matches_tricomi_derivative(ybar, radii):
+def test_gup_coefficient_matches_tricomi_derivative(ybar, radii, bound):
     # series below the crossover, asymptotic series above it; both are
-    # summed to terms of 1e-8, and meet within 5e-9 at the crossover
+    # summed to terms of 1e-8, and meet within about 1e-8 at the crossover
     # for ybar up to about 25
     crossover = asymptotic_line(ybar)
     lg = log_gamma(complex(0.0, ybar))
     psi = digamma(complex(1.0, ybar))
     for r in radii or (0.05, 1.0, 9.0, crossover - 0.5, crossover + 0.5, 1e3):
         error = abs(gup_coefficient(ybar, r, lg, psi) - coefficient_reference(ybar, r))
-        assert error <= 1e-8, (r, error)
+        assert error <= bound, (r, error)
 
 
 def test_p2_closed_error_is_second_order_in_eps():

@@ -845,7 +845,7 @@ def test_overflowing_p2_damping_is_one_line_exit_1(tmp_path, mode, block):
     assert result.stderr == (
         "configuration error: p2's damping exp(2 eta Im L) overflows a double at "
         "DimensionlessConfig(x=301.0, y=200.0, zeta=0.5, eps=1e-06), "
-        "where Im L=9568125.477226693\n")
+        "where Im L=6659366.9260901995\n")
     assert not out.exists()
 
 
