@@ -107,7 +107,7 @@ import math
 from typing import NamedTuple
 
 from .closed_form import ProbabilityBreakdown, p1_closed, p2_closed
-from .units import DimensionlessConfig
+from .units import DimensionlessConfig, deformed_frequencies
 
 __all__ = [
     "AmplitudeResult",
@@ -359,9 +359,8 @@ def p1_numeric(d: DimensionlessConfig) -> AmplitudeResult:
     Raises QuadratureConvergenceError when the error estimate exceeds
     the gate of 1e-8.
     """
-    a1 = d.y * (1.0 - 0.5 * d.eps)
-    a2 = 0.5 * d.y * d.eps
-    mirror_phase = d.y * (1.0 - d.eps) * d.zeta
+    drift, a1, a2 = deformed_frequencies(d.y, d.eps)
+    mirror_phase = drift * d.zeta
     rotation = math.exp(-0.5 * math.pi * d.x)
     return _certified(2j * rotation, lambda: _rotated_mellin(d.x, a1, a2, mirror_phase),
                       "probability-1 amplitude")
@@ -412,8 +411,7 @@ def p2_numeric(d: DimensionlessConfig) -> AmplitudeResult:
     """
     if not d.zeta < 1.0:
         raise ValueError("mirror-accelerating case requires zeta < 1")
-    ybar = d.y * (1.0 - 0.5 * d.eps)
-    eta = 0.5 * d.eps * d.y
+    _, ybar, eta = deformed_frequencies(d.y, d.eps)
     rotation = math.exp(-0.5 * math.pi * ybar)
     return _certified(-2j * rotation, lambda: _accel_mirror_core(d.x, ybar, eta, d.zeta),
                       "probability-2 amplitude")

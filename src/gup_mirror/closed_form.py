@@ -68,17 +68,22 @@ computes each tier once per run of rows with equal inputs to it, found
 by comparing floats (p1's x factors per run of x, p2's ybar factors per
 run of (y, eps), the rest of each zeta-free half per run of
 (x, y, eps)), so a zeta sweep computes every tier once per batch and an
-omega0 sweep evaluates the Gamma values of ybar once.  It sums L
-together for the rows on the convergent branch (0 < r below
-`special.asymptotic_line`), where a batch has two such rows or more, with
-`special.gup_coefficient_batch`: the Horner sums of all those rows on
-float64 arrays, with one coefficient table where the rows share ybar,
-which give each row the bits `special.gup_coefficient` gives it.  It then maps `_p1_at_zeta` and
-`_p2_at_zeta`, the functions `p1_closed` and `p2_closed` call, over the
-rows, so there is one copy of each formula; every other row, and a row
-the batch declines, has L summed the scalar way there.  Where anything
-raises, the batch is evaluated again point by point, so the error is
-the one a point by point run meets first.
+omega0 sweep evaluates the Gamma values of ybar once.  Row by row it
+computes p1's tiers and `_p1_at_zeta`, then p2's tiers, the order in
+which `p1_closed` and then `p2_closed` meet them, and stops at the first
+row where one raises.  It sums L together for the rows before that on
+the convergent branch (0 < r below `special.asymptotic_line`), where a
+batch has two such rows or more, with `special.gup_coefficient_batch`:
+the Horner sums of all those rows on float64 arrays, with one
+coefficient table where the rows share ybar, which give each row the
+bits `special.gup_coefficient` gives it.  It then maps `_p2_at_zeta`
+over those rows; every other row, and a row the batch declines, has L
+summed the scalar way there.  The at-zeta halves are the functions
+`p1_closed` and `p2_closed` call, so there is one copy of each formula.
+The first error of that map is the first in point order, and only where
+it raises none is the error that stopped the rows raised: a batch
+raises what a point by point run meets first, and evaluates each row
+once.
 
 Limits of the GUP terms:
 
@@ -109,9 +114,7 @@ grid.
 
 from __future__ import annotations
 
-import itertools
 import math
-from contextlib import suppress
 from typing import NamedTuple
 
 from .special import (asymptotic_line, digamma, gamma_phase_set, gup_coefficient,
@@ -120,6 +123,7 @@ from .units import (
     CODATA,
     DimensionlessConfig,
     PhysicalConfig,
+    deformed_frequencies,
     gup_strength,
     require_perturbative,
     to_dimensionless,
@@ -205,7 +209,7 @@ def _p1_zeta_free(x: float, y: float, eps: float, x_factors: tuple) -> tuple[flo
         prefactor,
         math.exp(exponent),
         planck,
-        y * (1.0 - eps),
+        deformed_frequencies(y, eps)[0],
         x * math.log(y),
         0.5 * eps * x,
         theta,
@@ -240,8 +244,7 @@ def _p2_ybar_factors(y: float, eps: float) -> tuple:
     Raises ValueError where log Gamma(i ybar) is not a finite double
     (ybar above about 1e305).
     """
-    ybar = y * (1.0 - 0.5 * eps)
-    eta = 0.5 * eps * y
+    _, ybar, eta = deformed_frequencies(y, eps)
     log_gamma_iy = log_gamma(complex(0.0, ybar))
     psi = digamma(complex(1.0, ybar)) if eta > 0.0 else None
     return ybar, eta, log_gamma_iy, planck_factor(ybar), psi
@@ -315,20 +318,21 @@ def closed_rows(xs, ys, zetas, epss, want_p1: bool, want_p2: bool) -> tuple:
     Each tier is computed once per run of equal inputs, found by float
     compares: p1's x factors per run of equal x, p2's ybar factors per run
     of equal (y, eps) with zeta < 1, and the rest of each zeta-free half
-    per run of equal (x, y, eps).  The halves are computed up to the first
-    row where one raises.  L is then summed all at once for the rows
-    before it on the convergent branch (eta > 0, 0 < r below
-    asymptotic_line), where there are two or more
-    (gup_coefficient_batch, which loads numpy); the at-zeta halves map
-    over the rows, and sum L the scalar way at every other row.  Where
-    anything raised, the rows are evaluated again point by point, with
-    p1_closed and p2_closed, so the first ValueError they raise is raised.
+    per run of equal (x, y, eps).  Row by row, p1's tiers and its at-zeta
+    half come before p2's tiers, the order in which p1_closed and then
+    p2_closed meet them, up to the first row where one raises.  L is then
+    summed all at once for the rows before it on the convergent branch
+    (eta > 0, 0 < r below asymptotic_line), where there are two or more
+    (gup_coefficient_batch, which loads numpy), and p2's at-zeta half maps
+    over those rows, summing L the scalar way at every other row.  Its
+    first ValueError is the first in point order; only where it raises
+    none is the error that stopped the rows raised.
     """
-    halves1, halves2, lines = [], [], []
-    x0 = y0 = eps0 = half1 = line = None
-    # a ValueError leaves its row, and those after it, to the point by point pass below
-    with suppress(ValueError):
-        for x, y, zeta, eps in zip(xs, ys, zetas, epss):
+    ones, halves2, lines = [], [], []
+    x0 = y0 = eps0 = line = stop = None
+    try:
+        for point in zip(xs, ys, zetas, epss):
+            x, y, zeta, eps = point
             if x != x0 or y != y0 or eps != eps0:  # a new run of (x, y, eps)
                 if want_p1:
                     if x != x0:
@@ -337,14 +341,17 @@ def closed_rows(xs, ys, zetas, epss, want_p1: bool, want_p2: bool) -> tuple:
                 if y != y0 or eps != eps0:
                     ybar_factors = None  # computed at the run's first row with zeta < 1
                 x0, y0, eps0, half2 = x, y, eps, None
+            if want_p1:
+                ones.append(_p1_at_zeta(half1, point))
             if want_p2 and zeta < 1.0 and half2 is None:
                 if ybar_factors is None:
                     ybar_factors = _p2_ybar_factors(y, eps)
                     line = asymptotic_line(ybar_factors[0])
                 half2 = _p2_zeta_free(x, ybar_factors)
-            halves1.append(half1)
             halves2.append(half2 if zeta < 1.0 else None)
             lines.append(line)
+    except ValueError as error:
+        stop = error
     coefficients = [None] * len(halves2)
     # (row, ybar, r, log Gamma(i ybar), psi) of each row whose L the batch sums
     chosen = [(row, half[0], 2.0 * zeta * x, half[2], half[6])
@@ -354,20 +361,12 @@ def closed_rows(xs, ys, zetas, epss, want_p1: bool, want_p2: bool) -> tuple:
         rows, *columns = zip(*chosen)
         for row, coefficient in zip(rows, gup_coefficient_batch(*columns)):
             coefficients[row] = coefficient
-    ones = twos = [[None] * len(xs)] * 6
-    with suppress(ValueError):
-        if want_p1:
-            ones = list(zip(*map(_p1_at_zeta, halves1, zip(xs, ys, zetas, epss))))
-        if want_p2:
-            twos = list(zip(*map(_p2_at_zeta, halves2, zip(xs, ys, zetas, epss), coefficients)))
-        if len(halves1) == len(xs):
-            return ones, twos
-    for point in itertools.starmap(DimensionlessConfig, zip(xs, ys, zetas, epss)):
-        if want_p1:
-            p1_closed(point)
-        if want_p2 and point.zeta < 1.0:
-            p2_closed(point)
-    raise AssertionError("a row raised in a batch and raises alone nowhere")
+    unwanted = [[None] * len(xs)] * 6
+    twos = (list(zip(*map(_p2_at_zeta, halves2, zip(xs, ys, zetas, epss), coefficients)))
+            if want_p2 else unwanted)
+    if stop is not None:
+        raise stop
+    return (list(zip(*ones)) if want_p1 else unwanted), twos
 
 
 def p1_closed_si(p: PhysicalConfig) -> float:

@@ -22,7 +22,7 @@ import math
 from typing import NamedTuple
 
 from .dispersion import wavenumber_perturbative
-from .units import CheckedRecord, require_perturbative
+from .units import CheckedRecord, deformed_frequencies, require_perturbative
 
 __all__ = [
     "SpacetimePoint",
@@ -82,7 +82,7 @@ class ModeSpec(CheckedRecord, _ModeFields):
     @property
     def y_bar(self) -> float:
         """GUP-shifted photon frequency y (1 - eps/2)."""
-        return self.y * (1.0 - 0.5 * self.eps)
+        return deformed_frequencies(self.y, self.eps)[1]
 
 
 def atom_trajectory(tau: float) -> SpacetimePoint:
@@ -150,14 +150,14 @@ def mode_accel_mirror(p: SpacetimePoint, m: ModeSpec) -> complex:
     """
     u_ret = p.z - p.t
     u_adv = p.z + p.t
-    power = 0.5 * m.eps * m.y
+    _, ybar, power = deformed_frequencies(m.y, m.eps)
     value = 0j
     if u_ret > 0.0:
         value += cmath.exp(
-            1j * m.y_bar * math.log(u_ret) - 1j * power * _log_continued(u_adv, -1.0)
+            1j * ybar * math.log(u_ret) - 1j * power * _log_continued(u_adv, -1.0)
         )
     if u_adv > 0.0:
         value -= cmath.exp(
-            -1j * m.y_bar * math.log(u_adv) + 1j * power * _log_continued(u_ret, +1.0)
+            -1j * ybar * math.log(u_adv) + 1j * power * _log_continued(u_ret, +1.0)
         )
     return value

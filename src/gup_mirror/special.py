@@ -152,17 +152,17 @@ def gamma_phase_set(x: float) -> float:
 def planck_factor(w: float) -> float:
     """Thermal occupation 1/(e^{2 pi w} - 1), overflow safe.
 
-    Uses expm1 for small and moderate arguments and the equivalent
-    e^{-2 pi w}/(1 - e^{-2 pi w}) form once e^{2 pi w} would overflow.
-    Underflows gracefully to 0.0 for very large w.
+    Uses expm1 for small and moderate arguments and e^{-2 pi w} once
+    e^{2 pi w} would overflow: there 1 - e^{-2 pi w} rounds to 1.0, so
+    e^{-2 pi w}/(1 - e^{-2 pi w}) is e^{-2 pi w} to the bit.  Underflows
+    gracefully to 0.0 for very large w.
     """
     if not w > 0.0:
         raise ValueError("w must be strictly positive")
     arg = 2.0 * math.pi * w
     if arg < 700.0:
         return 1.0 / math.expm1(arg)
-    damped = math.exp(-arg)
-    return damped / (1.0 - damped)
+    return math.exp(-arg)
 
 
 # L is summed from its asymptotic series once |z| >= 17 + 1.5 |a|.  The

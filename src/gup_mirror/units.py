@@ -40,6 +40,7 @@ __all__ = [
     "validate_physical",
     "sign_problem",
     "require_perturbative",
+    "deformed_frequencies",
     "EPS_GUARD",
     "CheckedRecord",
 ]
@@ -59,6 +60,14 @@ def require_perturbative(value: float, name: str = "eps") -> None:
         raise ValueError(
             f"{name}={value!r}: perturbative regime violated (need 0 <= {name} < {EPS_GUARD})"
         )
+
+
+def deformed_frequencies(y: float, eps: float) -> tuple[float, float, float]:
+    """The GUP-deformed frequencies of a mode of frequency y, the one copy
+    of each: the spatial frequency y (1 - eps), the photon frequency
+    ybar = y (1 - eps/2) and the power-factor exponent eta = eps y / 2,
+    each as the closed forms, the oracle and the modes write it."""
+    return y * (1.0 - eps), y * (1.0 - 0.5 * eps), 0.5 * eps * y
 
 
 class CheckedRecord:

@@ -898,6 +898,12 @@ def _first_scalar_error(cfg):
                  "sweep_param = nu\nsweep_min = 1.0007e12\nsweep_max = 3.0021e12\n"
                  "sweep_count = 9\n",
                  "eps y^2/(1 + x^2)=0.1138", id="si-nu-mid-sweep"),
+    # p1's total overflows and p2's x^2 underflows at the first row: p1's
+    # at-zeta half comes before p2's zeta-free half, as in p1_closed then p2_closed
+    pytest.param("x = 1e-310\ny = 1\nzeta = 0.5\nsweep_param = x\nsweep_min = 1e-310\n"
+                 "sweep_max = 1\nsweep_count = 50\nsweep_spacing = log\n",
+                 "p1 is not a finite double at DimensionlessConfig(x=1e-310",
+                 id="p1-total-then-x-squared"),
 ])
 def test_sweep_reports_first_failing_row(tmp_path, capsys, block, first):
     # a sweep's L is summed for all rows before any row is assembled, yet
@@ -947,6 +953,37 @@ def test_sweep_sums_l_only_for_rows_before_first_failing_half(tmp_path, capsys, 
     assert len(set(rows)) == len(rows)
     assert not set(received) & set(rows[failing:])
     assert set(received) <= set(rows[:failing]) and len(received) == summed
+
+
+@pytest.mark.parametrize("block", [
+    # p1's zeta-free half fails at the 5th row, p2's at the 155th, and p2's
+    # damping (an at-zeta half) at the 301st
+    pytest.param("x = 1\ny = 1\nzeta = 0.5\neps = 0.01\nsweep_param = y\nsweep_min = 1\n"
+                 "sweep_max = 10\nsweep_count = 10\n", id="p1-guard-mid-sweep"),
+    pytest.param("x = 1\ny = 1\nzeta = 0.5\neps = 0.01\nsweep_param = x\nsweep_min = 1\n"
+                 "sweep_max = 1e200\nsweep_count = 200\nsweep_spacing = log\n", id="p2-x-squared"),
+    pytest.param(_DAMPING + "sweep_param = x\nsweep_min = 1\nsweep_max = 400\nsweep_count = 400\n",
+                 id="p2-damping-mid-sweep"),
+])
+def test_failing_sweep_evaluates_each_row_once(tmp_path, capsys, monkeypatch, block):
+    # the first error a point by point run meets comes from one pass over
+    # the rows, not from evaluating the rows before it again
+    config = tmp_path / "run.conf"
+    config.write_text(block)
+    message = _first_scalar_error(parse_config("mode = sweep\n" + block))
+    seen = {}
+    for half in ("_p1_at_zeta", "_p2_at_zeta"):
+        points = seen[half] = []
+
+        def recording(factors, point, *rest, original=getattr(closed_form, half), points=points):
+            points.append(tuple(point))
+            return original(factors, point, *rest)
+
+        monkeypatch.setattr(closed_form, half, recording)
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    for half, points in seen.items():
+        assert points and len(set(points)) == len(points), half
 
 
 def test_failing_sweep_builds_points_one_batch_at_a_time(monkeypatch):
