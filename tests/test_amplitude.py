@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -288,6 +289,50 @@ def test_one_real_quadrature_per_contour_piece(monkeypatch, oracle, point, evalu
         assert (np.round(scaled) % 2 == 1).all()
     every = np.concatenate(nodes)
     assert np.unique(every).size == every.size
+
+
+def _oracle_box(seed, blocks):
+    """Points of the benchmark's oracle box, x and y in [0.5, 2], zeta in
+    [0.3, 0.9]: each block holds one point in each cell of its 3x3x3
+    split, and each eps in {0, 1e-3, 1e-2} at nine of them."""
+    rng = random.Random(seed)
+    cells = list(itertools.product(range(3), repeat=3))
+    for _ in range(blocks):
+        eps_values = [0.0, 1e-3, 1e-2] * 9
+        rng.shuffle(eps_values)
+        for (i, j, k), eps in zip(cells, eps_values):
+            yield DimensionlessConfig(0.5 + 0.5 * (i + rng.random()), 0.5 + 0.5 * (j + rng.random()),
+                                      0.3 + 0.2 * (k + rng.random()), eps)
+
+
+# p1 points of the box whose sums already agree at h = 1/4
+BOX_QUARTER_STOPS = [DimensionlessConfig(0.51857261673, 1.5056174585358963, 0.35500987356991065, 0.0),
+                     DimensionlessConfig(0.9137659673981344, 1.0843579317514365, 0.4263989729908987, 0.0)]
+
+
+def test_oracle_box_takes_one_evaluation_per_probability(monkeypatch):
+    # the work of a benchmark oracle point: per probability one quad call
+    # and one evaluation, on every multiple of 1/8 between the rule's own
+    # limits, which gives every sum down to h = 1/8.  p1's sums stop there
+    # or, at a few points, at h = 1/4, one level earlier
+    original, calls = amplitude.quad, []
+
+    def recorded(f, lower, upper, omega, abel=None):
+        sizes, steps = [], []
+        calls.append((lower, upper, sizes, steps))
+        return original(lambda t: sizes.append(t.size) or f(t), lower, upper, omega,
+                        abel and (lambda h: steps.append(h) or abel(h)))
+
+    monkeypatch.setattr(amplitude, "quad", recorded)
+    for d in itertools.chain(_oracle_box(32, 12), BOX_QUARTER_STOPS):
+        for oracle in (p1_numeric, p2_numeric):
+            oracle(d)
+            (lower, upper, sizes, steps), = calls
+            calls.clear()
+            assert sizes == [math.floor(8.0 * upper) - math.ceil(8.0 * lower) + 1], (oracle.__name__, d)
+            if oracle is p1_numeric:
+                stops = [[0.5, 0.25]] if d in BOX_QUARTER_STOPS else [[0.5, 0.25], [0.5, 0.25, 0.125]]
+                assert steps in stops, d
 
 
 @pytest.mark.parametrize("point", [(1.0, 1.0, 0.5, 0.0), (0.7, 2.0, 0.8, 0.01),

@@ -281,6 +281,42 @@ def test_integrands_keep_the_bits_of_every_term(monkeypatch, eps):
                     oracle.__name__, d, h)
 
 
+EDGE_NODES = {
+    "empty": np.empty(0),
+    "single-negative": np.array([-1.5]),
+    "single-zero": np.array([0.0]),
+    "single-positive": np.array([2.25]),
+    "all-negative": np.arange(-80, 0) * 0.5,
+    "all-nonpositive": np.arange(-80, 1) * 0.5,
+    "all-positive": np.arange(1, 9) * 0.5,
+    "through-zero": np.arange(-16, 17) * 0.25,
+    "negative-zero": np.array([-1.0, -0.0, 1.0]),
+    "strided": (np.arange(-40, 41) * 0.25)[::3],
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-2])
+@pytest.mark.parametrize("nodes", list(EDGE_NODES.values()), ids=list(EDGE_NODES))
+def test_integrands_keep_the_bits_at_the_edges(monkeypatch, nodes, eps):
+    # p1's integrand splits its nodes at sigma = 0 itself: on nodes that
+    # lie on one side of 0, meet it, or are absent, both rows keep the
+    # bytes of the form that takes np.where over both branches; p2's
+    # integrand takes any ascending array too, an empty one included,
+    # which it meets from x of about 6e18, where its node range is empty
+    original, integrands = amplitude.quad, []
+    monkeypatch.setattr(amplitude, "quad", lambda f, *rest: integrands.append(f) or original(f, *rest))
+    x, y, zeta = 1.3, 0.9, 0.6
+    d = DimensionlessConfig(x, y, zeta, eps)
+    a1, a2 = y * (1.0 - 0.5 * eps), 0.5 * y * eps
+    p1_numeric(d)
+    p2_numeric(d)
+    for f, (integrand, _) in zip(integrands, (unskipped_p1(x, a1, a2, y * (1.0 - eps) * zeta),
+                                              unskipped_p2(x, a1, a2, zeta))):
+        rows = f(nodes)
+        assert rows.dtype == np.float64 and rows.shape == (2, nodes.size)
+        assert [row.tobytes() for row in rows] == [row.tobytes() for row in integrand(nodes)]
+
+
 @pytest.mark.parametrize("x, y, zeta, eps", [
     (4.0 * math.pi, 1.0, 0.5, 0.0), (30.0, 1.0, 0.5, 0.0), (200.0, 1.0, 0.5, 0.01),
     (10.0, 8.0, 0.3, 0.099), (5e-7, 1.0, 0.5, 0.0), (5e-7, 1.0, 0.5, 0.01)])

@@ -32,6 +32,8 @@ PROBABILITY = {
     ("p1", 20.0, 1.0): 5.338388618964359e-56,
     ("p2", 1.0, 30.0): 2.5766427358075018e-80,
     ("p2", 1.0, 60.0): 4.896567219977695e-162,
+    # quoted by the empty-range row, whose right answer is an exit code
+    ("p2", 1e19, 1.0): 4.438505906519418e-41,
 }
 
 # keyed by (ybar, r)
@@ -98,6 +100,16 @@ def _p2_with_l_right(tmp_path, x, y, zeta, eps):
     assert p2_closed(DimensionlessConfig(*point)).damping == pytest.approx(right.damping, rel=1e-9)
 
 
+def _verify_refuses_the_empty_p2_range(tmp_path):
+    # p2's lower limit is ln 1e-17 at every x, while the bulk of its
+    # integrand sits near ln(1 / x); from x of about 6e18 the range
+    # [ln 1e-17, ln(60 / x)] holds no node, and the rule returns 0 with an
+    # estimate of 0.  mpmath gives 4.4385e-41 here (PROBABILITY), and
+    # p2_closed's 8.08e-41 comes from a phase of 5e18: item 2's oracle,
+    # item 6's phase check or item 1's gate must refuse the point
+    assert _cli(tmp_path, "verify", (1e19, 1.0, 0.5, 0.0))[0] in (1, 3)
+
+
 def _compare_loses_the_phase(tmp_path):
     # one ulp of p1's phase, 5e16, is 8 rad: no digit of sin^2 is left
     assert _cli(tmp_path, "compare", (1.0, 1e17, 0.5, 0.0)) == (1, None)
@@ -131,6 +143,8 @@ LEDGER = [
          "exit 1; the damping overflows on L's noise"),
     _row(_compare_loses_the_phase, (), "compare-1-1e17", (6,),
          "exit 0; p1 0.0080168 from a phase of 5.0e16"),
+    _row(_verify_refuses_the_empty_p2_range, (), "verify-1e19-1", (1, 2, 6),
+         "exit 0; p2_numeric 0 with an estimate of 0 against mpmath's 4.44e-41"),
 ]
 
 
