@@ -14,17 +14,25 @@ quantifies along with the resulting bound on the GUP parameter.
 
 The package namespace is lazy: each public name is looked up in its
 home module on first access (PEP 562).  Importing the package loads the
-runner and every module a mode can call; ``dispersion`` and ``modes``,
-which no mode calls, load on first access to one of their names.  The
-records are NamedTuples; no module imports ``dataclasses``.
+runner and every module the closed-form, bound and temperatures modes
+call.  The quadrature oracle, ``amplitude``, loads on the first
+``verify`` run or on first access to one of its names; ``dispersion``
+and ``modes``, which no mode calls, load on first access to one of
+theirs.  The records are NamedTuples; no module imports ``dataclasses``.
 """
 
 import importlib
 
-# The modules a run can call load with the package, as they did when it
-# bound every public name on import: code that imports one of them and
-# then replaces or deletes a function there (a tracer, a test) finds the
-# modules that copied the function already holding the original.
+# The modules a closed-form, bound or temperatures run calls load with the
+# package, as they did when it bound every public name on import: code
+# that imports one of them and then replaces or deletes a function there
+# (a tracer, a test) finds the modules that copied the function already
+# holding the original.  ``amplitude`` is the exception: it loads on the
+# first ``verify`` run or on first access to one of its names, and then
+# copies ``p1_closed``, ``p2_closed``, ``DimensionlessConfig`` and
+# ``deformed_frequencies`` as they stand at that moment, so code that
+# replaces one of those must load ``amplitude`` first (perfbench's tracer
+# does, by importing ``QuadratureConvergenceError`` before it installs).
 from . import runner  # noqa: F401
 
 __version__ = "0.1.0"

@@ -43,8 +43,11 @@ fails writes nothing.  The writer takes the output as columns.  Each
 row is written from one `%` template: a column whose cells are all
 equal (and not zero) is rendered once, into the template, and the other
 cells are formatted per row.  Only sweeps and
-`verify` load numpy; nothing loads scipy.  The modules every mode can call
-are imported here, at module level; `SweepAxis` and `RunConfig`, like
+`verify` load numpy; nothing loads scipy.  The modules the closed-form,
+bound and temperatures modes call are imported here, at module level;
+the oracle (`amplitude`) is imported by the first `verify` run, so no
+other mode compiles it, and `run` maps its non-convergence error to
+exit 2 only once it is loaded.  `SweepAxis` and `RunConfig`, like
 every record in the package, are NamedTuples, so nothing imports
 `dataclasses`.
 """
@@ -59,7 +62,6 @@ import sys
 from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING, NamedTuple
 
-from .amplitude import QuadratureConvergenceError, verify_pair
 from .closed_form import closed_rows, temperatures
 from .equivalence import beta_bound, q_parameter
 from .units import (
@@ -530,7 +532,7 @@ def run(cfg: RunConfig, stderr=None) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=stderr)
         return 1
-    except QuadratureConvergenceError as exc:
+    except _quadrature_errors() as exc:
         print(f"quadrature did not converge: {exc}", file=stderr)
         return 2
     except OSError as exc:
@@ -539,12 +541,21 @@ def run(cfg: RunConfig, stderr=None) -> int:
     return 0
 
 
+def _quadrature_errors() -> type[Exception] | tuple[()]:
+    """The oracle's non-convergence error, or an empty tuple (which no
+    exception matches) while no `verify` row has loaded the oracle."""
+    amplitude = sys.modules.get(f"{__package__}.amplitude")
+    return () if amplitude is None else amplitude.QuadratureConvergenceError
+
+
 def _physics_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list]:
     """The CSV's columns, in ROW_COLUMNS order; None renders as an empty cell."""
     axis = cfg.sweep.values() if cfg.sweep is not None else None
     batches = _points(cfg, None if axis is None else (
         axis[start:start + _BATCH_ROWS].tolist() for start in range(0, len(axis), _BATCH_ROWS)))
     if cfg.mode == "verify":
+        from .amplitude import verify_pair  # the oracle loads on the first verify only
+
         rows = []
         for batch in batches:
             for point in zip(*batch):

@@ -367,26 +367,30 @@ def test_import_leaves_scipy_unloaded(tmp_path):
     # the package never imports scipy, a single-point closed-form run never
     # pays for numpy, L's series summed (eps > 0) or not, and the oracle runs
     # with scipy unimportable; a CLI run, and the runner alone, load neither
-    # dataclasses nor a module that no mode calls
-    compare = "mode = compare\nx = 1\ny = 1\nzeta = 0.5\n"
-    path = os.pathsep.join(p for p in (str(Path(gup_mirror.__file__).resolve().parents[1]),
-                                       os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONPATH=path)
+    # dataclasses nor a module that no mode calls, and only verify loads the
+    # oracle
+    point = "x = 1\ny = 1\nzeta = 0.5\n"
+    env = _package_env()
     runs = [(("scipy",), "import gup_mirror")]
-    for name, extra in (("c", ""), ("c-gup", "eps = 0.01\n")):
-        text = f"{compare}{extra}out = {tmp_path / name}.csv"
-        runs.append((("numpy",), "import gup_mirror; "
-                                 f"gup_mirror.run(gup_mirror.parse_config({text!r}))"))
+    for name, text, unloaded in (
+            ("c", f"mode = compare\n{point}", ("numpy",)),
+            ("c-gup", f"mode = compare\n{point}eps = 0.01\n", ("numpy",)),
+            ("p1", f"mode = p1\n{point}", ()),
+            ("s", f"mode = sweep\n{point}sweep_param = x\nsweep_min = 0.5\nsweep_max = 2\n"
+                  "sweep_count = 3\n", ())):
+        text = f"{text}out = {tmp_path / name}.csv"
+        runs.append(((*unloaded, "gup_mirror.amplitude"), "import gup_mirror; "
+                     f"gup_mirror.run(gup_mirror.parse_config({text!r}))"))
     for module in ("gup_mirror.cli", "gup_mirror.runner"):
-        runs.append((("dataclasses", "gup_mirror.dispersion", "gup_mirror.modes"),
-                     f"import {module}"))
+        runs.append((("dataclasses", "gup_mirror.dispersion", "gup_mirror.modes",
+                      "gup_mirror.amplitude"), f"import {module}"))
     for modules, code in runs:
         result = subprocess.run(
             [sys.executable, "-c", f"import sys; {code}; print([m for m in {modules!r} if m in sys.modules])"],
             capture_output=True, text=True, env=env, timeout=60, check=True)
         assert result.stdout.strip() == "[]", (code, result.stdout)
-    for name in ("c", "c-gup"):
-        assert (tmp_path / f"{name}.csv").read_text().count("\n") == 2
+    for name, lines in (("c", 2), ("c-gup", 2), ("p1", 2), ("s", 4)):
+        assert (tmp_path / f"{name}.csv").read_text().count("\n") == lines
     config, out = tmp_path / "verify.conf", tmp_path / "verify.csv"
     config.write_text("grid = default\n")
     verify = ('import sys; sys.modules["scipy"] = None; from gup_mirror.cli import main; '
@@ -395,3 +399,31 @@ def test_import_leaves_scipy_unloaded(tmp_path):
                             env=env, timeout=120)
     assert result.returncode == 0 and result.stderr == "", result.stderr
     assert out.read_text().count("\n") == 28
+
+
+def _package_env() -> dict[str, str]:
+    """The environment with this package first on PYTHONPATH, for a fresh interpreter."""
+    path = os.pathsep.join(p for p in (str(Path(gup_mirror.__file__).resolve().parents[1]),
+                                       os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_first_verify_maps_non_convergence_to_exit_2(tmp_path):
+    # the runner loads the oracle only inside a verify run, and still maps
+    # the oracle's non-convergence error to exit 2 with one stderr line and
+    # no CSV; in this interpreter nothing has loaded the oracle beforehand
+    config, out = tmp_path / "x7.conf", tmp_path / "x7.csv"
+    config.write_text("x = 1e-7\ny = 1\nzeta = 0.5\neps = 0\n")
+    code = ('import sys; from gup_mirror.cli import main; '
+            'assert "gup_mirror.amplitude" not in sys.modules; '
+            f'status = main(["verify", "--config", {str(config)!r}, "--out", {str(out)!r}]); '
+            'import gup_mirror; '
+            'assert gup_mirror.QuadratureConvergenceError is '
+            'gup_mirror.amplitude.QuadratureConvergenceError; '
+            'sys.exit(status)')
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=_package_env(), timeout=120)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == ("quadrature did not converge: probability-1 amplitude: quadrature "
+                             "error estimate 2.521e-08 exceeds 1.000e-08\n")
+    assert not out.exists()

@@ -48,6 +48,10 @@ COEFFICIENT = {
     (499.75, 711.9288): 0.5317845084061308 - 0.0006551056502404972j,
     (999.5, 1000.0): 0.6928972379193628 - 0.00037512501559760884j,
     (199.9999, 301.0): 0.509497446229681 - 0.0015976007592052466j,
+    (9.95e-306, 10.0): 0.009488539016354807 - 0.09819103501017017j,
+    # item 3's tiny-ybar rows, where the convergent series is 4.9e-4 and 26 off
+    (1e-12, 1.0): 0.34337796155688516 - 0.6214496242354262j,
+    (1e-16, 3.0): 0.07922152116436407 - 0.29195771069207876j,
 }
 
 
@@ -78,11 +82,11 @@ def _verify_gates(tmp_path, x, y):
     assert _cli(tmp_path, "verify", (x, y, 0.5, 0.0))[0] == 3
 
 
-def _coefficients_within_1e_8(tmp_path):
+def _coefficients_within_1e_8(tmp_path, *points):
+    # L at each (ybar, r) of `points` within 1e-8 of mpmath's
     errors = {(ybar, r): abs(gup_coefficient(ybar, r, log_gamma(complex(0.0, ybar)),
                                              digamma(complex(1.0, ybar))) - COEFFICIENT[ybar, r])
-              for ybar, r in ((100.0, 166.0), (109.94500000000001, 180.0), (200.0, 300.0),
-                              (500.0, 712.0))}
+              for ybar, r in points}
     assert max(errors.values()) <= 1e-8, errors
 
 
@@ -131,8 +135,13 @@ LEDGER = [
          "exit 0; p2 4.90e-162 against an oracle of 5.06e-117"),
     _row(_verify_gates, (120.0, 1.0), "verify-120-1", (1, 6),
          "exit 0; p1 0 against an oracle of 5.67e-200"),
-    _row(_coefficients_within_1e_8, (), "L-large-ybar", (3, 13),
+    _row(_coefficients_within_1e_8, ((100.0, 166.0), (109.94500000000001, 180.0),
+                                     (200.0, 300.0), (500.0, 712.0)), "L-large-ybar", (3, 13),
          "L 1.08, 15.9, 6.9e5 and 9.3e29 off"),
+    _row(_coefficients_within_1e_8, ((1e-12, 1.0), (1e-16, 3.0)), "L-small-ybar", (3, 13),
+         "the convergent L's rounding grows as about u r / ybar: at r = 1 it is 4.5e-8 off "
+         "at ybar 1e-8, 4.9e-4 at 1e-12 and 34 at 1e-16; printed p2 values do not show "
+         "this error, since eta = eps y / 2 scales it to about eps u r"),
     _row(_p2_with_l_right, (180.0, 110.0, 0.5, 1e-3), "p2-180-110", (3, 13),
          "exit 0; 1.5221e-302 from an L 15.9 off"),
     _row(_p2_with_l_right, (356.0, 500.0, 0.9999, 1e-3), "p2-356-500", (3, 13),
@@ -141,6 +150,8 @@ LEDGER = [
          "exit 1; L is unsummable"),
     _row(_p2_with_l_right, (301.0, 200.0, 0.5, 1e-6), "p2-301-200", (3, 13),
          "exit 1; the damping overflows on L's noise"),
+    _row(_p2_with_l_right, (10.0, 1e-305, 0.5, 0.01), "p2-10-1e-305", (3, 13),
+         "exit 1; at ybar=9.95e-306, r=10.0 the bound on L's series terms overflows a double"),
     _row(_compare_loses_the_phase, (), "compare-1-1e17", (6,),
          "exit 0; p1 0.0080168 from a phase of 5.0e16"),
     _row(_verify_refuses_the_empty_p2_range, (), "verify-1e19-1", (1, 2, 6),
@@ -161,5 +172,6 @@ def test_ledger_references_recompute():
         reference = (p1_reference if route == "p1" else p2_reference)(
             DimensionlessConfig(x, y, 0.5, 0.0))
         assert 0.25 * abs(reference) ** 2 == pytest.approx(exact, rel=1e-14)
-    for ybar, r in ((100.0, 166.0), (109.94500000000001, 180.0), (199.9999, 301.0)):
+    for ybar, r in ((100.0, 166.0), (109.94500000000001, 180.0), (199.9999, 301.0),
+                    (9.95e-306, 10.0), (1e-16, 3.0)):
         assert coefficient_reference(ybar, r) == pytest.approx(COEFFICIENT[ybar, r], rel=1e-14)
