@@ -45,8 +45,9 @@ psi, and is summed in `special` without quadrature: for
 |z| < 17 + 1.5 |a| from the connection formula of U in terms of Kummer's
 M (DLMF section 13.2), two polynomials in z whose coefficients read ybar
 alone, each summed by Horner's rule; from its asymptotic series beyond.
-This module keeps p2's formula, which reads L, and chooses the rows whose
-L is summed together.
+`special` alone chooses between the two.  This module keeps p2's
+formula, which reads L, and hands the rows that need it to `special`
+together.
 
 Each probability is written once, in two halves.  `_p1_zeta_free` and
 `_p2_zeta_free` compute what zeta does not enter (the prefactor, the
@@ -71,14 +72,14 @@ run of (y, eps), the rest of each zeta-free half per run of
 omega0 sweep evaluates the Gamma values of ybar once.  Row by row it
 computes p1's tiers and `_p1_at_zeta`, then p2's tiers, the order in
 which `p1_closed` and then `p2_closed` meet them, and stops at the first
-row where one raises.  It sums L together for the rows before that on
-the convergent branch (0 < r below `special.asymptotic_line`), where a
-batch has two such rows or more, with `special.gup_coefficient_batch`:
-the Horner sums of all those rows on float64 arrays, with one
-coefficient table where the rows share ybar, which give each row the
-bits `special.gup_coefficient` gives it.  It then maps `_p2_at_zeta`
-over those rows; every other row, and a row the batch declines, has L
-summed the scalar way there.  The at-zeta halves are the functions
+row where one raises.  Where two rows or more before that need L
+(eta > 0 and zeta < 1), it hands them all to
+`special.gup_coefficient_batch`, which sums those on the convergent
+branch on float64 arrays, with one coefficient table where the rows
+share ybar, and gives each the bits `special.gup_coefficient` gives it;
+it returns None at every other row.  It then maps `_p2_at_zeta` over
+those rows, which sums L the scalar way at a row with no value from the
+batch.  The at-zeta halves are the functions
 `p1_closed` and `p2_closed` call, so there is one copy of each formula.
 The first error of that map is the first in point order, and only where
 it raises none is the error that stopped the rows raised: a batch
@@ -117,8 +118,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .special import (asymptotic_line, digamma, gamma_phase_set, gup_coefficient,
-                      gup_coefficient_batch, log_gamma, planck_factor)
+from .special import (digamma, gamma_phase_set, gup_coefficient, gup_coefficient_batch,
+                      log_gamma, planck_factor)
 from .units import (
     CODATA,
     DimensionlessConfig,
@@ -320,16 +321,16 @@ def closed_rows(xs, ys, zetas, epss, want_p1: bool, want_p2: bool) -> tuple:
     of equal (y, eps) with zeta < 1, and the rest of each zeta-free half
     per run of equal (x, y, eps).  Row by row, p1's tiers and its at-zeta
     half come before p2's tiers, the order in which p1_closed and then
-    p2_closed meet them, up to the first row where one raises.  L is then
-    summed all at once for the rows before it on the convergent branch
-    (eta > 0, 0 < r below asymptotic_line), where there are two or more
-    (gup_coefficient_batch, which loads numpy), and p2's at-zeta half maps
-    over those rows, summing L the scalar way at every other row.  Its
-    first ValueError is the first in point order; only where it raises
-    none is the error that stopped the rows raised.
+    p2_closed meet them, up to the first row where one raises.  Every row
+    before it that needs L (eta > 0) is then handed to
+    gup_coefficient_batch, which loads numpy, where there are two or more,
+    and p2's at-zeta half maps over those rows, summing L the scalar way
+    wherever the batch gives None.  Its first ValueError is the first in
+    point order; only where it raises none is the error that stopped the
+    rows raised.
     """
-    ones, halves2, lines = [], [], []
-    x0 = y0 = eps0 = line = stop = None
+    ones, halves2 = [], []
+    x0 = y0 = eps0 = stop = None
     try:
         for point in zip(xs, ys, zetas, epss):
             x, y, zeta, eps = point
@@ -346,17 +347,14 @@ def closed_rows(xs, ys, zetas, epss, want_p1: bool, want_p2: bool) -> tuple:
             if want_p2 and zeta < 1.0 and half2 is None:
                 if ybar_factors is None:
                     ybar_factors = _p2_ybar_factors(y, eps)
-                    line = asymptotic_line(ybar_factors[0])
                 half2 = _p2_zeta_free(x, ybar_factors)
             halves2.append(half2 if zeta < 1.0 else None)
-            lines.append(line)
     except ValueError as error:
         stop = error
     coefficients = [None] * len(halves2)
-    # (row, ybar, r, log Gamma(i ybar), psi) of each row whose L the batch sums
-    chosen = [(row, half[0], 2.0 * zeta * x, half[2], half[6])
-              for row, (half, x, zeta, line) in enumerate(zip(halves2, xs, zetas, lines))
-              if half and half[1] > 0.0 and 0.0 < 2.0 * zeta * x < line]
+    # (row, ybar, r, log Gamma(i ybar), psi) of each row that needs L
+    chosen = [(row, half[0], 2.0 * zeta * x, half[2], half[6]) for row, (half, x, zeta)
+              in enumerate(zip(halves2, xs, zetas)) if half and half[1] > 0.0]
     if len(chosen) > 1:
         rows, *columns = zip(*chosen)
         for row, coefficient in zip(rows, gup_coefficient_batch(*columns)):

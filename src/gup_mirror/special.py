@@ -31,15 +31,17 @@ gup_coefficient sums L(a, z) = z^a dU(a, b, z)/db at b = a + 1,
 a = 1 + i ybar, z = i r (U is Tricomi's function, DLMF section 13.2),
 from log Gamma(i ybar) and psi(1 + i ybar): from its convergent series
 for 0 < r below asymptotic_line(ybar), from its asymptotic series on and
-above it.  The convergent series is two polynomials in z whose
-coefficients read ybar alone, scaled by the powers of a power of two s so
-that none underflows, and each is summed by Horner's rule in the real
-t = -(r/s)^2, as its even part plus i r/s times its odd part.
-gup_coefficient_batch sums many rows at once on float64 arrays, with one
-table of coefficients where the rows share ybar and a column per row
-otherwise, and gives every row the bits gup_coefficient gives it, on any
-build: each + - * / of the coefficients (_coefficients), of the Horner
-step acc * t + c and of the final combination (_combine) is one IEEE
+above it; this module alone makes that choice.  The convergent series
+is two polynomials in z whose coefficients read ybar alone, scaled by
+the powers of a power of two s so that none underflows, and each is
+summed by Horner's rule in the real t = -(r/s)^2, as its even part plus
+i r/s times its odd part.  gup_coefficient_batch takes any rows, sums
+those on the convergent branch at once on float64 arrays, with one table
+of coefficients where the rows share ybar and a column per row
+otherwise, and gives None at the rest, which gup_coefficient is to sum.
+Every row it sums gets the bits gup_coefficient gives it, on any build:
+each + - * / of the coefficients (_coefficients), of the Horner step
+acc * t + c and of the final combination (_combine) is one IEEE
 operation written once for floats and arrays alike, and numpy's complex
 type is never used.  The first term's exponent, exp and modulus and
 log r are computed row by row in both (_first_term).  Only the batch
@@ -321,10 +323,10 @@ def _term_counts(size: np.ndarray, r: np.ndarray) -> np.ndarray:
     """How many Horner steps each row's convergent series takes: with n the
     first term at which its bound size r^n / n! falls below _L_TOLERANCE,
     n // 2 + 1, so that its terms through n are summed; or 0 where that
-    bound overflows first (the scalar raises there).  size is changed in
-    place.  A bound that has fallen below the tolerance stays below: it
-    starts at 1 or more, so it gets there only once n > r, and every later
-    factor r / n is at most 1."""
+    bound is infinite, which takes no step, or overflows first (the scalar
+    raises there).  size is changed in place.  A bound that has fallen
+    below the tolerance stays below: it starts at 1 or more, so it gets
+    there only once n > r, and every later factor r / n is at most 1."""
     import numpy as np
 
     terms = np.zeros(size.size, dtype=np.intp)
@@ -355,14 +357,15 @@ def _horner(table: np.ndarray, t: np.ndarray, steps: np.ndarray) -> np.ndarray:
 def gup_coefficient_batch(ybars: list[float], rs: list[float], log_gammas: list[complex],
                           psis: list[complex]) -> list[complex | None]:
     """gup_coefficient(ybar, r, log_gamma_iy, psi) at many rows at once,
-    bit for bit, or None at each row where gup_coefficient raises.  Never
-    raises.  Every row must be on the convergent branch,
-    0 < r < asymptotic_line(ybar); closed_form.closed_rows chooses the
-    rows, and this function sums each row it is given.
+    bit for bit, at each row that gup_coefficient sums from its convergent
+    series; None at every other row, which is to be summed the scalar way:
+    r = 0, r on or above asymptotic_line(ybar), and the rows where the
+    scalar raises because a bound on the terms overflows.  Never raises.
 
-    Each row takes the Horner steps gup_coefficient takes.  Where every
-    row has one ybar, the coefficients are computed once, on floats;
-    otherwise each row has its own column of them, built for a block of
+    Each row it sums takes the Horner steps gup_coefficient takes, and a
+    row it declines takes none.  Where every row has one ybar, the line
+    and the coefficients are computed once, on floats; otherwise each row
+    has its own line and column of coefficients, built for a block of
     rows at a time, so that one table holds at most _TABLE_CELLS steps
     times rows.
     """
@@ -374,25 +377,30 @@ def gup_coefficient_batch(ybars: list[float], rs: list[float], log_gammas: list[
     with np.errstate(all="ignore"):
         # Overflow and 0 * inf happen where the scalar sum meets them too,
         # and leave the same infinities and NaNs in the same rows.
-        # an infinite bound declines the row, where the scalar raises
-        log_r, kummer, size = zip(*map(_first_term, log_gammas, ybars, rs))
+        ybar = np.array(ybars, dtype=float)
+        shared = ybar.min() == ybar.max()
+        line = asymptotic_line(ybars[0]) if shared else np.array(list(map(asymptotic_line, ybars)))
+        # an infinite bound declines the row: the scalar raises where it
+        # overflows, and off the convergent branch (r = 0, or r on or above
+        # the line) r is set to 1, which has a logarithm, and the bound to inf
         r = np.array(rs, dtype=float)
-        steps = _term_counts(np.array(size), r)
+        declined = ~((0.0 < r) & (r < line))
+        r[declined] = 1.0
+        log_r, kummer, size = zip(*map(_first_term, log_gammas, ybars, r.tolist()))
+        steps = _term_counts(np.where(declined, math.inf, size), r)
         kept = int(np.count_nonzero(steps))
         if not kept:
             return coefficients
         rows = np.argsort(-steps, kind="stable")[:kept]
-        r, steps = r[rows], steps[rows]
-        ybar = np.array(ybars, dtype=float)
-        if ybar.min() == ybar.max():  # one table of floats, (8, steps, 1)
+        r, steps, ybar = r[rows], steps[rows], ybar[rows]
+        if shared:  # one table of floats, (8, steps, 1)
             ybar = float(ybar[0])
-            scale = _scale(asymptotic_line(ybar))
+            scale = _scale(line)
             w = r / scale
             table = np.array(_coefficients(ybar, scale, int(steps[0])))[..., None]
             sums = _horner(table, -(w * w), steps)
         else:  # a table of (8, steps, rows) per block of at most _TABLE_CELLS cells
-            ybar = ybar[rows]
-            scale = np.array(list(map(_scale, map(asymptotic_line, ybar.tolist()))))
+            scale = np.array(list(map(_scale, line[rows].tolist())))
             w = r / scale
             t = -(w * w)
             block = _TABLE_CELLS // int(steps[0])

@@ -260,8 +260,8 @@ def test_tabled_series_keeps_its_bits(ybar):
 
 
 def _convergent(ybar, r):
-    """Whether closed_rows hands the row to the batch: L is summed from its
-    convergent series there."""
+    """Whether gup_coefficient sums L from its convergent series at the
+    row: the batch sums no other rows."""
     return 0.0 < r < asymptotic_line(ybar)
 
 
@@ -291,14 +291,15 @@ def _l_rows(draw):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(_l_rows())
 def test_batched_gup_coefficients_match_scalar_bit_for_bit(rows):
-    # the batch is handed only the rows on the convergent branch, as closed_rows chooses them
-    rows = [row for row in rows if _convergent(*row)]
+    # the scalar's bits at each row on the convergent branch where it sums
+    # L, and None where it raises and at every row on or above the line
     log_gammas = [log_gamma(complex(0.0, ybar)) for ybar, _ in rows]
     psis = [digamma(complex(1.0, ybar)) for ybar, _ in rows]
     batch = gup_coefficient_batch([ybar for ybar, _ in rows], [r for _, r in rows], log_gammas,
                                   psis)
-    scalar = [_scalar_or_none(ybar, r, lg) for (ybar, r), lg in zip(rows, log_gammas)]
-    assert list(map(repr, batch)) == list(map(repr, scalar))
+    expected = [_scalar_or_none(ybar, r, lg) if _convergent(ybar, r) else None
+                for (ybar, r), lg in zip(rows, log_gammas)]
+    assert list(map(repr, batch)) == list(map(repr, expected))
 
 
 def test_batched_gup_coefficients_in_blocks_match_scalar_bit_for_bit(monkeypatch):
@@ -326,14 +327,18 @@ def test_batched_gup_coefficients_decline_where_scalar_raises():
         (1e-300, 18.0),  # terms up to 1.1e308, and still a finite sum
     ]
     assert [_convergent(*row) for row in rows] == [True, True, False, True, False, True, True]
-    rows = [row for row in rows if _convergent(*row)]
     ybars = [ybar for ybar, _ in rows]
     log_gammas = [log_gamma(complex(0.0, ybar)) for ybar in ybars]
     psis = [digamma(complex(1.0, ybar)) for ybar in ybars]
     batch = gup_coefficient_batch(ybars, [r for _, r in rows], log_gammas, psis)
-    assert [value is None for value in batch] == [False, True, True, False, False]
+    # None where the scalar raises, and off the convergent branch, where the
+    # scalar sums the asymptotic series (r = 30) or raises (r = 0)
+    assert [value is None for value in batch] == [False, True, True, True, True, False, False]
+    assert [_scalar_or_none(ybar, r, lg) is None for (ybar, r), lg in zip(rows, log_gammas)] == [
+        False, True, False, True, True, False, False]
     for (ybar, r), lg, value in zip(rows, log_gammas, batch):
-        assert repr(value) == repr(_scalar_or_none(ybar, r, lg))
+        if value is not None:
+            assert repr(value) == repr(_scalar_or_none(ybar, r, lg))
     with pytest.raises(ValueError, match=r"ybar=9.95e-308, r=18.0: the first term of its series "
                                          "overflows a double"):
         gup_coefficient(9.95e-308, 18.0, log_gammas[1], psis[1])
@@ -445,6 +450,9 @@ def _closed_rows_by_point(points, wanted, batch_rows, rows):
 @example([_SQUARING_POINT, _SQUARING_POINT._replace(zeta=0.5)], (True, True), 4096)
 # an eps sweep: each row's tiers read its own eps
 @example([_SQUARING_POINT._replace(eps=eps) for eps in (0.0, 0.01, 0.02)], (True, True), 4096)
+# an x sweep whose r = x crosses asymptotic_line(0.995), about 19.12, inside one batch
+@example([DimensionlessConfig(x, 1.0, 0.5, 0.01) for x in np.geomspace(0.5, 60.0, 40).tolist()],
+         (True, True), 4096)
 def test_closed_rows_match_point_by_point_calls(points, wanted, batch_rows):
     # every point's fields bit for bit, or the first error a point by point
     # run meets, whatever the batch size
