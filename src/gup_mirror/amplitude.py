@@ -233,7 +233,9 @@ def quad(f, lower: float, upper: float, omega: float, abel=None) -> tuple[float,
     pairwise sum.  The rule stops when two successive sums agree to
     _PIECE_TOLERANCE, absolute or relative, or to within the rounding
     term below, past which a halving resolves only rounding noise, or
-    before a halving would pass _TRAPEZOID_LIMIT nodes.
+    before a halving would pass _TRAPEZOID_LIMIT nodes.  It raises
+    ValueError where those sums hold no node: [lower, upper] holds no
+    multiple of the second level's step.
 
     The estimate is the last difference, which bounds the error of the
     coarser sum, plus _ROUNDOFF h sum|g| and abel's bound for rounding,
@@ -267,6 +269,8 @@ def quad(f, lower: float, upper: float, omega: float, abel=None) -> tuple[float,
             difference = abs(value - previous)
             if (difference <= _PIECE_TOLERANCE * max(1.0, abs(value)) or difference <= rounding
                     or 2 * count > _TRAPEZOID_LIMIT):
+                if not count:  # two empty sums agree
+                    raise ValueError(f"no node j h (h = {h!r}) lies in [{lower!r}, {upper!r}]")
                 return value, difference + rounding
         h *= 0.5
         # the odd multiples of the halved h: every stride-th column from
@@ -408,7 +412,10 @@ def _accel_mirror_core(x: float, ybar: float, eta: float, zeta: float) -> tuple[
         np.multiply(np.cos(phase, out=phase), modulus, out=phase)
         return out
 
-    return quad(integrand, _LOG_NEGLIGIBLE, _decay_limit(x), ybar)
+    try:
+        return quad(integrand, _LOG_NEGLIGIBLE, _decay_limit(x), ybar)
+    except ValueError as exc:
+        raise ValueError(f"x={x!r} is too large for probability 2's oracle: {exc}") from None
 
 
 def p2_numeric(d: DimensionlessConfig) -> AmplitudeResult:
@@ -419,7 +426,10 @@ def p2_numeric(d: DimensionlessConfig) -> AmplitudeResult:
 
     Requires zeta < 1 (the atom must sit inside the mirror's right Rindler
     wedge).  Raises QuadratureConvergenceError when the error estimate
-    exceeds the gate of 1e-8.
+    exceeds the gate of 1e-8, and ValueError naming x where the range in
+    sigma, [ln 1e-17, ln(60 / x)], holds no node of the rule's first two
+    levels: from x of about 5.2e18 where ybar <= 2.28 (steps 1/2 and 1/4),
+    and from 60 / 1e-17 = 6e18 at the latest.
     """
     if not d.zeta < 1.0:
         raise ValueError("mirror-accelerating case requires zeta < 1")

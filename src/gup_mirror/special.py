@@ -31,14 +31,16 @@ gup_coefficient sums L(a, z) = z^a dU(a, b, z)/db at b = a + 1,
 a = 1 + i ybar, z = i r (U is Tricomi's function, DLMF section 13.2),
 from log Gamma(i ybar) and psi(1 + i ybar): from its convergent series
 for 0 < r below asymptotic_line(ybar), from its asymptotic series on and
-above it; this module alone makes that choice.  The convergent series
+above it.  This module alone makes that choice, in one predicate,
+_convergent, which both sums call.  The convergent series
 is two polynomials in z whose coefficients read ybar alone, scaled by
 the powers of a power of two s so that none underflows, and each is
 summed by Horner's rule in the real t = -(r/s)^2, as its even part plus
-i r/s times its odd part.  gup_coefficient_batch takes any rows, sums
-those on the convergent branch at once on float64 arrays, with one table
-of coefficients where the rows share ybar and a column per row
-otherwise, and gives None at the rest, which gup_coefficient is to sum.
+i r/s times its odd part.  gup_coefficient_batch takes any rows, picks
+those on the convergent branch before any per-row work and sums them at
+once on float64 arrays, with one table of coefficients where the rows
+share ybar and a column per row otherwise; it gives None at the rest,
+which gup_coefficient is to sum.
 Every row it sums gets the bits gup_coefficient gives it, on any build:
 each + - * / of the coefficients (_coefficients), of the Horner step
 acc * t + c and of the final combination (_combine) is one IEEE
@@ -197,6 +199,13 @@ def asymptotic_line(ybar: float) -> float:
     return _ASYMPTOTIC_MIN_Z + _ASYMPTOTIC_SLOPE * abs(complex(1.0, ybar))
 
 
+def _convergent(r, line):
+    """Whether L at r is summed from its convergent series: 0 < r < line,
+    with line = asymptotic_line(ybar).  r and line are floats, or float64
+    arrays of one value per row (line may be one float for all rows)."""
+    return (0.0 < r) & (r < line)
+
+
 def _unsummable(ybar: float, r: float, reason: str) -> ValueError:
     return ValueError(f"L(1 + i ybar, i r) at ybar={ybar!r}, r={r!r}: {reason}")
 
@@ -276,7 +285,7 @@ def gup_coefficient(ybar: float, r: float, log_gamma_iy: complex, psi: complex) 
     if r == 0.0:
         raise _unsummable(ybar, r, "r = 2 zeta x underflows to zero")
     line = asymptotic_line(ybar)
-    if r >= line:
+    if not _convergent(r, line):
         a = complex(1.0, ybar)
         z = complex(0.0, r)
         # sum_{n>=1} (-1)^{n+1} (a)_n / (n z^n), cut before its terms grow
@@ -288,7 +297,7 @@ def gup_coefficient(ybar: float, r: float, log_gamma_iy: complex, psi: complex) 
             n += 1
             term *= -(a + (n - 1)) / z
             size = abs(term) / n
-            if size >= previous:
+            if not size < previous:  # a NaN r stops here too
                 return total
             total += term / n
             if size < _L_TOLERANCE:
@@ -323,8 +332,9 @@ def _term_counts(size: np.ndarray, r: np.ndarray) -> np.ndarray:
     """How many Horner steps each row's convergent series takes: with n the
     first term at which its bound size r^n / n! falls below _L_TOLERANCE,
     n // 2 + 1, so that its terms through n are summed; or 0 where that
-    bound is infinite, which takes no step, or overflows first (the scalar
-    raises there).  size is changed in place.  A bound that has fallen
+    bound is infinite from the start (the first term overflows) or
+    overflows first, the rows where the scalar raises.  Every row is on the
+    convergent branch.  size is changed in place.  A bound that has fallen
     below the tolerance stays below: it starts at 1 or more, so it gets
     there only once n > r, and every later factor r / n is at most 1."""
     import numpy as np
@@ -362,42 +372,40 @@ def gup_coefficient_batch(ybars: list[float], rs: list[float], log_gammas: list[
     r = 0, r on or above asymptotic_line(ybar), and the rows where the
     scalar raises because a bound on the terms overflows.  Never raises.
 
-    Each row it sums takes the Horner steps gup_coefficient takes, and a
-    row it declines takes none.  Where every row has one ybar, the line
-    and the coefficients are computed once, on floats; otherwise each row
-    has its own line and column of coefficients, built for a block of
-    rows at a time, so that one table holds at most _TABLE_CELLS steps
-    times rows.
+    The rows on the convergent branch (_convergent) are picked before any
+    per-row work, so an off-branch row never reaches _first_term or
+    _term_counts.  Each row it sums takes the Horner steps gup_coefficient
+    takes; a picked row whose first term or bound overflows takes none.
+    Where every row has one ybar, the line and the coefficients are
+    computed once, on floats; otherwise each row has its own line and
+    column of coefficients, built for a block of rows at a time, so that
+    one table holds at most _TABLE_CELLS steps times rows.
     """
     coefficients = [None] * len(ybars)
-    if not coefficients:
-        return coefficients
     import numpy as np
 
     with np.errstate(all="ignore"):
         # Overflow and 0 * inf happen where the scalar sum meets them too,
         # and leave the same infinities and NaNs in the same rows.
-        ybar = np.array(ybars, dtype=float)
-        shared = ybar.min() == ybar.max()
+        shared = len(set(ybars)) == 1
         line = asymptotic_line(ybars[0]) if shared else np.array(list(map(asymptotic_line, ybars)))
-        # an infinite bound declines the row: the scalar raises where it
-        # overflows, and off the convergent branch (r = 0, or r on or above
-        # the line) r is set to 1, which has a logarithm, and the bound to inf
         r = np.array(rs, dtype=float)
-        declined = ~((0.0 < r) & (r < line))
-        r[declined] = 1.0
-        log_r, kummer, size = zip(*map(_first_term, log_gammas, ybars, r.tolist()))
-        steps = _term_counts(np.where(declined, math.inf, size), r)
-        kept = int(np.count_nonzero(steps))
-        if not kept:
+        rows = np.flatnonzero(_convergent(r, line))
+        if not (picked := rows.tolist()):
             return coefficients
-        rows = np.argsort(-steps, kind="stable")[:kept]
-        r, steps, ybar = r[rows], steps[rows], ybar[rows]
+        r = r[rows]
+        ybar, psi = (np.array([column[i] for i in picked]) for column in (ybars, psis))
+        log_r, kummer, size = map(np.array, zip(*map(_first_term, [log_gammas[i] for i in picked],
+                                                    ybar.tolist(), r.tolist())))
+        steps = _term_counts(size, r)
+        if not (kept := int(np.count_nonzero(steps))):
+            return coefficients
+        order = np.argsort(-steps, kind="stable")[:kept]
+        rows, r, ybar, steps = rows[order], r[order], ybar[order], steps[order]
         if shared:  # one table of floats, (8, steps, 1)
-            ybar = float(ybar[0])
             scale = _scale(line)
             w = r / scale
-            table = np.array(_coefficients(ybar, scale, int(steps[0])))[..., None]
+            table = np.array(_coefficients(ybars[0], scale, int(steps[0])))[..., None]
             sums = _horner(table, -(w * w), steps)
         else:  # a table of (8, steps, rows) per block of at most _TABLE_CELLS cells
             scale = np.array(list(map(_scale, line[rows].tolist())))
@@ -408,8 +416,7 @@ def gup_coefficient_batch(ybars: list[float], rs: list[float], log_gammas: list[
             sums = np.concatenate([
                 _horner(np.array(_coefficients(ybar[part], scale[part], int(steps[part.start]))),
                         t[part], steps[part]) for part in parts], axis=1)
-        re, im = _combine(sums, w, r / ybar, np.array(kummer)[rows],
-                          np.array(psis, dtype=complex)[rows], np.array(log_r)[rows])
+        re, im = _combine(sums, w, r / ybar, kummer[order], psi[order], log_r[order])
     for i, value in zip(rows.tolist(), map(complex, re.tolist(), im.tolist())):
         coefficients[i] = value
     return coefficients

@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -138,6 +139,16 @@ def test_p1_at_tiny_y_raises_convergence_error():
     # p1's upper limit is ln(60 / a1), with a1 = y (1 - eps / 2)
     with pytest.raises(QuadratureConvergenceError, match="does not decay"):
         p1_numeric(DimensionlessConfig(x=1.0, y=1e-320, zeta=0.5, eps=0.0))
+
+
+@pytest.mark.parametrize("x", [1e19, 1e300])
+def test_p2_at_huge_x_refuses_a_range_with_no_node(x):
+    # p2's range in sigma, [ln 1e-17, ln(60 / x)], holds no node of the
+    # rule's first two levels from x of about 5.2e18 at y = 1; the two empty
+    # sums once agreed on a probability of 0 with an estimate of 0
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"x={x!r} is too large for probability 2's oracle: no node j h (h = 0.25) lies in ")):
+        p2_numeric(DimensionlessConfig(x=x, y=1.0, zeta=0.5, eps=0.0))
 
 
 def test_p2_requires_wedge():

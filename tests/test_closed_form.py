@@ -316,16 +316,20 @@ def test_batched_gup_coefficients_in_blocks_match_scalar_bit_for_bit(monkeypatch
     assert list(map(repr, batch)) == list(map(repr, scalar))
 
 
+# (ybar, r) rows the batch declines for each reason, between rows it sums
+_DECLINE_ROWS = [
+    (1.3, 2.0),
+    (9.95e-308, 18.0),  # the first term overflows
+    (1.3, 30.0),  # asymptotic branch
+    (999.5, 750.0),  # the bound on the terms overflows
+    (1.3, 0.0),  # no log r
+    (2.7, 11.0),
+    (1e-300, 18.0),  # terms up to 1.1e308, and still a finite sum
+]
+
+
 def test_batched_gup_coefficients_decline_where_scalar_raises():
-    rows = [
-        (1.3, 2.0),
-        (9.95e-308, 18.0),  # the first term overflows
-        (1.3, 30.0),  # asymptotic branch
-        (999.5, 750.0),  # the bound on the terms overflows
-        (1.3, 0.0),  # no log r
-        (2.7, 11.0),
-        (1e-300, 18.0),  # terms up to 1.1e308, and still a finite sum
-    ]
+    rows = _DECLINE_ROWS
     assert [_convergent(*row) for row in rows] == [True, True, False, True, False, True, True]
     ybars = [ybar for ybar, _ in rows]
     log_gammas = [log_gamma(complex(0.0, ybar)) for ybar in ybars]
@@ -343,6 +347,41 @@ def test_batched_gup_coefficients_decline_where_scalar_raises():
                                          "overflows a double"):
         gup_coefficient(9.95e-308, 18.0, log_gammas[1], psis[1])
     assert gup_coefficient_batch([], [], [], []) == []
+
+
+def test_batched_gup_coefficients_give_per_row_work_only_to_convergent_rows(monkeypatch):
+    # _first_term and _term_counts see the r of the rows on L's convergent
+    # branch and no other, once for the rows at ybar = 1.3 alone (one
+    # shared table) and once for all seven (a column per row); the results
+    # stay the scalar's bits, or None where the decline test expects it
+    seen = []
+    first_term, term_counts = special._first_term, special._term_counts
+
+    def recording_first_term(log_gamma_iy, ybar, r):
+        seen.append(("_first_term", r))
+        return first_term(log_gamma_iy, ybar, r)
+
+    def recording_term_counts(size, r):
+        seen.extend(("_term_counts", value) for value in r.tolist())
+        return term_counts(size, r)
+
+    monkeypatch.setattr(special, "_first_term", recording_first_term)
+    monkeypatch.setattr(special, "_term_counts", recording_term_counts)
+    shared = [row for row in _DECLINE_ROWS if row[0] == 1.3]
+    for rows, expected_none in ((shared, [False, True, True]),
+                                (_DECLINE_ROWS, [False, True, True, True, True, False, False])):
+        seen.clear()
+        ybars = [ybar for ybar, _ in rows]
+        log_gammas = [log_gamma(complex(0.0, ybar)) for ybar in ybars]
+        psis = [digamma(complex(1.0, ybar)) for ybar in ybars]
+        batch = gup_coefficient_batch(ybars, [r for _, r in rows], log_gammas, psis)
+        convergent = [r for ybar, r in rows if _convergent(ybar, r)]
+        assert seen == ([("_first_term", r) for r in convergent]
+                        + [("_term_counts", r) for r in convergent])
+        assert [value is None for value in batch] == expected_none
+        for (ybar, r), lg, value in zip(rows, log_gammas, batch):
+            if value is not None:
+                assert repr(value) == repr(_scalar_or_none(ybar, r, lg))
 
 
 def test_gup_coefficient_at_underflowed_r_names_l():

@@ -4,7 +4,8 @@ Each row runs a mode, or sums L, where the package is known to give a
 wrong number, and asserts the right answer, never today's output.  Each
 row is a strict xfail whose reason names the ROADMAP items that would
 mend it.  A mend shows as an XPASS, which fails the suite until the
-change that made it drops that row's marker.
+change that made it drops that row's marker; a mended row keeps its id
+and its check, and passes.
 
 The exact values are literals, so the ledger takes well under a second.
 Each was made with a recipe of `test_exact_reference.py`, at 30 digits
@@ -106,11 +107,12 @@ def _p2_with_l_right(tmp_path, x, y, zeta, eps):
 
 def _verify_refuses_the_empty_p2_range(tmp_path):
     # p2's lower limit is ln 1e-17 at every x, while the bulk of its
-    # integrand sits near ln(1 / x); from x of about 6e18 the range
-    # [ln 1e-17, ln(60 / x)] holds no node, and the rule returns 0 with an
-    # estimate of 0.  mpmath gives 4.4385e-41 here (PROBABILITY), and
-    # p2_closed's 8.08e-41 comes from a phase of 5e18: item 2's oracle,
-    # item 6's phase check or item 1's gate must refuse the point
+    # integrand sits near ln(1 / x); from x of about 5.2e18 the range
+    # [ln 1e-17, ln(60 / x)] holds no node of the rule's first sums, which
+    # once returned 0 with an estimate of 0.  mpmath gives 4.4385e-41 here
+    # (PROBABILITY), and p2_closed's 8.08e-41 comes from a phase of 5e18:
+    # item 2's oracle, item 6's phase check or item 1's gate must refuse
+    # the point
     assert _cli(tmp_path, "verify", (1e19, 1.0, 0.5, 0.0))[0] in (1, 3)
 
 
@@ -154,8 +156,8 @@ LEDGER = [
          "exit 1; at ybar=9.95e-306, r=10.0 the bound on L's series terms overflows a double"),
     _row(_compare_loses_the_phase, (), "compare-1-1e17", (6,),
          "exit 0; p1 0.0080168 from a phase of 5.0e16"),
-    _row(_verify_refuses_the_empty_p2_range, (), "verify-1e19-1", (1, 2, 6),
-         "exit 0; p2_numeric 0 with an estimate of 0 against mpmath's 4.44e-41"),
+    # mended: the oracle refuses p2's range, which holds no node
+    pytest.param(_verify_refuses_the_empty_p2_range, (), id="verify-1e19-1-item-1-2-6"),
 ]
 
 
