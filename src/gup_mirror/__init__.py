@@ -16,9 +16,10 @@ The package namespace is lazy: each public name is looked up in its
 home module on first access (PEP 562).  Importing the package loads the
 runner and every module the closed-form, bound and temperatures modes
 call.  The quadrature oracle, ``amplitude``, loads on the first
-``verify`` run or on first access to one of its names; ``dispersion``
-and ``modes``, which no mode calls, load on first access to one of
-theirs.  The records are NamedTuples; no module imports ``dataclasses``.
+``verify`` run or on first access to one of its names.  Every module
+of the package is one that some mode loads; the mode functions and the
+dispersion roots, which no mode calls, live with the tests.  The
+records are NamedTuples; no module imports ``dataclasses``.
 """
 
 import importlib
@@ -41,19 +42,14 @@ __version__ = "0.1.0"
 _HOMES = {
     "amplitude": ("AmplitudeResult", "QuadratureConvergenceError", "VerifyRecord",
                   "p1_numeric", "p2_numeric", "verify_pair"),
-    "closed_form": ("ProbabilityBreakdown", "TemperaturePair", "p1_closed", "p1_closed_si",
-                    "p2_closed", "p2_closed_si", "temperatures"),
-    "dispersion": ("Wavenumber", "wavenumber_exact", "wavenumber_perturbative",
-                   "wavenumber_trans_planckian"),
+    "closed_form": ("ProbabilityBreakdown", "TemperaturePair", "p1_closed", "p2_closed",
+                    "temperatures"),
     "equivalence": ("BetaBound", "ViolationReport", "beta_bound", "q_parameter",
-                    "symmetry_defect_scan", "violation_parameter"),
-    "modes": ("ModeSpec", "SpacetimePoint", "atom_trajectory", "minkowski_to_rindler",
-              "mode_accel_mirror", "mode_rindler", "mode_static_mirror",
-              "rindler_to_minkowski"),
+                    "violation_parameter"),
     "runner": ("ConfigError", "RunConfig", "SweepAxis", "parse_config", "run"),
     "special": ("gamma_phase_set", "log_gamma", "planck_factor"),
     "units": ("CODATA", "DimensionlessConfig", "PhysicalConfig", "PhysicalConstants",
-              "physical_from_dimensionless", "to_dimensionless", "validate_physical"),
+              "to_dimensionless"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

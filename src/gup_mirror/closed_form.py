@@ -127,7 +127,6 @@ from .units import (
     deformed_frequencies,
     gup_strength,
     require_perturbative,
-    to_dimensionless,
 )
 
 __all__ = [
@@ -136,8 +135,6 @@ __all__ = [
     "closed_rows",
     "p1_closed",
     "p2_closed",
-    "p1_closed_si",
-    "p2_closed_si",
     "temperatures",
 ]
 
@@ -155,11 +152,6 @@ class ProbabilityBreakdown(NamedTuple):
     planck: float
     phase_argument: float
     sin2: float
-
-    @property
-    def phase_mod_pi(self) -> float:
-        """Phase argument reduced to [0, pi); sin^2 has period pi."""
-        return self.phase_argument % math.pi
 
 
 class TemperaturePair(NamedTuple):
@@ -365,28 +357,6 @@ def closed_rows(xs, ys, zetas, epss, want_p1: bool, want_p2: bool) -> tuple:
     if stop is not None:
         raise stop
     return (list(zip(*ones)) if want_p1 else unwanted), twos
-
-
-def p1_closed_si(p: PhysicalConfig) -> float:
-    """Accelerating-atom excitation probability from SI inputs.
-
-    Thin wrapper restoring the dimensionful prefactor: the dimensionless
-    breakdown carries P a^2 / (g^2 c^2), so the probability itself is
-    (g c / a)^2 times its total.  The dimensionless form is the single
-    source of truth.
-    """
-    scale = (p.g * CODATA.c / p.a) ** 2
-    return scale * p1_closed(to_dimensionless(p)).total
-
-
-def p2_closed_si(p: PhysicalConfig) -> float:
-    """Accelerating-mirror excitation probability from SI inputs.
-
-    Requires z0 < c^2/a (atom inside the mirror wedge); see p1_closed_si
-    for the prefactor convention.
-    """
-    scale = (p.g * CODATA.c / p.a) ** 2
-    return scale * p2_closed(to_dimensionless(p)).total
 
 
 def temperatures(p: PhysicalConfig) -> TemperaturePair:

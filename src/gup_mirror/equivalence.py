@@ -35,7 +35,6 @@ __all__ = [
     "q_parameter",
     "violation_parameter",
     "beta_bound",
-    "symmetry_defect_scan",
 ]
 
 
@@ -163,16 +162,3 @@ def beta_bound(
         beta_max_planck_units=beta_planck,
         tolerance_factor=eta0,
     )
-
-
-def symmetry_defect_scan(
-    base: DimensionlessConfig, eps_values: list[float]
-) -> list[ViolationReport]:
-    """Violation reports across a list of GUP strengths at fixed (x, y, zeta)."""
-    if base.x != base.y:
-        raise ValueError("comparison defined at nu = omega0 only (need x == y)")
-    reports = []
-    for eps in eps_values:
-        d = DimensionlessConfig(x=base.x, y=base.y, zeta=base.zeta, eps=eps)
-        reports.append(violation_parameter(d))
-    return reports

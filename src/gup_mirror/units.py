@@ -12,8 +12,8 @@ consumes :class:`DimensionlessConfig`.
 
 Each input rule is written here once.  The SI sign rule is
 :func:`sign_problem`, one field at a time: the :class:`PhysicalConfig`
-constructor applies it to every field, and :func:`validate_physical`
-reports it in full.  The reduction to the four groups is
+constructor applies it to every field, and an SI sweep to each row's
+swept value.  The reduction to the four groups is
 :func:`dimensionless_groups`; :func:`to_dimensionless` calls it, and so
 does an SI sweep, which validates its base PhysicalConfig once and then
 checks only each row's swept value.  The perturbative guard
@@ -36,8 +36,6 @@ __all__ = [
     "gup_strength",
     "dimensionless_groups",
     "to_dimensionless",
-    "physical_from_dimensionless",
-    "validate_physical",
     "sign_problem",
     "require_perturbative",
     "deformed_frequencies",
@@ -66,7 +64,8 @@ def deformed_frequencies(y: float, eps: float) -> tuple[float, float, float]:
     """The GUP-deformed frequencies of a mode of frequency y, the one copy
     of each: the spatial frequency y (1 - eps), the photon frequency
     ybar = y (1 - eps/2) and the power-factor exponent eta = eps y / 2,
-    each as the closed forms, the oracle and the modes write it."""
+    each as the closed forms, the oracle and the tests' mode functions
+    write it."""
     return y * (1.0 - eps), y * (1.0 - 0.5 * eps), 0.5 * eps * y
 
 
@@ -110,7 +109,6 @@ class _PhysicalFields(NamedTuple):
     omega0: float
     nu: float
     z0: float
-    g: float
     beta: float
 
 
@@ -121,38 +119,28 @@ class PhysicalConfig(CheckedRecord, _PhysicalFields):
     omega0  atomic transition angular frequency, rad/s
     nu      field mode angular frequency, rad/s
     z0      mirror (or atom) position coordinate, m
-    g       atom-field coupling, 1/s
     beta    GUP parameter, (kg*m/s)^-2
     """
 
     __slots__ = ()
 
     def __new__(cls, a: float, omega0: float, nu: float, z0: float,
-                g: float = 1.0, beta: float = 0.0) -> PhysicalConfig:
-        self = tuple.__new__(cls, (a, omega0, nu, z0, g, beta))
-        # The sign rule only; the case-specific wedge bound z0 < c^2/a is
-        # reported by validate_physical and enforced where it applies.
-        problems = _sign_problems(self)
-        if problems:
-            raise ValueError(problems[0])
-        return self
-
-
-_SIGNED_FIELDS = ("a", "omega0", "nu", "z0", "g", "beta")
+                beta: float = 0.0) -> PhysicalConfig:
+        values = (a, omega0, nu, z0, beta)
+        # The sign rule only, first failing field first; the runner enforces
+        # the wedge bound z0 < c^2/a (zeta < 1) where a mode needs it.
+        for name, value in zip(cls._fields, values):
+            if (problem := sign_problem(name, value)) is not None:
+                raise ValueError(problem)
+        return tuple.__new__(cls, values)
 
 
 def sign_problem(name: str, value: float) -> str | None:
-    """The SI sign rule for one field, a, omega0, nu, z0, g > 0 and
+    """The SI sign rule for one field, a, omega0, nu, z0 > 0 and
     beta >= 0: the message naming the failed bound, or None if it holds."""
     if name == "beta":
         return None if value >= 0.0 else f"beta={value!r} violates beta >= 0"
     return None if value > 0.0 else f"{name}={value!r} violates {name} > 0"
-
-
-def _sign_problems(p: PhysicalConfig) -> list[str]:
-    """The SI sign rule for every field, in field order."""
-    return [problem for name in _SIGNED_FIELDS
-            if (problem := sign_problem(name, getattr(p, name))) is not None]
 
 
 class _DimensionlessFields(NamedTuple):
@@ -177,24 +165,6 @@ class DimensionlessConfig(CheckedRecord, _DimensionlessFields):
             raise ValueError(f"zeta must be strictly positive and finite, got {zeta!r}")
         require_perturbative(eps)
         return tuple.__new__(cls, (x, y, zeta, eps))
-
-
-def validate_physical(p: PhysicalConfig) -> list[str]:
-    """Collect invariant violations of a physical configuration.
-
-    Returns an empty list iff the configuration is valid.  Each entry names
-    the offending field and the failed bound.  Total function: never raises.
-
-    The bound z0 < c^2/a applies to the accelerating-mirror configuration,
-    where the static atom must sit inside the right Rindler wedge of the
-    mirror trajectory.
-    """
-    problems = _sign_problems(p)
-    if p.a > 0.0 and p.z0 > 0.0 and not p.z0 < CODATA.c**2 / p.a:
-        problems.append(
-            f"z0={p.z0!r} violates z0 < c^2/a = {CODATA.c**2 / p.a!r} (mirror-accelerating case)"
-        )
-    return problems
 
 
 def _gup_strength(beta: float, nu: float) -> float:
@@ -233,30 +203,3 @@ def to_dimensionless(p: PhysicalConfig) -> DimensionlessConfig:
     the DimensionlessConfig constructor).
     """
     return DimensionlessConfig(*dimensionless_groups(p.a, p.omega0, p.nu, p.z0, p.beta))
-
-
-def physical_from_dimensionless(
-    d: DimensionlessConfig,
-    reference_acceleration: float,
-    g: float = 1.0,
-) -> PhysicalConfig:
-    """Instantiate SI parameters realizing the given dimensionless groups.
-
-    The dimensionless groups fix the physics only up to one overall scale;
-    `reference_acceleration` (m/s^2) pins it.  Round-trips with
-    :func:`to_dimensionless` up to floating-point rounding.
-    """
-    if not reference_acceleration > 0.0:
-        raise ValueError("reference_acceleration must be strictly positive")
-    a = reference_acceleration
-    nu = d.y * a / CODATA.c
-    beta = d.eps * CODATA.c**2 / (CODATA.hbar**2 * nu**2) if d.eps > 0.0 else 0.0
-    return PhysicalConfig(
-        a=a,
-        omega0=d.x * a / CODATA.c,
-        nu=nu,
-        z0=d.zeta * CODATA.c**2 / a,
-        g=g,
-        beta=beta,
-    )
-

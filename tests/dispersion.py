@@ -1,5 +1,8 @@
 """Roots of the GUP-modified dispersion relation.
 
+Test support: the mode functions in `modes.py` read the first-order
+root, and the tests check it against the quartic's exact root.
+
 A plane wave e^{-i nu t} e^{n z} solves the deformed wave equation
 
     (1/c^2) d_t^2 - d_z^2 + 2 beta hbar^2 d_z^4 = 0
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .units import CheckedRecord, require_perturbative
+from gup_mirror.units import CheckedRecord, require_perturbative
 
 __all__ = [
     "Wavenumber",

@@ -1,5 +1,10 @@
 """Mode functions and spacetime kinematics in dimensionless coordinates.
 
+Test support: no command-line mode of the package calls these.  The
+tests pin the field modes' boundary conditions and the Rindler
+kinematics, and tie the oracle's integrands to the mode functions they
+come from.
+
 Coordinates carry units c/a (time) and c^2/a (position), which removes a
 and c from every formula.  The three field modes are kept unnormalized,
 exactly as incident-plus-reflected unit-amplitude waves; normalization
@@ -21,8 +26,9 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .dispersion import wavenumber_perturbative
-from .units import CheckedRecord, deformed_frequencies, require_perturbative
+from gup_mirror.units import CheckedRecord, deformed_frequencies, require_perturbative
+
+from dispersion import wavenumber_perturbative
 
 __all__ = [
     "SpacetimePoint",

@@ -16,27 +16,30 @@ import pytest
 from gup_mirror import (
     CODATA,
     DimensionlessConfig,
-    ModeSpec,
-    SpacetimePoint,
-    atom_trajectory,
     beta_bound,
     gamma_phase_set,
     log_gamma,
-    minkowski_to_rindler,
-    mode_accel_mirror,
-    mode_rindler,
-    mode_static_mirror,
     p1_closed,
     p1_numeric,
     p2_closed,
     p2_numeric,
     parse_config,
     q_parameter,
-    rindler_to_minkowski,
     run,
-    wavenumber_exact,
 )
 from gup_mirror.special import _principal
+
+from dispersion import wavenumber_exact
+from modes import (
+    ModeSpec,
+    SpacetimePoint,
+    atom_trajectory,
+    minkowski_to_rindler,
+    mode_accel_mirror,
+    mode_rindler,
+    mode_static_mirror,
+    rindler_to_minkowski,
+)
 
 GRID_X = (0.7, 1.1, 1.9)
 GRID_Y = (0.7, 1.2, 2.0)

@@ -15,9 +15,7 @@ from gup_mirror import (
     PhysicalConfig,
     gamma_phase_set,
     p1_closed,
-    p1_closed_si,
     p2_closed,
-    p2_closed_si,
     p2_numeric,
     planck_factor,
     temperatures,
@@ -51,7 +49,6 @@ def test_factorization_identity():
             product = b.prefactor * b.damping * b.planck * b.sin2
             assert b.total == pytest.approx(product, rel=1e-14)
             assert b.total >= 0.0
-            assert 0.0 <= b.phase_mod_pi < math.pi
 
 
 def test_p1_heisenberg_reduction():
@@ -144,24 +141,12 @@ def test_closed_forms_finite_at_large_frequency():
 
 
 def test_phase_arguments_are_raw():
-    # raw phase grows linearly with zeta while the reduced one stays in [0, pi)
+    # the phase is not reduced modulo pi: it grows linearly with zeta
     d1 = DimensionlessConfig(x=1.0, y=1.0, zeta=0.2, eps=0.0)
     d2 = DimensionlessConfig(x=1.0, y=1.0, zeta=0.9, eps=0.0)
     assert p1_closed(d2).phase_argument - p1_closed(d1).phase_argument == pytest.approx(
         0.7, rel=1e-12
     )
-
-
-def test_si_wrappers_restore_dimensionful_prefactor():
-    k = CODATA
-    p = PhysicalConfig(a=2.0e16, omega0=1.1e8, nu=9.0e7, z0=2.0, g=3.0e7, beta=0.0)
-    d = to_dimensionless(p)
-    scale = (p.g * k.c / p.a) ** 2
-    assert p1_closed_si(p) == pytest.approx(scale * p1_closed(d).total, rel=1e-14)
-    assert p2_closed_si(p) == pytest.approx(scale * p2_closed(d).total, rel=1e-14)
-    # g enters only through the overall coupling-squared factor
-    stronger = PhysicalConfig(a=p.a, omega0=p.omega0, nu=p.nu, z0=p.z0, g=2.0 * p.g)
-    assert p1_closed_si(stronger) == pytest.approx(4.0 * p1_closed_si(p), rel=1e-14)
 
 
 def test_unruh_temperature_reference():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from gup_mirror import wavenumber_exact, wavenumber_perturbative, wavenumber_trans_planckian
+from dispersion import wavenumber_exact, wavenumber_perturbative, wavenumber_trans_planckian
 
 
 def quartic_residual(k: float, eps: float) -> float:

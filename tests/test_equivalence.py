@@ -9,7 +9,6 @@ from gup_mirror import (
     DimensionlessConfig,
     beta_bound,
     q_parameter,
-    symmetry_defect_scan,
     violation_parameter,
 )
 
@@ -81,15 +80,18 @@ def test_violation_rejects_unequal_frequencies():
 
 
 def test_defect_scan():
-    base = DimensionlessConfig(x=1.0, y=1.0, zeta=0.5, eps=0.0)
-    reports = symmetry_defect_scan(base, [0.0])
+    def scan(eps_values):
+        return [violation_parameter(DimensionlessConfig(x=1.0, y=1.0, zeta=0.5, eps=eps))
+                for eps in eps_values]
+
+    reports = scan([0.0])
     assert len(reports) == 1 and reports[0].q_value == 0.0
 
-    reports = symmetry_defect_scan(base, [1e-3, 2e-3])
+    reports = scan([1e-3, 2e-3])
     assert reports[0].eps == 1e-3 and reports[1].eps == 2e-3
     assert reports[1].q_value / reports[0].q_value == pytest.approx(2.0, rel=1e-12)
 
-    report = symmetry_defect_scan(base, [1e-2])[0]
+    report = scan([1e-2])[0]
     assert report.q_value == pytest.approx(0.013068528194400547, rel=1e-12)
 
 

@@ -29,19 +29,18 @@ import numpy as np
 import pytest
 
 from gup_mirror import (
-    CODATA,
     DimensionlessConfig,
     log_gamma,
     p1_numeric,
     p2_closed,
-    p2_closed_si,
     p2_numeric,
-    physical_from_dimensionless,
     planck_factor,
     to_dimensionless,
 )
 from gup_mirror import amplitude
 from gup_mirror.special import asymptotic_line, digamma, gup_coefficient
+
+from si_support import physical_from_dimensionless
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -448,14 +447,13 @@ def test_p2_closed_error_is_second_order_in_eps():
 
 
 def test_p2_closed_si_at_large_atom_frequency():
-    # x = 1e16 with x zeta = 1e4: L is summed asymptotically, and the
-    # probability takes its large-|z| form, damping exp(-eps y/(2 x zeta))
-    # and GUP phase (eps y/2) ln(2 zeta) + eps y ybar/(4 x zeta)
+    # x = 1e16 with x zeta = 1e4, reached through SI inputs: L is summed
+    # asymptotically, and the probability takes its large-|z| form, damping
+    # exp(-eps y/(2 x zeta)) and GUP phase (eps y/2) ln(2 zeta) + eps y ybar/(4 x zeta)
     d = DimensionlessConfig(x=1e16, y=1.2, zeta=1e-12, eps=0.01)
-    p = physical_from_dimensionless(d, reference_acceleration=9.8)
-    d = to_dimensionless(p)
+    d = to_dimensionless(physical_from_dimensionless(d, reference_acceleration=9.8))
     assert d.x == pytest.approx(1e16, rel=1e-12)
-    value = p2_closed_si(p)
+    value = p2_closed(d).total
     assert math.isfinite(value) and value > 0.0
 
     ybar, eta = d.y * (1 - d.eps / 2), d.eps * d.y / 2
@@ -465,9 +463,8 @@ def test_p2_closed_si_at_large_atom_frequency():
              + eta * ybar / (2 * d.x * d.zeta) - kappa)
     damping = math.exp(-d.eps * d.y / (2 * d.x * d.zeta))
     limit = 2 * math.pi * ybar / d.x**2 * damping * planck_factor(ybar) * math.sin(phase) ** 2
-    scale = (p.g * CODATA.c / p.a) ** 2
     assert math.sin(phase) ** 2 > 0.1
-    assert value == pytest.approx(scale * limit, rel=1e-9)
+    assert value == pytest.approx(limit, rel=1e-9, abs=0.0)
     # the next term of L, O(|a|^2 / (x zeta)^2), moves the damping by ~1e-10
     assert p2_closed(d).damping == pytest.approx(damping, rel=1e-9)
 

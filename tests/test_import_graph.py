@@ -1,8 +1,12 @@
 """The package's modules import each other without a cycle, by public names,
-and the package namespace resolves each public name from its home module."""
+the package namespace resolves each public name from its home module, and
+every module is one that some mode runs."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,3 +88,31 @@ def test_namespace_resolves_each_public_name_from_its_home_module():
     assert set(gup_mirror.__all__) <= set(dir(gup_mirror))
     with pytest.raises(AttributeError, match="no_such_name"):
         gup_mirror.no_such_name
+
+
+def test_every_module_is_loaded_by_some_mode(tmp_path):
+    # one fresh interpreter runs each mode once through the CLI; a module
+    # that none of them loads is not one the package ships
+    point = "x = 1\ny = 1\nzeta = 0.5\n"
+    si = "a = 9.8\nomega0 = 1e9\nnu = 1e9\nz0 = 1e10\n"
+    configs = {
+        "p1": point, "p2": point, "compare": point + "eps = 0.01\n",
+        "sweep": point + "eps = 0.01\nsweep_param = zeta\nsweep_min = 0.1\nsweep_max = 0.9\n"
+                         "sweep_count = 3\n",
+        "verify": point, "bound": si, "temperatures": si,
+    }
+    runs = []
+    for mode, text in configs.items():
+        config = tmp_path / f"{mode}.conf"
+        config.write_text(text)
+        runs.append([mode, "--config", str(config), "--out", str(tmp_path / f"{mode}.csv")])
+    code = ("import sys; from gup_mirror.cli import main; "
+            f"print([main(args) for args in {runs!r}]); print(sorted(sys.modules))")
+    path = os.pathsep.join(p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
+    codes, loaded = map(ast.literal_eval, result.stdout.splitlines())
+    assert codes == [0] * len(configs), result.stderr
+    modules = [f"gup_mirror.{path.stem}".removesuffix(".__init__")
+               for path in sorted(PACKAGE.glob("*.py"))]
+    assert [module for module in modules if module not in loaded] == []

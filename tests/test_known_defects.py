@@ -16,13 +16,17 @@ recomputes a few of them:
 - COEFFICIENT: coefficient_reference(ybar, r), mpmath's hyperu
   differentiated in b, L = z^a dU(a, b, z)/db at b = a + 1 with
   a = 1 + i ybar and z = i r.
+
+PHASE_DEFECT_SLOPE comes from the package itself, at eps where nothing
+cancels; its recipe is written beside it.
 """
 
 import csv
 
 import pytest
 
-from gup_mirror import DimensionlessConfig, ProbabilityBreakdown, log_gamma, p2_closed
+from gup_mirror import (DimensionlessConfig, ProbabilityBreakdown, log_gamma, p2_closed,
+                        violation_parameter)
 from gup_mirror import closed_form
 from gup_mirror.cli import main
 from gup_mirror.special import digamma, gup_coefficient
@@ -35,6 +39,9 @@ PROBABILITY = {
     ("p2", 1.0, 60.0): 4.896567219977695e-162,
     # quoted by the empty-range row, whose right answer is an exit code
     ("p2", 1e19, 1.0): 4.438505906519418e-41,
+    # where p2's fixed lower limit cuts the integral short
+    ("p2", 1e17, 1.0): 9.825061884089063e-37,
+    ("p2", 1e18, 1.0): 1.1372864883404955e-38,
 }
 
 # keyed by (ybar, r)
@@ -54,6 +61,14 @@ COEFFICIENT = {
     (1e-12, 1.0): 0.34337796155688516 - 0.6214496242354262j,
     (1e-16, 3.0): 0.07922152116436407 - 0.29195771069207876j,
 }
+
+
+# d phase_defect / d eps at eps = 0, (x, y, zeta) = (1.3, 1.3, 0.5): with
+# f(h) = violation_parameter's phase_defect / h at h = 4e-5, 2e-5 and 1e-5,
+# where the two phases differ by some 1e-5 rad and their rounding by about
+# 1e-16, Richardson's R(h) = 2 f(h) - f(2 h) at h = 1e-5 and 2e-5, then
+# (4 R(1e-5) - R(2e-5)) / 3; h = 8e-5, 4e-5 and 2e-5 give the same to 3e-11
+PHASE_DEFECT_SLOPE = 2.226488190293363
 
 
 def _cli(tmp_path, mode, point):
@@ -116,6 +131,14 @@ def _verify_refuses_the_empty_p2_range(tmp_path):
     assert _cli(tmp_path, "verify", (1e19, 1.0, 0.5, 0.0))[0] in (1, 3)
 
 
+def _phase_defect_is_eps_times_its_slope(tmp_path, eps):
+    # the two phases are of order 1 and differ by eps times the slope: as a
+    # difference of two doubles, the defect at eps = 1e-20 rounds to 0
+    report = violation_parameter(DimensionlessConfig(1.3, 1.3, 0.5, eps))
+    right = eps * PHASE_DEFECT_SLOPE
+    assert abs(report.phase_defect - right) <= 1e-6 * right, report.phase_defect
+
+
 def _compare_loses_the_phase(tmp_path):
     # one ulp of p1's phase, 5e16, is 8 rad: no digit of sin^2 is left
     assert _cli(tmp_path, "compare", (1.0, 1e17, 0.5, 0.0)) == (1, None)
@@ -156,6 +179,15 @@ LEDGER = [
          "exit 1; at ybar=9.95e-306, r=10.0 the bound on L's series terms overflows a double"),
     _row(_compare_loses_the_phase, (), "compare-1-1e17", (6,),
          "exit 0; p1 0.0080168 from a phase of 5.0e16"),
+    _row(_verify_gates_or_is_honest, ("p2", 1e17, 1.0), "verify-1e17-1", (1, 2),
+         "exit 0; p2 1.79e-37 against mpmath's 9.83e-37: the lower limit ln 1e-17 "
+         "cuts the integral short, and the estimate does not see the lost tail"),
+    _row(_verify_gates_or_is_honest, ("p2", 1e18, 1.0), "verify-1e18-1", (1, 2),
+         "exit 0; p2 3.0e-47 against mpmath's 1.14e-38: the lower limit ln 1e-17 "
+         "cuts the integral short, and the estimate does not see the lost tail"),
+    _row(_phase_defect_is_eps_times_its_slope, (1e-20,), "violation-1e-20", (16,),
+         "phase_defect 0 against about 2.2265e-20: the difference of two phases "
+         "of order 1 rounds away eps"),
     # mended: the oracle refuses p2's range, which holds no node
     pytest.param(_verify_refuses_the_empty_p2_range, (), id="verify-1e19-1-item-1-2-6"),
 ]
@@ -173,7 +205,11 @@ def test_ledger_references_recompute():
     for (route, x, y), exact in PROBABILITY.items():
         reference = (p1_reference if route == "p1" else p2_reference)(
             DimensionlessConfig(x, y, 0.5, 0.0))
-        assert 0.25 * abs(reference) ** 2 == pytest.approx(exact, rel=1e-14)
+        assert 0.25 * abs(reference) ** 2 == pytest.approx(exact, rel=1e-14, abs=0.0)
     for ybar, r in ((100.0, 166.0), (109.94500000000001, 180.0), (199.9999, 301.0),
                     (9.95e-306, 10.0), (1e-16, 3.0)):
         assert coefficient_reference(ybar, r) == pytest.approx(COEFFICIENT[ybar, r], rel=1e-14)
+    f = {h: violation_parameter(DimensionlessConfig(1.3, 1.3, 0.5, h)).phase_defect / h
+         for h in (4e-5, 2e-5, 1e-5)}
+    slope = (4.0 * (2.0 * f[1e-5] - f[2e-5]) - (2.0 * f[2e-5] - f[4e-5])) / 3.0
+    assert slope == pytest.approx(PHASE_DEFECT_SLOPE, rel=1e-12)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gup_mirror import (
+from modes import (
     ModeSpec,
     SpacetimePoint,
     atom_trajectory,

@@ -8,18 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gup_mirror import (
-    CODATA,
-    DimensionlessConfig,
-    ModeSpec,
-    PhysicalConfig,
-    SpacetimePoint,
-    Wavenumber,
-    physical_from_dimensionless,
-    to_dimensionless,
-    validate_physical,
-    wavenumber_perturbative,
-)
+from gup_mirror import CODATA, DimensionlessConfig, PhysicalConfig, to_dimensionless
+
+from dispersion import Wavenumber, wavenumber_perturbative
+from modes import ModeSpec, SpacetimePoint
+from si_support import physical_from_dimensionless
 
 
 def test_constants_positive_and_frozen():
@@ -34,7 +27,7 @@ def test_constants_positive_and_frozen():
 def test_identity_scaling_point():
     # a = c (in m/s^2) makes c/a = 1 s; z0 = c^2/a makes zeta = 1
     k = CODATA
-    p = PhysicalConfig(a=k.c, omega0=1.0, nu=1.0, z0=k.c, g=1.0, beta=0.0)
+    p = PhysicalConfig(a=k.c, omega0=1.0, nu=1.0, z0=k.c, beta=0.0)
     # z0 == c^2/a exactly: relax the wedge bound by choosing z0 slightly inside
     d = to_dimensionless(p)
     assert d.x == 1.0
@@ -44,7 +37,7 @@ def test_identity_scaling_point():
 
 
 def test_beta_zero_gives_eps_zero():
-    p = PhysicalConfig(a=9.8, omega0=3.0e9, nu=1.0e9, z0=1.0e3, g=5.0, beta=0.0)
+    p = PhysicalConfig(a=9.8, omega0=3.0e9, nu=1.0e9, z0=1.0e3, beta=0.0)
     assert to_dimensionless(p).eps == 0.0
 
 
@@ -63,21 +56,6 @@ def test_si_reduction_against_independent_arithmetic():
     # independent arithmetic path: exact rationals for the ratio structure
     x_frac = Fraction(omega) * Fraction(k.c) / Fraction(9.8)
     assert d.x == pytest.approx(float(x_frac), rel=1e-14)
-
-
-def test_validate_physical_reports_violations():
-    k = CODATA
-    good = PhysicalConfig(a=1.0, omega0=1.0, nu=1.0, z0=0.5 * k.c**2, g=1.0, beta=0.0)
-    assert validate_physical(good) == []
-
-    outside_wedge = PhysicalConfig(a=1.0, omega0=1.0, nu=1.0, z0=2.0 * k.c**2)
-    problems = validate_physical(outside_wedge)
-    assert len(problems) == 1 and "z0" in problems[0]
-
-    # bypass the constructor to probe the total validation function
-    bad = tuple.__new__(PhysicalConfig, (1.0, 1.0, 1.0, 0.5 * k.c**2, 1.0, -1.0))
-    problems = validate_physical(bad)
-    assert len(problems) == 1 and "beta" in problems[0]
 
 
 def test_constructor_rejects_invalid():
@@ -105,7 +83,7 @@ _CHECKED_RECORDS = [
                  id="DimensionlessConfig"),
     pytest.param(PhysicalConfig(a=9.8, omega0=1e9, nu=1e9, z0=1e10),
                  "PhysicalConfig(a=9.8, omega0=1000000000.0, nu=1000000000.0, "
-                 "z0=10000000000.0, g=1.0, beta=0.0)",
+                 "z0=10000000000.0, beta=0.0)",
                  {"nu": 0.0}, "nu=0.0 violates nu > 0", id="PhysicalConfig"),
     pytest.param(Wavenumber(k=0.99, eps=0.01), "Wavenumber(k=0.99, eps=0.01)",
                  {"k": 0.0}, "k must be strictly positive", id="Wavenumber"),
@@ -134,15 +112,18 @@ def test_checked_records_cannot_be_built_unchecked(record, text, invalid, messag
         assert type(twin) is cls and twin == record
 
 
-def test_constructor_raises_first_problem_validate_physical_reports():
-    fields = {"a": -1.0, "omega0": 1.0, "nu": 0.0, "z0": 1.0, "g": 1.0, "beta": -2.0}
+def test_constructor_raises_first_sign_problem():
+    fields = {"a": -1.0, "omega0": 1.0, "nu": 0.0, "z0": 1.0, "beta": -2.0}
     bad = tuple.__new__(PhysicalConfig, tuple(fields.values()))
-    problems = validate_physical(bad)
-    assert problems == ["a=-1.0 violates a > 0", "nu=0.0 violates nu > 0",
-                        "beta=-2.0 violates beta >= 0"]
-    with pytest.raises(ValueError) as err:
-        PhysicalConfig(**fields)
-    assert str(err.value) == problems[0]
+    # each problem in field order, the next once the one before is mended
+    for name, mended, message in (("a", 1.0, "a=-1.0 violates a > 0"),
+                                  ("nu", 1.0, "nu=0.0 violates nu > 0"),
+                                  ("beta", 0.0, "beta=-2.0 violates beta >= 0")):
+        with pytest.raises(ValueError) as err:
+            PhysicalConfig(**fields)
+        assert str(err.value) == message
+        fields[name] = mended
+    PhysicalConfig(**fields)
     # an unchecked instance still cannot pass the reduction
     with pytest.raises(ValueError, match="x must be strictly positive"):
         to_dimensionless(bad)
@@ -172,8 +153,7 @@ def test_eps_guard_message():
 def test_scale_invariance_of_reduction():
     rng = np.random.default_rng(42)
     k = CODATA
-    base = PhysicalConfig(a=50.0, omega0=3.0, nu=2.0, z0=1.0e12, g=1.0,
-                          beta=1.0e52)
+    base = PhysicalConfig(a=50.0, omega0=3.0, nu=2.0, z0=1.0e12, beta=1.0e52)
     d0 = to_dimensionless(base)
     for lam in rng.uniform(0.1, 10.0, size=20):
         scaled = PhysicalConfig(
@@ -181,7 +161,6 @@ def test_scale_invariance_of_reduction():
             omega0=base.omega0 * lam,
             nu=base.nu * lam,
             z0=base.z0 / lam,
-            g=base.g,
             beta=base.beta / lam**2,
         )
         d = to_dimensionless(scaled)
