@@ -64,27 +64,31 @@ reads.  `p1_closed` and `p2_closed` compute the tiers and the at-zeta
 half for one point.
 
 `closed_rows` evaluates a batch of rows given as four columns, x, y,
-zeta and eps, and returns each probability's fields as columns.  It
-computes each tier once per run of rows with equal inputs to it, found
-by comparing floats (p1's x factors per run of x, p2's ybar factors per
-run of (y, eps), the rest of each zeta-free half per run of
-(x, y, eps)), so a zeta sweep computes every tier once per batch and an
-omega0 sweep evaluates the Gamma values of ybar once.  Row by row it
-computes p1's tiers and `_p1_at_zeta`, then p2's tiers, the order in
-which `p1_closed` and then `p2_closed` meet them, and stops at the first
-row where one raises.  Where two rows or more before that need L
-(eta > 0 and zeta < 1), it hands them all to
-`special.gup_coefficient_batch`, which sums those on the convergent
-branch on float64 arrays, with one coefficient table where the rows
-share ybar, and gives each the bits `special.gup_coefficient` gives it;
-it returns None at every other row.  It then maps `_p2_at_zeta` over
-those rows, which sums L the scalar way at a row with no value from the
-batch.  The at-zeta halves are the functions
-`p1_closed` and `p2_closed` call, so there is one copy of each formula.
-The first error of that map is the first in point order, and only where
-it raises none is the error that stopped the rows raised: a batch
-raises what a point by point run meets first, and evaluates each row
-once.
+zeta and eps, and returns each probability's fields as columns.  A batch
+of one row is the one-point computation, on floats, so the one-point
+modes never load numpy.  A larger batch computes each zeta-free half
+once where all its rows share (x, y, eps), as a zeta sweep's do, and
+row by row otherwise, with p1's x factors computed once per run of
+equal x and p2's ybar factors once per run of equal (y, eps), so an
+omega0 sweep evaluates the Gamma values of ybar once.  It stops at the
+first row where a zeta-free half raises.  The at-zeta halves then run
+as columns over the rows before it (`_p1_at_zeta_rows`,
+`_p2_at_zeta_rows`): each + - * / is one IEEE operation on float64
+arrays, written once for numbers and arrays alike (`_p1_phase`,
+`_p2_gup_terms`, `_p2_phase`, `_product`), and each libm call (sin,
+pow, exp, log) is the scalar's own, mapped over the rows, so every row
+gets the bits the one-point functions give it.  The rows that need L
+(eta > 0 and zeta < 1) go to `special.gup_coefficient_batch`, which
+sums those on the convergent branch on float64 arrays, with one
+coefficient table where the rows share ybar, and hands back L's real
+and imaginary parts as columns; each row it does not sum is summed the
+scalar way.  Array masks find the rows whose L cannot be summed, whose
+damping overflows or whose total is not a finite double.  Each error
+is keyed by its row and by its stage in a point by point run (p1's
+zeta-free half, p1 at zeta, p2's zeta-free half, p2 at zeta), and p2's
+at-zeta half runs only over the rows before the first error found
+before it.  The least is raised: a batch raises what a point by point
+run meets first, and evaluates each row once.
 
 Limits of the GUP terms:
 
@@ -116,6 +120,7 @@ grid.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import NamedTuple
 
 from .special import (digamma, gamma_phase_set, gup_coefficient, gup_coefficient_batch,
@@ -161,15 +166,39 @@ class TemperaturePair(NamedTuple):
     modified: float
 
 
+def _sin2(phase: float) -> float:
+    """sin(phase)^2, squared by libm's pow; NaN where the phase is not finite."""
+    return math.sin(phase) ** 2 if math.isfinite(phase) else math.nan
+
+
+def _sin2_rows(phases: list[float]) -> list[float]:
+    """_sin2 at each phase of the list; math.pow(s, 2.0) is the same libm
+    pow call as s ** 2."""
+    try:
+        return list(map(math.pow, map(math.sin, phases), repeat(2.0)))
+    except ValueError:  # sin of an infinite phase
+        return list(map(_sin2, phases))
+
+
+def _product(prefactor, damping, planck, sin2):
+    """The total, prefactor * damping * planck * sin2; numbers, or arrays of
+    one value per row."""
+    return prefactor * damping * planck * sin2
+
+
+def _not_finite(name: str, point: tuple) -> ValueError:
+    return ValueError(f"{name} is not a finite double at {DimensionlessConfig(*point)}")
+
+
 def _assemble(name: str, point: tuple, prefactor: float, damping: float, planck: float,
               phase: float) -> tuple[float, ...]:
     """The ProbabilityBreakdown fields of probability `name` at `point`,
     (x, y, zeta, eps), as a plain tuple; a ValueError unless its total is
     a finite double."""
-    sin2 = math.sin(phase) ** 2 if math.isfinite(phase) else math.nan
-    total = prefactor * damping * planck * sin2
+    sin2 = _sin2(phase)
+    total = _product(prefactor, damping, planck, sin2)
     if not math.isfinite(total):
-        raise ValueError(f"{name} is not a finite double at {DimensionlessConfig(*point)}")
+        raise _not_finite(name, point)
     return total, prefactor, damping, planck, phase, sin2
 
 
@@ -186,7 +215,7 @@ def _p1_x_factors(x: float) -> tuple[float, float, float, float]:
 
 def _p1_zeta_free(x: float, y: float, eps: float, x_factors: tuple) -> tuple[float, ...]:
     """p1's factors that zeta does not enter, at (x, y, eps), from
-    _p1_x_factors(x), in the order _p1_at_zeta unpacks them.
+    _p1_x_factors(x), in the order _p1_phase unpacks them.
 
     Raises ValueError when the damping exponent eps y^2 / (1 + x^2) is
     not below EPS_GUARD, or when eps > 0 and y^2 overflows a double.
@@ -210,12 +239,18 @@ def _p1_zeta_free(x: float, y: float, eps: float, x_factors: tuple) -> tuple[flo
     )
 
 
+def _p1_phase(factors, zeta):
+    """p1's phase at zeta from _p1_zeta_free's factors; numbers, or arrays
+    of one value per row."""
+    _, _, _, drift, log_term, eps_term, theta, gup_term = factors
+    return drift * zeta + log_term - eps_term + theta - gup_term
+
+
 def _p1_at_zeta(factors: tuple[float, ...], point: tuple) -> tuple[float, ...]:
     """p1 at `point`, (x, y, zeta, eps), from _p1_zeta_free's factors at
     its (x, y, eps): the ProbabilityBreakdown fields as a plain tuple."""
-    prefactor, damping, planck, drift, log_term, eps_term, theta, gup_term = factors
-    phase = drift * point[2] + log_term - eps_term + theta - gup_term
-    return _assemble("p1", point, prefactor, damping, planck, phase)
+    prefactor, damping, planck = factors[:3]
+    return _assemble("p1", point, prefactor, damping, planck, _p1_phase(factors, point[2]))
 
 
 def p1_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
@@ -245,7 +280,8 @@ def _p2_ybar_factors(y: float, eps: float) -> tuple:
 
 def _p2_zeta_free(x: float, ybar_factors: tuple) -> tuple:
     """p2's factors that zeta does not enter, at x and the (y, eps) of
-    ybar_factors, in the order _p2_at_zeta unpacks them.
+    ybar_factors, in the order _p2_at_zeta unpacks them; x itself is one,
+    for x zeta and r = 2 zeta x.
 
     Raises ValueError when x^2 overflows a double or underflows to zero.
     """
@@ -254,37 +290,55 @@ def _p2_zeta_free(x: float, ybar_factors: tuple) -> tuple:
         prefactor = 2.0 * math.pi * ybar / x**2
     except (OverflowError, ZeroDivisionError):
         raise ValueError(f"x={x!r}: x^2 overflows a double or underflows to zero") from None
-    return ybar, eta, log_gamma_iy, prefactor, planck, ybar * math.log(x), psi
+    return x, ybar, eta, log_gamma_iy, prefactor, planck, ybar * math.log(x), psi
+
+
+def _radius(x, zeta):
+    """r = 2 zeta x, where p2 reads L; numbers, or arrays of one value per row."""
+    return 2.0 * zeta * x
+
+
+def _p2_gup_terms(eta, log_two_zeta, l_re, l_im) -> tuple:
+    """p2's damping exponent 2 eta Im L and GUP phase eta (ln(2 zeta) + Re L);
+    numbers, or arrays of one value per row."""
+    return 2.0 * eta * l_im, eta * (log_two_zeta + l_re)
+
+
+def _p2_phase(x, zeta, log_term, gup_phase, kappa):
+    """p2's phase x zeta + ybar ln x + GUP phase - kappa; numbers, or arrays
+    of one value per row."""
+    return x * zeta + log_term + gup_phase - kappa
+
+
+def _damping_overflow(point: tuple, l_im: float) -> ValueError:
+    return ValueError(f"p2's damping exp(2 eta Im L) overflows a double at "
+                      f"{DimensionlessConfig(*point)}, where Im L={l_im!r}")
 
 
 def _p2_at_zeta(factors: tuple, point: tuple,
                 coefficient: complex | None = None) -> tuple[float, ...]:
     """p2 at `point`, (x, y, zeta, eps) with zeta < 1, from _p2_zeta_free's
     factors at its (x, y, eps): the ProbabilityBreakdown fields as a plain
-    tuple.  `coefficient` is L there when it is already known (closed_rows'
-    batch); without it L is summed here.  closed_rows hands a row with
-    zeta >= 1 no factors, and its fields are None.
+    tuple.  `coefficient` is L there when it is already known; without it
+    L is summed here.
 
     Raises ValueError when the series for L cannot be summed in doubles,
     or when the damping exp(2 eta Im L) overflows a double.
     """
-    if factors is None:
-        return (None,) * 6
-    ybar, eta, log_gamma_iy, prefactor, planck, log_term, psi = factors
-    x, _, zeta, _ = point
+    x, ybar, eta, log_gamma_iy, prefactor, planck, log_term, psi = factors
+    zeta = point[2]
     damping = 1.0
     gup_phase = 0.0
     if eta > 0.0:
         if coefficient is None:
-            coefficient = gup_coefficient(ybar, 2.0 * zeta * x, log_gamma_iy, psi)
+            coefficient = gup_coefficient(ybar, _radius(x, zeta), log_gamma_iy, psi)
+        exponent, gup_phase = _p2_gup_terms(eta, math.log(2.0 * zeta), coefficient.real,
+                                            coefficient.imag)
         try:
-            damping = math.exp(2.0 * eta * coefficient.imag)
+            damping = math.exp(exponent)
         except OverflowError:
-            raise ValueError(f"p2's damping exp(2 eta Im L) overflows a double at "
-                             f"{DimensionlessConfig(*point)}, where Im L={coefficient.imag!r}"
-                             ) from None
-        gup_phase = eta * (math.log(2.0 * zeta) + coefficient.real)
-    phase = x * zeta + log_term + gup_phase - log_gamma_iy.imag
+            raise _damping_overflow(point, coefficient.imag) from None
+    phase = _p2_phase(x, zeta, log_term, gup_phase, log_gamma_iy.imag)
     return _assemble("p2", point, prefactor, damping, planck, phase)
 
 
@@ -302,61 +356,188 @@ def p2_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
     return ProbabilityBreakdown(*_p2_at_zeta(_p2_zeta_free(d.x, _p2_ybar_factors(d.y, d.eps)), d))
 
 
+def _zeta_free_halves(batch, want_p1: bool, want_p2: bool, errors: dict) -> tuple:
+    """Each closed form's zeta-free half at the rows of the batch
+    (x, y, zeta, eps), in point order, up to the first that raises: once
+    for all rows where they share (x, y, eps), else row by row, with p1's
+    x factors computed once per run of equal x and p2's ybar factors once
+    per run of equal (y, eps).
+
+    A row's p1 half comes first, and its p2 half, at a row with zeta < 1,
+    after p1's at-zeta half there, as p1_closed and then p2_closed meet
+    them; one p2 half for all rows is met at the first row with zeta < 1.
+    Returns p1's halves and p2's (None at a row with zeta >= 1, or for
+    all rows where none has zeta < 1), and the number of rows whose p1
+    at-zeta half comes before the first error.  That error goes into
+    `errors` under (row, 0) for p1's half, (row, 2) for p2's.
+    """
+    xs, ys, zetas, epss = batch
+    count = len(xs)
+    shared = xs.count(xs[0]) == ys.count(ys[0]) == epss.count(epss[0]) == count
+    halves1, halves2, x1, ybar_key = [], [], None, None
+    try:
+        for row in range(1 if shared else count):
+            x, y, eps = xs[row], ys[row], epss[row]
+            at, stage, half2 = row, 0, None  # where the next half is met, and its stage
+            if want_p1:
+                if x != x1:
+                    x_factors, x1 = _p1_x_factors(x), x
+                halves1.append(_p1_zeta_free(x, y, eps, x_factors))
+            inside = row if zetas[row] < 1.0 else None
+            if shared and inside is None:  # the first row with zeta < 1 meets p2's half
+                inside = next((row for row, zeta in enumerate(zetas) if zeta < 1.0), None)
+            if want_p2 and inside is not None:
+                at, stage = inside, 2
+                if (y, eps) != ybar_key:
+                    ybar_factors, ybar_key = _p2_ybar_factors(y, eps), (y, eps)
+                half2 = _p2_zeta_free(x, ybar_factors)
+            halves2.append(half2)
+    except ValueError as error:
+        errors[at, stage] = error
+        return halves1, halves2, at + stage // 2
+    return halves1, halves2, count
+
+
+def _factor_columns(halves: list, rows):
+    """The zeta-free factors of `rows`, an index array, from
+    _zeta_free_halves: the one half itself where all rows share it, so that
+    each factor is one number for every row; else an array per factor."""
+    if len(halves) == 1:
+        return halves[0]
+    import numpy as np
+
+    return [np.array(column) for column in zip(*map(halves.__getitem__, rows.tolist()))]
+
+
+def _cells(value, count: int) -> list:
+    """A factor of _factor_columns as a list of the cells of its `count` rows."""
+    return value.tolist() if hasattr(value, "tolist") else [value] * count
+
+
+def _assemble_rows(name: str, stage: int, prefactor, damping, planck, phase, batch, rows,
+                   errors: dict) -> list:
+    """_assemble at `rows`, an index array of the batch, from arrays or
+    numbers of one value per row: the six fields as lists.  The first row
+    whose total is not a finite double puts its error into `errors` under
+    (row, stage), unless an error is there already."""
+    import numpy as np
+
+    phases = phase.tolist()
+    sin2 = _sin2_rows(phases)
+    total = _product(prefactor, damping, planck, np.array(sin2))
+    for row in rows[np.flatnonzero(~np.isfinite(total))[:1]].tolist():
+        errors.setdefault((row, stage), _not_finite(name, [column[row] for column in batch]))
+    return [total.tolist(), *(_cells(value, len(phases)) for value in (prefactor, damping, planck)),
+            phases, sin2]
+
+
+def _p1_at_zeta_rows(factors, zeta, batch, rows, errors: dict) -> list:
+    """_p1_at_zeta at `rows`, an index array of the batch, from their
+    factors (_factor_columns) and zeta: the six fields as lists.  The first
+    error goes into `errors` under (row, 1)."""
+    prefactor, damping, planck = factors[:3]
+    return _assemble_rows("p1", 1, prefactor, damping, planck, _p1_phase(factors, zeta), batch,
+                          rows, errors)
+
+
+def _p2_at_zeta_rows(factors, zeta, batch, rows, errors: dict) -> list:
+    """_p2_at_zeta at `rows`, an index array of the batch with zeta < 1,
+    from their factors (_factor_columns) and zeta: the six fields as lists.
+
+    L is summed at once for the rows that need it, where eta > 0
+    (gup_coefficient_batch), and the scalar way at each of them that the
+    batch does not sum.  Elsewhere L is taken as 0, where the formulas give
+    the scalar's bits without it: a damping of exp(0) = 1 and a GUP phase
+    of +-0, which leaves the phase sum as it is, since x zeta + ybar ln x
+    is never -0.  The first error of each kind goes into `errors` under
+    (row, 3), where L's comes before the damping's overflow, and that
+    before a total that is not a finite double.
+    """
+    import numpy as np
+
+    x, ybar, eta, log_gamma_iy, prefactor, planck, log_term, psi = factors
+    l_re = l_im = np.zeros(rows.size)  # L = 0, until it is summed
+    if (positive := np.broadcast_to(eta > 0.0, rows.shape)).any():
+        # r = 0 where eta = 0, a row that the batch declines and no sum reads
+        rs = np.where(positive, _radius(x, zeta), 0.0).tolist()
+        ybars, log_gammas, psis = (_cells(value, rows.size) for value in (ybar, log_gamma_iy, psi))
+        summed, l_re, l_im = gup_coefficient_batch(ybars, rs, log_gammas, psis)
+        for i in np.flatnonzero(positive & ~summed).tolist():
+            try:
+                value = gup_coefficient(ybars[i], rs[i], log_gammas[i], psis[i])
+            except ValueError as error:
+                errors.setdefault((int(rows[i]), 3), error)
+                value = complex(math.nan, math.nan)
+            l_re[i], l_im[i] = value.real, value.imag
+    log_two_zeta = np.fromiter(map(math.log, (2.0 * zeta).tolist()), float, rows.size)
+    exponent, gup_phase = _p2_gup_terms(eta, log_two_zeta, l_re, l_im)
+    try:
+        damping = np.fromiter(map(math.exp, exponent.tolist()), float, rows.size)
+    except OverflowError:  # from the first row where it overflows, none is read
+        damping = np.full(rows.size, math.inf)
+        for i, value in enumerate(exponent.tolist()):
+            try:
+                damping[i] = math.exp(value)
+            except OverflowError:
+                break
+    for i in np.flatnonzero(np.isinf(damping) & np.isfinite(exponent))[:1].tolist():
+        row = int(rows[i])
+        errors.setdefault((row, 3), _damping_overflow([column[row] for column in batch],
+                                                      float(l_im[i])))
+    phase = _p2_phase(x, zeta, log_term, gup_phase, log_gamma_iy.imag)
+    return _assemble_rows("p2", 3, prefactor, damping, planck, phase, batch, rows, errors)
+
+
 def closed_rows(xs, ys, zetas, epss, want_p1: bool, want_p2: bool) -> tuple:
     """The closed forms at every row of the columns x, y, zeta and eps:
     (p1's fields, p2's fields), each the six ProbabilityBreakdown fields as
-    columns.  A probability's cells are None where it is not wanted, and
+    lists.  A probability's cells are None where it is not wanted, and
     p2's at the rows where zeta >= 1.
 
-    Each tier is computed once per run of equal inputs, found by float
-    compares: p1's x factors per run of equal x, p2's ybar factors per run
-    of equal (y, eps) with zeta < 1, and the rest of each zeta-free half
-    per run of equal (x, y, eps).  Row by row, p1's tiers and its at-zeta
-    half come before p2's tiers, the order in which p1_closed and then
-    p2_closed meet them, up to the first row where one raises.  Every row
-    before it that needs L (eta > 0) is then handed to
-    gup_coefficient_batch, which loads numpy, where there are two or more,
-    and p2's at-zeta half maps over those rows, summing L the scalar way
-    wherever the batch gives None.  Its first ValueError is the first in
-    point order; only where it raises none is the error that stopped the
-    rows raised.
+    One row is computed on floats, as p1_closed and then p2_closed compute
+    it, without numpy.  More rows are columns: each zeta-free half is
+    computed once where all rows share (x, y, eps) (_zeta_free_halves), up to
+    the first row where one raises, and each at-zeta half runs on float64
+    arrays over the rows before it, p2's only over rows before p1's first
+    error.  Each error found is keyed by its row and its stage in a point
+    by point run (p1's tiers, p1 at zeta, p2's tiers, p2 at zeta), and the
+    least is raised: a batch raises what a point by point run meets first,
+    and evaluates each row once.
     """
-    ones, halves2 = [], []
-    x0 = y0 = eps0 = stop = None
-    try:
-        for point in zip(xs, ys, zetas, epss):
-            x, y, zeta, eps = point
-            if x != x0 or y != y0 or eps != eps0:  # a new run of (x, y, eps)
-                if want_p1:
-                    if x != x0:
-                        x_factors = _p1_x_factors(x)
-                    half1 = _p1_zeta_free(x, y, eps, x_factors)
-                if y != y0 or eps != eps0:
-                    ybar_factors = None  # computed at the run's first row with zeta < 1
-                x0, y0, eps0, half2 = x, y, eps, None
-            if want_p1:
-                ones.append(_p1_at_zeta(half1, point))
-            if want_p2 and zeta < 1.0 and half2 is None:
-                if ybar_factors is None:
-                    ybar_factors = _p2_ybar_factors(y, eps)
-                half2 = _p2_zeta_free(x, ybar_factors)
-            halves2.append(half2 if zeta < 1.0 else None)
-    except ValueError as error:
-        stop = error
-    coefficients = [None] * len(halves2)
-    # (row, ybar, r, log Gamma(i ybar), psi) of each row that needs L
-    chosen = [(row, half[0], 2.0 * zeta * x, half[2], half[6]) for row, (half, x, zeta)
-              in enumerate(zip(halves2, xs, zetas)) if half and half[1] > 0.0]
-    if len(chosen) > 1:
-        rows, *columns = zip(*chosen)
-        for row, coefficient in zip(rows, gup_coefficient_batch(*columns)):
-            coefficients[row] = coefficient
-    unwanted = [[None] * len(xs)] * 6
-    twos = (list(zip(*map(_p2_at_zeta, halves2, zip(xs, ys, zetas, epss), coefficients)))
-            if want_p2 else unwanted)
-    if stop is not None:
-        raise stop
-    return (list(zip(*ones)) if want_p1 else unwanted), twos
+    count = len(xs)
+    unwanted = (None,) * 6
+    if count == 1:
+        point = (xs[0], ys[0], zetas[0], epss[0])
+        x, y, zeta, eps = point
+        ones = (_p1_at_zeta(_p1_zeta_free(x, y, eps, _p1_x_factors(x)), point)
+                if want_p1 else unwanted)
+        twos = (_p2_at_zeta(_p2_zeta_free(x, _p2_ybar_factors(y, eps)), point)
+                if want_p2 and zeta < 1.0 else unwanted)
+        return [[cell] for cell in ones], [[cell] for cell in twos]
+    import numpy as np
+
+    batch, errors = (xs, ys, zetas, epss), {}
+    halves1, halves2, p1_end = _zeta_free_halves(batch, want_p1, want_p2, errors)
+    zeta = np.fromiter(zetas, float, count)
+    ones = twos = [[None] * count] * 6
+    # Overflow and 0 * inf happen where the scalar meets them too, and leave
+    # the same infinities and NaNs in the same rows.
+    with np.errstate(all="ignore"):
+        if want_p1 and p1_end:
+            rows = np.arange(p1_end)
+            ones = _p1_at_zeta_rows(_factor_columns(halves1, rows), zeta[rows], batch,
+                                    rows, errors)
+        if want_p2:
+            rows = np.flatnonzero(zeta[:min(errors, default=(count,))[0]] < 1.0)
+            twos = (_p2_at_zeta_rows(_factor_columns(halves2, rows), zeta[rows], batch,
+                                     rows, errors) if rows.size else [[]] * 6)
+    if errors:
+        raise errors[min(errors)]
+    if want_p2 and rows.size < count:  # None at the rows where zeta >= 1
+        spread = np.full((6, count), None)
+        spread[:, rows] = twos
+        twos = spread.tolist()
+    return ones, twos
 
 
 def temperatures(p: PhysicalConfig) -> TemperaturePair:

@@ -24,6 +24,7 @@ abstract in PAPER.md does not settle which of the two to use.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import NamedTuple
 
 from .closed_form import p1_closed, p2_closed
@@ -33,6 +34,7 @@ __all__ = [
     "ViolationReport",
     "BetaBound",
     "q_parameter",
+    "q_rows",
     "violation_parameter",
     "beta_bound",
 ]
@@ -73,6 +75,15 @@ class BetaBound(NamedTuple):
     tolerance_factor: float
 
 
+def _q_formula(eps, zeta, zeta_squared, log_zeta):
+    """Q from zeta^2 and ln zeta; numbers, or arrays of one value per row."""
+    return eps / (2.0 * zeta_squared) + (eps / (2.0 * zeta)) * log_zeta
+
+
+def _q_error(eps: float, zeta: float) -> ValueError:
+    return ValueError(f"zeta={zeta!r}, eps={eps!r}: Q is not a finite double")
+
+
 def q_parameter(eps: float, zeta: float) -> float:
     """Spatial-mismatch parameter Q(zeta, eps); exactly linear in eps.
 
@@ -86,14 +97,45 @@ def q_parameter(eps: float, zeta: float) -> float:
     if not eps >= 0.0:
         raise ValueError("eps must be nonnegative")
     try:
-        q_value = eps / (2.0 * zeta**2) + (eps / (2.0 * zeta)) * math.log(zeta)
+        q_value = _q_formula(eps, zeta, zeta**2, math.log(zeta))
     except (ZeroDivisionError, OverflowError):  # zeta^2 underflows to 0 or overflows
         q_value = math.nan
     if math.isfinite(q_value):
         return q_value
     if eps == 0.0:
         return 0.0
-    raise ValueError(f"zeta={zeta!r}, eps={eps!r}: Q is not a finite double")
+    raise _q_error(eps, zeta)
+
+
+def _square_or_nan(zeta: float) -> float:
+    try:
+        return zeta**2
+    except OverflowError:
+        return math.nan
+
+
+def q_rows(epss: list[float], zetas: list[float]) -> tuple[list[float], ValueError | None]:
+    """q_parameter at each row of the columns eps and zeta, whose rows obey
+    its domain (zeta > 0, eps >= 0), as _q_formula on float64 arrays, with
+    zeta^2 (libm's pow) and ln zeta called row by row: the values before
+    the first row where q_parameter raises, and that row's error (None if
+    none)."""
+    import numpy as np
+
+    count = len(zetas)
+    try:  # math.pow(zeta, 2.0) is the same libm pow call as zeta**2
+        squares = np.fromiter(map(math.pow, zetas, repeat(2.0)), float, count)
+    except OverflowError:  # where q_parameter takes Q as NaN
+        squares = np.fromiter(map(_square_or_nan, zetas), float, count)
+    eps = epss[0] if epss.count(epss[0]) == count else np.array(epss)
+    with np.errstate(all="ignore"):
+        q_value = _q_formula(eps, np.fromiter(zetas, float, count), squares,
+                             np.fromiter(map(math.log, zetas), float, count))
+    bad = ~np.isfinite(q_value)
+    failing = np.flatnonzero(bad & (eps != 0.0))[:1].tolist()
+    q_value[bad] = 0.0  # eps = 0 at such a row before the first failing one
+    end = failing[0] if failing else count
+    return q_value[:end].tolist(), _q_error(epss[end], zetas[end]) if failing else None
 
 
 def violation_parameter(d: DimensionlessConfig) -> ViolationReport:

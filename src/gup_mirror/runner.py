@@ -31,12 +31,15 @@ The runner computes no route of its own.  The closed-form modes (p1,
 p2, compare, sweep, and the default grid) take each batch's columns
 from `closed_form.closed_rows`, which owns how the pieces of each closed
 form are reused from row to row and which rows have L summed together
-(see `closed_form`; `special` sums L), and raises the error that point
-by point evaluation meets first.  Q and R are computed once per batch
-where zeta and eps are constant, and per row otherwise.  The one-point
-modes never load numpy.  Each `verify` row is read from one
-`amplitude.verify_pair` record, the one place where the closed forms
-meet the quadrature oracle.
+(see `closed_form`; `special` sums L).  Q and R are computed once per
+batch where zeta and eps are constant, and otherwise as columns over
+the batch (`equivalence.q_rows`).  Where Q is not a finite double, the
+closed forms run up to that row only, and their error there or before
+it comes first: a run raises the error that point by point evaluation
+(p1, then p2, then Q) meets first.  The CSV columns are taken straight
+from those columns.  The one-point modes never load numpy.  Each
+`verify` row is read from one `amplitude.verify_pair` record, the one
+place where the closed forms meet the quadrature oracle.
 
 All rows are computed before the output file is opened, so a run that
 fails writes nothing.  The writer takes the output as columns.  Each
@@ -63,7 +66,7 @@ from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING, NamedTuple
 
 from .closed_form import closed_rows, temperatures
-from .equivalence import beta_bound, q_parameter
+from .equivalence import beta_bound, q_parameter, q_rows
 from .units import (
     DimensionlessConfig,
     PhysicalConfig,
@@ -570,12 +573,20 @@ def _physics_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list]:
     want_p2 = cfg.mode in ("p2", "compare", "sweep")
     columns = [[] for _ in ROW_COLUMNS]
     for xs, ys, zetas, epss in batches:
-        ones, twos = closed_rows(xs, ys, zetas, epss, want_p1, want_p2)
         count = len(xs)
         # Q once for the batch where zeta and eps are the same on every row
-        q_values = ([q_parameter(epss[0], zetas[0])] * count
-                    if zetas.count(zetas[0]) == count == epss.count(epss[0])
-                    else list(map(q_parameter, epss, zetas)))
+        if zetas.count(zetas[0]) == count == epss.count(epss[0]):
+            try:
+                q_values, q_error = [q_parameter(epss[0], zetas[0])] * count, None
+            except ValueError as error:
+                q_values, q_error = [], error
+        else:
+            q_values, q_error = q_rows(epss, zetas)
+        if q_error is not None:  # the closed forms come first at Q's failing row
+            end = len(q_values) + 1
+            closed_rows(xs[:end], ys[:end], zetas[:end], epss[:end], want_p1, want_p2)
+            raise q_error
+        ones, twos = closed_rows(xs, ys, zetas, epss, want_p1, want_p2)
         empty = [None] * count
         # the fields columns are (total, ..., phase_argument, sin2)
         for column, cells in zip(columns, (xs, ys, zetas, epss, ones[0], twos[0], empty, empty,

@@ -39,21 +39,25 @@ summed by Horner's rule in the real t = -(r/s)^2, as its even part plus
 i r/s times its odd part.  gup_coefficient_batch takes any rows, picks
 those on the convergent branch before any per-row work and sums them at
 once on float64 arrays, with one table of coefficients where the rows
-share ybar and a column per row otherwise; it gives None at the rest,
-which gup_coefficient is to sum.
+share ybar and a column per row otherwise; it hands back L's real and
+imaginary parts as columns, with a mask of the rows it summed, and
+gup_coefficient is to sum the rest.
 Every row it sums gets the bits gup_coefficient gives it, on any build:
-each + - * / of the coefficients (_coefficients), of the Horner step
-acc * t + c and of the final combination (_combine) is one IEEE
-operation written once for floats and arrays alike, and numpy's complex
-type is never used.  The first term's exponent, exp and modulus and
-log r are computed row by row in both (_first_term).  Only the batch
-imports numpy, inside the functions that use it, so the one-point modes,
-which sum L with gup_coefficient, never load it.
+each + - * / of the first term's exponent (_exponent), of the
+coefficients (_coefficients), of the Horner step acc * t + c and of the
+final combination (_combine) is one IEEE operation written once for
+floats and arrays alike, and numpy's complex type only holds values,
+read through .real and .imag, and never computes.  log r and the first
+term's exp and modulus are the scalar's libm calls, made row by row in
+both (_kummer, _first_terms).  Only the batch imports numpy, inside the
+functions that use it, so the one-point modes, which sum L with
+gup_coefficient, never load it.
 
 Nothing here is memoised.  Every function is pure, so a caller that
 needs one value for many rows computes it once: closed_form.closed_rows
-computes each closed form's zeta-free factors once per run of rows with
-equal inputs to them, so a sweep evaluates each Gamma value it needs
+computes each closed form's zeta-free factors once where a batch's rows
+share their inputs, and once per run of rows with equal inputs to the
+Gamma values otherwise, so a sweep evaluates each Gamma value it needs
 once per run of rows that share those inputs.
 """
 
@@ -219,19 +223,42 @@ def _scale(line: float) -> float:
     return math.ldexp(1.0, min(math.frexp(line)[1] - 1, 9))
 
 
-def _first_term(log_gamma_iy: complex, ybar: float, r: float) -> tuple[float, complex, float]:
-    """log r; the Kummer series' first term K = conj(Gamma(i ybar)) z^a,
-    exp(conj(log Gamma(i ybar)) + a log z) with a = 1 + i ybar and
-    log z = log r + i pi/2; and |K| + 1, which bounds both series' terms up
-    to a factor 1/ybar.  K is 0j and the bound inf where they overflow a
+def _exponent(log_gamma_re, log_gamma_im, ybar, log_r) -> tuple:
+    """The exponent of the Kummer series' first term K = conj(Gamma(i ybar)) z^a,
+    conj(log Gamma(i ybar)) + a log z with a = 1 + i ybar and
+    log z = log r + i pi/2, as (real, imaginary) parts.  The arguments are
+    numbers, or numpy arrays of one value per row."""
+    return (log_gamma_re + (log_r - ybar * _HALF_PI),
+            (_HALF_PI + ybar * log_r) - log_gamma_im)
+
+
+def _kummer(re: float, im: float) -> tuple[complex, float]:
+    """K = exp(re + i im) from _exponent, and |K| + 1, which bounds both
+    series' terms up to a factor 1/ybar; 0j and inf where they overflow a
     double."""
-    log_r = math.log(r)
     try:
-        kummer = cmath.exp(complex(log_gamma_iy.real + (log_r - ybar * _HALF_PI),
-                                   (_HALF_PI + ybar * log_r) - log_gamma_iy.imag))
-        return log_r, kummer, abs(kummer) + 1.0
+        kummer = cmath.exp(complex(re, im))
+        return kummer, abs(kummer) + 1.0
     except OverflowError:
-        return log_r, 0j, math.inf
+        return 0j, math.inf
+
+
+def _first_terms(log_gamma_re, log_gamma_im, ybar, r: np.ndarray) -> tuple:
+    """log r, K and |K| + 1 at every row of r, as arrays, K a complex array
+    that is only read through .real and .imag: the scalar's libm calls
+    (log, cmath.exp and abs) row by row, and _exponent on arrays.
+    log_gamma_re, log_gamma_im and ybar are floats or arrays."""
+    import numpy as np
+
+    log_r = np.fromiter(map(math.log, r.tolist()), float, r.size)
+    re, im = (part.tolist() for part in _exponent(log_gamma_re, log_gamma_im, ybar, log_r))
+    try:
+        kummer = list(map(cmath.exp, map(complex, re, im)))
+        size = np.fromiter(map(abs, kummer), float, r.size) + 1.0
+    except OverflowError:  # at some row: _kummer row by row
+        kummer, size = zip(*map(_kummer, re, im))
+        size = np.array(size)
+    return log_r, np.array(kummer), size
 
 
 def _coefficients(ybar, scale, steps: int) -> list:
@@ -307,7 +334,8 @@ def gup_coefficient(ybar: float, r: float, log_gamma_iy: complex, psi: complex) 
     #   L = psi(a) - ln z - sum_{n>=1} z^n / (n (1-a)_n) - Gamma(-a) z^a M(a, a+1, z),
     #   sum_{n>=1} z^n / (n (1-a)_n) = -(r / ybar) sum_{n>=0} z^n / ((n+1) (2-a)_n),
     #   Gamma(-a) z^a M(a, a+1, z) = -conj(Gamma(i ybar)) z^a sum_{n>=0} z^n / (n! (a+n))
-    log_r, kummer, size = _first_term(log_gamma_iy, ybar, r)
+    log_r = math.log(r)
+    kummer, size = _kummer(*_exponent(log_gamma_iy.real, log_gamma_iy.imag, ybar, log_r))
     if size == math.inf:
         raise _unsummable(ybar, r, "the first term of its series overflows a double")
     n = 0
@@ -365,49 +393,58 @@ def _horner(table: np.ndarray, t: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
 
 def gup_coefficient_batch(ybars: list[float], rs: list[float], log_gammas: list[complex],
-                          psis: list[complex]) -> list[complex | None]:
+                          psis: list[complex]) -> tuple:
     """gup_coefficient(ybar, r, log_gamma_iy, psi) at many rows at once,
     bit for bit, at each row that gup_coefficient sums from its convergent
-    series; None at every other row, which is to be summed the scalar way:
-    r = 0, r on or above asymptotic_line(ybar), and the rows where the
-    scalar raises because a bound on the terms overflows.  Never raises.
+    series, as (summed, re, im): a boolean array that is True at those
+    rows, and float64 arrays of L's real and imaginary parts there, 0.0 at
+    every other row, which is to be summed the scalar way: r = 0, r on or
+    above asymptotic_line(ybar), and the rows where the scalar raises
+    because a bound on the terms overflows.  Never raises.
 
     The rows on the convergent branch (_convergent) are picked before any
-    per-row work, so an off-branch row never reaches _first_term or
+    per-row work, so an off-branch row never reaches _first_terms or
     _term_counts.  Each row it sums takes the Horner steps gup_coefficient
     takes; a picked row whose first term or bound overflows takes none.
     Where every row has one ybar, the line and the coefficients are
-    computed once, on floats; otherwise each row has its own line and
-    column of coefficients, built for a block of rows at a time, so that
-    one table holds at most _TABLE_CELLS steps times rows.
+    computed once, on floats, and log Gamma(i ybar) and psi, which read
+    ybar alone, are read at the first picked row; otherwise each row has
+    its own line and column of coefficients, built for a block of rows at
+    a time, so that one table holds at most _TABLE_CELLS steps times rows.
     """
-    coefficients = [None] * len(ybars)
     import numpy as np
 
+    summed = np.zeros(len(ybars), dtype=bool)
+    re_l, im_l = np.zeros(len(ybars)), np.zeros(len(ybars))
     with np.errstate(all="ignore"):
         # Overflow and 0 * inf happen where the scalar sum meets them too,
         # and leave the same infinities and NaNs in the same rows.
-        shared = len(set(ybars)) == 1
+        shared = bool(ybars) and ybars.count(ybars[0]) == len(ybars)
         line = asymptotic_line(ybars[0]) if shared else np.array(list(map(asymptotic_line, ybars)))
         r = np.array(rs, dtype=float)
         rows = np.flatnonzero(_convergent(r, line))
         if not (picked := rows.tolist()):
-            return coefficients
+            return summed, re_l, im_l
         r = r[rows]
-        ybar, psi = (np.array([column[i] for i in picked]) for column in (ybars, psis))
-        log_r, kummer, size = map(np.array, zip(*map(_first_term, [log_gammas[i] for i in picked],
-                                                    ybar.tolist(), r.tolist())))
+        if shared:
+            ybar, log_gamma_iy, psi = ybars[0], log_gammas[picked[0]], psis[picked[0]]
+        else:
+            ybar, log_gamma_iy, psi = (np.array([column[i] for i in picked])
+                                       for column in (ybars, log_gammas, psis))
+        log_r, kummer, size = _first_terms(log_gamma_iy.real, log_gamma_iy.imag, ybar, r)
         steps = _term_counts(size, r)
         if not (kept := int(np.count_nonzero(steps))):
-            return coefficients
+            return summed, re_l, im_l
         order = np.argsort(-steps, kind="stable")[:kept]
-        rows, r, ybar, steps = rows[order], r[order], ybar[order], steps[order]
+        rows, r, steps = rows[order], r[order], steps[order]
+        kummer, log_r = kummer[order], log_r[order]
         if shared:  # one table of floats, (8, steps, 1)
             scale = _scale(line)
             w = r / scale
-            table = np.array(_coefficients(ybars[0], scale, int(steps[0])))[..., None]
+            table = np.array(_coefficients(ybar, scale, int(steps[0])))[..., None]
             sums = _horner(table, -(w * w), steps)
         else:  # a table of (8, steps, rows) per block of at most _TABLE_CELLS cells
+            ybar, psi = ybar[order], psi[order]
             scale = np.array(list(map(_scale, line[rows].tolist())))
             w = r / scale
             t = -(w * w)
@@ -416,7 +453,6 @@ def gup_coefficient_batch(ybars: list[float], rs: list[float], log_gammas: list[
             sums = np.concatenate([
                 _horner(np.array(_coefficients(ybar[part], scale[part], int(steps[part.start]))),
                         t[part], steps[part]) for part in parts], axis=1)
-        re, im = _combine(sums, w, r / ybar, kummer[order], psi[order], log_r[order])
-    for i, value in zip(rows.tolist(), map(complex, re.tolist(), im.tolist())):
-        coefficients[i] = value
-    return coefficients
+        re_l[rows], im_l[rows] = _combine(sums, w, r / ybar, kummer, psi, log_r)
+    summed[rows] = True
+    return summed, re_l, im_l

@@ -51,8 +51,8 @@ def test_p1_planck_suppression_ratio_at_large_x():
     high = DimensionlessConfig(x=5.0, y=1.0, zeta=2.0, eps=0.0)
     num_ratio = p1_numeric(high).probability / p1_numeric(base).probability
     closed_ratio = p1_closed(high).total / p1_closed(base).total
-    assert num_ratio == pytest.approx(closed_ratio, rel=1e-2)
-    assert p1_numeric(high).probability == pytest.approx(1.6804522191809643e-15, rel=1e-5)
+    assert num_ratio == pytest.approx(closed_ratio, rel=1e-2, abs=0.0)
+    assert p1_numeric(high).probability == pytest.approx(1.6804522191809643e-15, rel=1e-5, abs=0.0)
 
 
 def test_p2_matches_closed_form_at_eps_zero():

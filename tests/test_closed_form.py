@@ -152,7 +152,7 @@ def test_phase_arguments_are_raw():
 def test_unruh_temperature_reference():
     p = PhysicalConfig(a=9.8, omega0=1.0, nu=1.0, z0=1.0, beta=0.0)
     pair = temperatures(p)
-    assert pair.unruh == pytest.approx(3.9739132522903252e-20, rel=1e-12)
+    assert pair.unruh == pytest.approx(3.9739132522903252e-20, rel=1e-12, abs=0.0)
     assert pair.modified == pair.unruh
 
 
@@ -258,6 +258,15 @@ def _scalar_or_none(ybar, r, log_gamma_iy):
         return None
 
 
+def _batch(ybars, rs, log_gammas, psis):
+    """gup_coefficient_batch's columns as L at each row it sums, and None
+    at every other row."""
+    summed, re, im = gup_coefficient_batch(ybars, rs, log_gammas, psis)
+    assert summed.dtype == bool and re.dtype == im.dtype == float
+    return [complex(*parts) if row_summed else None
+            for row_summed, *parts in zip(summed.tolist(), re.tolist(), im.tolist())]
+
+
 @st.composite
 def _l_rows(draw):
     """Rows (ybar, r): ybar shared or per row; r below the asymptotic line,
@@ -280,8 +289,7 @@ def test_batched_gup_coefficients_match_scalar_bit_for_bit(rows):
     # L, and None where it raises and at every row on or above the line
     log_gammas = [log_gamma(complex(0.0, ybar)) for ybar, _ in rows]
     psis = [digamma(complex(1.0, ybar)) for ybar, _ in rows]
-    batch = gup_coefficient_batch([ybar for ybar, _ in rows], [r for _, r in rows], log_gammas,
-                                  psis)
+    batch = _batch([ybar for ybar, _ in rows], [r for _, r in rows], log_gammas, psis)
     expected = [_scalar_or_none(ybar, r, lg) if _convergent(ybar, r) else None
                 for (ybar, r), lg in zip(rows, log_gammas)]
     assert list(map(repr, batch)) == list(map(repr, expected))
@@ -294,8 +302,7 @@ def test_batched_gup_coefficients_in_blocks_match_scalar_bit_for_bit(monkeypatch
     rows = [(0.3 + 0.7 * i, 9.5 - 0.75 * i) for i in range(12)]
     log_gammas = [log_gamma(complex(0.0, ybar)) for ybar, _ in rows]
     psis = [digamma(complex(1.0, ybar)) for ybar, _ in rows]
-    batch = gup_coefficient_batch([ybar for ybar, _ in rows], [r for _, r in rows], log_gammas,
-                                  psis)
+    batch = _batch([ybar for ybar, _ in rows], [r for _, r in rows], log_gammas, psis)
     scalar = [_scalar_or_none(ybar, r, lg) for (ybar, r), lg in zip(rows, log_gammas)]
     assert None not in batch
     assert list(map(repr, batch)) == list(map(repr, scalar))
@@ -319,7 +326,7 @@ def test_batched_gup_coefficients_decline_where_scalar_raises():
     ybars = [ybar for ybar, _ in rows]
     log_gammas = [log_gamma(complex(0.0, ybar)) for ybar in ybars]
     psis = [digamma(complex(1.0, ybar)) for ybar in ybars]
-    batch = gup_coefficient_batch(ybars, [r for _, r in rows], log_gammas, psis)
+    batch = _batch(ybars, [r for _, r in rows], log_gammas, psis)
     # None where the scalar raises, and off the convergent branch, where the
     # scalar sums the asymptotic series (r = 30) or raises (r = 0)
     assert [value is None for value in batch] == [False, True, True, True, True, False, False]
@@ -331,26 +338,26 @@ def test_batched_gup_coefficients_decline_where_scalar_raises():
     with pytest.raises(ValueError, match=r"ybar=9.95e-308, r=18.0: the first term of its series "
                                          "overflows a double"):
         gup_coefficient(9.95e-308, 18.0, log_gammas[1], psis[1])
-    assert gup_coefficient_batch([], [], [], []) == []
+    assert _batch([], [], [], []) == []
 
 
 def test_batched_gup_coefficients_give_per_row_work_only_to_convergent_rows(monkeypatch):
-    # _first_term and _term_counts see the r of the rows on L's convergent
+    # _first_terms and _term_counts see the r of the rows on L's convergent
     # branch and no other, once for the rows at ybar = 1.3 alone (one
     # shared table) and once for all seven (a column per row); the results
     # stay the scalar's bits, or None where the decline test expects it
     seen = []
-    first_term, term_counts = special._first_term, special._term_counts
+    first_terms, term_counts = special._first_terms, special._term_counts
 
-    def recording_first_term(log_gamma_iy, ybar, r):
-        seen.append(("_first_term", r))
-        return first_term(log_gamma_iy, ybar, r)
+    def recording_first_terms(log_gamma_re, log_gamma_im, ybar, r):
+        seen.extend(("_first_terms", value) for value in r.tolist())
+        return first_terms(log_gamma_re, log_gamma_im, ybar, r)
 
     def recording_term_counts(size, r):
         seen.extend(("_term_counts", value) for value in r.tolist())
         return term_counts(size, r)
 
-    monkeypatch.setattr(special, "_first_term", recording_first_term)
+    monkeypatch.setattr(special, "_first_terms", recording_first_terms)
     monkeypatch.setattr(special, "_term_counts", recording_term_counts)
     shared = [row for row in _DECLINE_ROWS if row[0] == 1.3]
     for rows, expected_none in ((shared, [False, True, True]),
@@ -359,9 +366,9 @@ def test_batched_gup_coefficients_give_per_row_work_only_to_convergent_rows(monk
         ybars = [ybar for ybar, _ in rows]
         log_gammas = [log_gamma(complex(0.0, ybar)) for ybar in ybars]
         psis = [digamma(complex(1.0, ybar)) for ybar in ybars]
-        batch = gup_coefficient_batch(ybars, [r for _, r in rows], log_gammas, psis)
+        batch = _batch(ybars, [r for _, r in rows], log_gammas, psis)
         convergent = [r for ybar, r in rows if _convergent(ybar, r)]
-        assert seen == ([("_first_term", r) for r in convergent]
+        assert seen == ([("_first_terms", r) for r in convergent]
                         + [("_term_counts", r) for r in convergent])
         assert [value is None for value in batch] == expected_none
         for (ybar, r), lg, value in zip(rows, log_gammas, batch):

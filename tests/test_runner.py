@@ -1,6 +1,7 @@
 """Config parsing, run orchestration, CSV contract, exit codes."""
 
 import errno
+import hashlib
 import math
 import os
 import random
@@ -12,9 +13,12 @@ import threading
 import warnings
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from gup_mirror import (
     ConfigError,
@@ -402,14 +406,21 @@ def test_si_sweep_matches_uncached_scalar_calls(tmp_path, monkeypatch, param, lo
 ])
 def test_q_computed_once_where_zeta_and_eps_are_constant(tmp_path, monkeypatch, block, param,
                                                          lo, hi, calls):
+    # each row Q is computed at: one per q_parameter call, and every row of
+    # a q_rows call, which evaluates a batch's rows as columns
     counted = []
-    original = runner.q_parameter
+    original, original_rows = runner.q_parameter, runner.q_rows
 
     def counting(eps, zeta):
         counted.append((eps, zeta))
         return original(eps, zeta)
 
+    def counting_rows(epss, zetas):
+        counted.extend(zip(epss, zetas))
+        return original_rows(epss, zetas)
+
     monkeypatch.setattr(runner, "q_parameter", counting)
+    monkeypatch.setattr(runner, "q_rows", counting_rows)
     out = tmp_path / "q.csv"
     cfg = parse_config(f"mode = sweep\n{block}sweep_param = {param}\nsweep_min = {lo!r}\n"
                        f"sweep_max = {hi!r}\nsweep_count = 300\nout = {out}")
@@ -588,7 +599,7 @@ def test_temperatures_mode(tmp_path):
     lines = read(out).decode().strip().split("\n")
     header = lines[0].split(",")
     values = dict(zip(header, lines[1].split(",")))
-    assert float(values["unruh_K"]) == pytest.approx(3.9739132522903252e-20, rel=1e-12)
+    assert float(values["unruh_K"]) == pytest.approx(3.9739132522903252e-20, rel=1e-12, abs=0.0)
     assert float(values["modified_K"]) == float(values["unruh_K"])
 
 
@@ -904,6 +915,11 @@ def _first_scalar_error(cfg):
                  "sweep_max = 1\nsweep_count = 50\nsweep_spacing = log\n",
                  "p1 is not a finite double at DimensionlessConfig(x=1e-310",
                  id="p1-total-then-x-squared"),
+    # Q is not a finite double at the first row, L's bound overflows at the
+    # last: Q's error once came only after every row's closed forms
+    pytest.param("x = 750\ny = 1000\nzeta = 0.5\neps = 0.001\nsweep_param = zeta\n"
+                 "sweep_min = 1e-170\nsweep_max = 0.9\nsweep_count = 50\nsweep_spacing = log\n",
+                 "zeta=1e-170, eps=0.001: Q is not a finite double", id="q-then-l"),
 ])
 def test_sweep_reports_first_failing_row(tmp_path, capsys, block, first):
     # a sweep's L is summed for all rows before any row is assembled, yet
@@ -916,6 +932,87 @@ def test_sweep_reports_first_failing_row(tmp_path, capsys, block, first):
     assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not out.exists()
+
+
+def _zeta_block(x, y, eps, lo, hi, count, spacing="log"):
+    return (f"x = {x!r}\ny = {y!r}\nzeta = {lo!r}\neps = {eps!r}\nsweep_param = zeta\n"
+            f"sweep_min = {lo!r}\nsweep_max = {hi!r}\nsweep_count = {count}\n"
+            f"sweep_spacing = {spacing}\n")
+
+
+@st.composite
+def _zeta_sweeps(draw):
+    """A zeta sweep's block: x up to 100, so that r = 2 zeta x often
+    crosses L's asymptotic line inside a batch; eps = 0 or not; zeta below
+    1 or across it; 2-60 rows, linear or log."""
+    lo, hi = sorted(draw(st.floats(1e-3, 1.5)) for _ in range(2))
+    assume(lo < hi)
+    return _zeta_block(draw(st.floats(0.05, 100.0)), draw(st.floats(0.05, 20.0)),
+                       draw(st.sampled_from([0.0, 1e-6, 1e-3, 0.01])), lo, hi,
+                       draw(st.integers(2, 60)), draw(st.sampled_from(["linear", "log"])))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_zeta_sweeps(), st.sampled_from(["sweep", "compare", "p1", "p2"]),
+       st.sampled_from([2, 7, _BATCH_ROWS]))
+# r = 2 zeta x crosses asymptotic_line(0.995), about 19.12, inside one batch
+@example(_zeta_block(30.0, 1.0, 0.01, 0.1, 0.9, 40), "sweep", _BATCH_ROWS)
+# zeta crosses 1, where p2's cells become empty, in compare mode
+@example(_zeta_block(1.3, 0.8, 0.005, 0.5, 1.5, 30, "linear"), "compare", _BATCH_ROWS)
+# a sweep of two rows, and batches of two rows
+@example(_zeta_block(1.3, 0.8, 0.001, 0.2, 0.9, 2), "sweep", _BATCH_ROWS)
+@example(_zeta_block(1.3, 0.8, 0.001, 0.2, 1.2, 5), "sweep", 2)
+# eps = 0, where no row needs L
+@example(_zeta_block(0.7, 1.8, 0.0, 0.05, 0.95, 20), "sweep", 7)
+def test_zeta_sweep_columns_keep_the_scalar_bits(block, mode, batch_rows):
+    # the closed-form CSV columns of a zeta sweep, computed as columns, hold
+    # p1_closed's, p2_closed's and q_parameter's bits at every point, or
+    # the run raises the first error a point by point run meets
+    cfg = parse_config("mode = sweep\n" + block)._replace(mode=mode)
+    want_p1, want_p2 = mode != "p2", mode != "p1"
+    expected, message = [], None
+    for value in cfg.sweep.values().tolist():
+        d = _scalar_point(cfg, value)
+        try:
+            one = p1_closed(d) if want_p1 else None
+            two = p2_closed(d) if want_p2 and d.zeta < 1.0 else None
+            q = q_parameter(d.eps, d.zeta)
+        except ValueError as exc:
+            message = str(exc)
+            break
+        expected.append((d.x, d.y, d.zeta, d.eps, one and one.total, two and two.total, None,
+                         None, one and one.phase_argument, two and two.phase_argument, q,
+                         1.0 + q))
+    with mock.patch.object(runner, "_BATCH_ROWS", batch_rows):
+        try:
+            columns = _physics_rows(cfg)[1]
+        except ValueError as exc:
+            assert str(exc) == message
+            return
+    assert message is None
+    assert repr(list(zip(*columns))) == repr(expected)
+
+
+# The sha256 of the CSV below, by the sha256 of its zeta axis: numpy's
+# geomspace gives one axis with its AVX-512 loops and another without them.
+_SEED_41_CSV = {
+    "315a79a2663a610f": "0abaf1c46374888825f21119e76906afb37a4db4b503056e13791be138ad0426",
+    "2a47eb73e346e246": "5de49e9b20ff7488ff04e30c3651099a65bc97f9e86262a679f6c3eb04701624",
+}
+
+
+def test_sweep_zeta_csv_keeps_its_sha256(tmp_path):
+    # perfbench's first sweep-zeta text at seed 41: its CSV holds the bytes
+    # that the row-by-row closed forms wrote
+    out = tmp_path / "zeta.csv"
+    cfg = parse_config("mode = sweep\n" + _zeta_block(
+        1.071531034993657, 0.8460787794657127, 0.0014656717741790657, 0.18707501521590697,
+        0.8022786588500761, 500) + f"out = {out}\n")
+    axis = hashlib.sha256(cfg.sweep.values().tobytes()).hexdigest()[:16]
+    if axis not in _SEED_41_CSV:
+        pytest.skip(f"numpy's geomspace gives an axis with no pinned CSV here ({axis})")
+    assert run(cfg) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _SEED_41_CSV[axis]
 
 
 @pytest.mark.parametrize("block, failing, summed", [
@@ -937,10 +1034,10 @@ def test_sweep_sums_l_only_for_rows_before_first_failing_half(tmp_path, capsys, 
     batch = closed_form.gup_coefficient_batch
 
     def recording(ybars, rs, *columns):
-        coefficients = batch(ybars, rs, *columns)
+        summed, re, im = batch(ybars, rs, *columns)
         received.extend(zip(ybars, rs))
-        sums.extend(value for value in coefficients if value is not None)
-        return coefficients
+        sums.extend(re[summed].tolist())
+        return summed, re, im
 
     monkeypatch.setattr(closed_form, "gup_coefficient_batch", recording)
     config = tmp_path / "run.conf"
@@ -975,6 +1072,8 @@ def test_failing_sweep_evaluates_each_row_once(tmp_path, capsys, monkeypatch, bl
     config = tmp_path / "run.conf"
     config.write_text(block)
     message = _first_scalar_error(parse_config("mode = sweep\n" + block))
+    # a point reaches each probability's at-zeta half through its one-row
+    # form or as one of the rows of its column form
     seen = {}
     for half in ("_p1_at_zeta", "_p2_at_zeta"):
         points = seen[half] = []
@@ -983,7 +1082,13 @@ def test_failing_sweep_evaluates_each_row_once(tmp_path, capsys, monkeypatch, bl
             points.append(tuple(point))
             return original(factors, point, *rest)
 
+        def recording_rows(factors, zeta, batch, rows, errors, points=points,
+                           original=getattr(closed_form, half + "_rows")):
+            points.extend(tuple(column[row] for column in batch) for row in rows.tolist())
+            return original(factors, zeta, batch, rows, errors)
+
         monkeypatch.setattr(closed_form, half, recording)
+        monkeypatch.setattr(closed_form, half + "_rows", recording_rows)
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     for half, points in seen.items():

@@ -135,7 +135,7 @@ def test_modulus_identity_on_imaginary_axis():
         lg = log_gamma(complex(0.0, x))
         lhs = math.exp(2.0 * lg.real)
         rhs = math.pi / (x * math.sinh(math.pi * x))
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+        assert lhs == pytest.approx(rhs, rel=1e-10, abs=0.0)
 
 
 def test_phase_set_recurrence_combinations():

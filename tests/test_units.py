@@ -164,10 +164,10 @@ def test_scale_invariance_of_reduction():
             beta=base.beta / lam**2,
         )
         d = to_dimensionless(scaled)
-        assert d.x == pytest.approx(d0.x, rel=1e-12)
-        assert d.y == pytest.approx(d0.y, rel=1e-12)
-        assert d.zeta == pytest.approx(d0.zeta, rel=1e-12)
-        assert d.eps == pytest.approx(d0.eps, rel=1e-12)
+        assert d.x == pytest.approx(d0.x, rel=1e-12, abs=0.0)
+        assert d.y == pytest.approx(d0.y, rel=1e-12, abs=0.0)
+        assert d.zeta == pytest.approx(d0.zeta, rel=1e-12, abs=0.0)
+        assert d.eps == pytest.approx(d0.eps, rel=1e-12, abs=0.0)
 
 
 def test_round_trip_through_si():
