@@ -166,27 +166,13 @@ class TemperaturePair(NamedTuple):
     modified: float
 
 
-def _sin2(phase: float) -> float:
-    """sin(phase)^2, squared by libm's pow; NaN where the phase is not finite."""
-    return math.sin(phase) ** 2 if math.isfinite(phase) else math.nan
-
-
-def _sin2_rows(phases: list[float]) -> list[float]:
-    """_sin2 at each phase of the list; math.pow(s, 2.0) is the same libm
-    pow call as s ** 2."""
-    try:
-        return list(map(math.pow, map(math.sin, phases), repeat(2.0)))
-    except ValueError:  # sin of an infinite phase
-        return list(map(_sin2, phases))
-
-
 def _product(prefactor, damping, planck, sin2):
     """The total, prefactor * damping * planck * sin2; numbers, or arrays of
     one value per row."""
     return prefactor * damping * planck * sin2
 
 
-def _not_finite(name: str, point: tuple) -> ValueError:
+def _not_finite(name: str, point) -> ValueError:
     return ValueError(f"{name} is not a finite double at {DimensionlessConfig(*point)}")
 
 
@@ -195,7 +181,7 @@ def _assemble(name: str, point: tuple, prefactor: float, damping: float, planck:
     """The ProbabilityBreakdown fields of probability `name` at `point`,
     (x, y, zeta, eps), as a plain tuple; a ValueError unless its total is
     a finite double."""
-    sin2 = _sin2(phase)
+    sin2 = math.sin(phase) ** 2 if math.isfinite(phase) else math.nan
     total = _product(prefactor, damping, planck, sin2)
     if not math.isfinite(total):
         raise _not_finite(name, point)
@@ -363,13 +349,12 @@ def _zeta_free_halves(batch, want_p1: bool, want_p2: bool, errors: dict) -> tupl
     x factors computed once per run of equal x and p2's ybar factors once
     per run of equal (y, eps).
 
-    A row's p1 half comes first, and its p2 half, at a row with zeta < 1,
-    after p1's at-zeta half there, as p1_closed and then p2_closed meet
-    them; one p2 half for all rows is met at the first row with zeta < 1.
-    Returns p1's halves and p2's (None at a row with zeta >= 1, or for
-    all rows where none has zeta < 1), and the number of rows whose p1
-    at-zeta half comes before the first error.  That error goes into
-    `errors` under (row, 0) for p1's half, (row, 2) for p2's.
+    A row's p2 half, at a row with zeta < 1, comes after its p1 halves, as
+    p1_closed and then p2_closed meet them; one p2 half for all rows is met
+    at the first row with zeta < 1.  Returns p1's halves, p2's (None at a
+    row with zeta >= 1, or for all rows where none has zeta < 1), and the
+    number of rows whose p1 at-zeta half comes before the first error,
+    which goes into `errors` under (row, 0) for p1's half, (row, 2) for p2's.
     """
     xs, ys, zetas, epss = batch
     count = len(xs)
@@ -383,9 +368,8 @@ def _zeta_free_halves(batch, want_p1: bool, want_p2: bool, errors: dict) -> tupl
                 if x != x1:
                     x_factors, x1 = _p1_x_factors(x), x
                 halves1.append(_p1_zeta_free(x, y, eps, x_factors))
-            inside = row if zetas[row] < 1.0 else None
-            if shared and inside is None:  # the first row with zeta < 1 meets p2's half
-                inside = next((row for row, zeta in enumerate(zetas) if zeta < 1.0), None)
+            inside = next((i for i in range(row, count if shared else row + 1)
+                           if zetas[i] < 1.0), None)
             if want_p2 and inside is not None:
                 at, stage = inside, 2
                 if (y, eps) != ybar_key:
@@ -402,11 +386,10 @@ def _factor_columns(halves: list, rows):
     """The zeta-free factors of `rows`, an index array, from
     _zeta_free_halves: the one half itself where all rows share it, so that
     each factor is one number for every row; else an array per factor."""
-    if len(halves) == 1:
-        return halves[0]
     import numpy as np
 
-    return [np.array(column) for column in zip(*map(halves.__getitem__, rows.tolist()))]
+    return halves[0] if len(halves) == 1 else [
+        np.array(column) for column in zip(*map(halves.__getitem__, rows.tolist()))]
 
 
 def _cells(value, count: int) -> list:
@@ -422,22 +405,21 @@ def _assemble_rows(name: str, stage: int, prefactor, damping, planck, phase, bat
     (row, stage), unless an error is there already."""
     import numpy as np
 
-    phases = phase.tolist()
-    sin2 = _sin2_rows(phases)
+    # sin, then libm's pow as s ** 2 calls it, row by row; sin(NaN) is NaN
+    sin2 = list(map(math.pow, map(math.sin, np.where(np.isfinite(phase), phase, math.nan).tolist()),
+                    repeat(2.0)))
     total = _product(prefactor, damping, planck, np.array(sin2))
-    for row in rows[np.flatnonzero(~np.isfinite(total))[:1]].tolist():
+    for row in rows[~np.isfinite(total)][:1].tolist():
         errors.setdefault((row, stage), _not_finite(name, [column[row] for column in batch]))
-    return [total.tolist(), *(_cells(value, len(phases)) for value in (prefactor, damping, planck)),
-            phases, sin2]
+    return [total.tolist(), *(_cells(value, rows.size) for value in (prefactor, damping, planck)),
+            phase.tolist(), sin2]
 
 
 def _p1_at_zeta_rows(factors, zeta, batch, rows, errors: dict) -> list:
     """_p1_at_zeta at `rows`, an index array of the batch, from their
     factors (_factor_columns) and zeta: the six fields as lists.  The first
     error goes into `errors` under (row, 1)."""
-    prefactor, damping, planck = factors[:3]
-    return _assemble_rows("p1", 1, prefactor, damping, planck, _p1_phase(factors, zeta), batch,
-                          rows, errors)
+    return _assemble_rows("p1", 1, *factors[:3], _p1_phase(factors, zeta), batch, rows, errors)
 
 
 def _p2_at_zeta_rows(factors, zeta, batch, rows, errors: dict) -> list:
@@ -446,12 +428,12 @@ def _p2_at_zeta_rows(factors, zeta, batch, rows, errors: dict) -> list:
 
     L is summed at once for the rows that need it, where eta > 0
     (gup_coefficient_batch), and the scalar way at each of them that the
-    batch does not sum.  Elsewhere L is taken as 0, where the formulas give
-    the scalar's bits without it: a damping of exp(0) = 1 and a GUP phase
-    of +-0, which leaves the phase sum as it is, since x zeta + ybar ln x
-    is never -0.  The first error of each kind goes into `errors` under
-    (row, 3), where L's comes before the damping's overflow, and that
-    before a total that is not a finite double.
+    batch does not sum, up to the first that raises.  Elsewhere L is taken
+    as 0, where the formulas give the scalar's bits without it: a damping
+    of exp(0) = 1 and a GUP phase of +-0, which leaves the phase sum as it
+    is, since x zeta + ybar ln x is never -0.  The first error of each kind
+    goes into `errors` under (row, 3), where L's comes before the damping's
+    overflow, and that before a total that is not a finite double.
     """
     import numpy as np
 
@@ -465,25 +447,21 @@ def _p2_at_zeta_rows(factors, zeta, batch, rows, errors: dict) -> list:
         for i in np.flatnonzero(positive & ~summed).tolist():
             try:
                 value = gup_coefficient(ybars[i], rs[i], log_gammas[i], psis[i])
-            except ValueError as error:
+            except ValueError as error:  # no later row is read
                 errors.setdefault((int(rows[i]), 3), error)
-                value = complex(math.nan, math.nan)
+                break
             l_re[i], l_im[i] = value.real, value.imag
     log_two_zeta = np.fromiter(map(math.log, (2.0 * zeta).tolist()), float, rows.size)
     exponent, gup_phase = _p2_gup_terms(eta, log_two_zeta, l_re, l_im)
-    try:
-        damping = np.fromiter(map(math.exp, exponent.tolist()), float, rows.size)
-    except OverflowError:  # from the first row where it overflows, none is read
-        damping = np.full(rows.size, math.inf)
-        for i, value in enumerate(exponent.tolist()):
-            try:
-                damping[i] = math.exp(value)
-            except OverflowError:
-                break
-    for i in np.flatnonzero(np.isinf(damping) & np.isfinite(exponent))[:1].tolist():
-        row = int(rows[i])
-        errors.setdefault((row, 3), _damping_overflow([column[row] for column in batch],
-                                                      float(l_im[i])))
+    damping = np.fromiter(map(math.exp, np.minimum(exponent, 709.0).tolist()), float, rows.size)
+    for i in np.flatnonzero(exponent > 709.0).tolist():  # where exp may overflow
+        try:
+            damping[i] = math.exp(exponent[i])
+        except OverflowError:  # no later row is read
+            row = int(rows[i])
+            errors.setdefault((row, 3), _damping_overflow([column[row] for column in batch],
+                                                          float(l_im[i])))
+            break
     phase = _p2_phase(x, zeta, log_term, gup_phase, log_gamma_iy.imag)
     return _assemble_rows("p2", 3, prefactor, damping, planck, phase, batch, rows, errors)
 
@@ -496,29 +474,27 @@ def closed_rows(xs, ys, zetas, epss, want_p1: bool, want_p2: bool) -> tuple:
 
     One row is computed on floats, as p1_closed and then p2_closed compute
     it, without numpy.  More rows are columns: each zeta-free half is
-    computed once where all rows share (x, y, eps) (_zeta_free_halves), up to
-    the first row where one raises, and each at-zeta half runs on float64
-    arrays over the rows before it, p2's only over rows before p1's first
-    error.  Each error found is keyed by its row and its stage in a point
-    by point run (p1's tiers, p1 at zeta, p2's tiers, p2 at zeta), and the
-    least is raised: a batch raises what a point by point run meets first,
-    and evaluates each row once.
+    computed once where all rows share (x, y, eps) (_zeta_free_halves), up
+    to the first row where one raises, and each at-zeta half runs on
+    float64 arrays over the rows before it, p2's only over rows before
+    p1's first error.  Each error found is keyed by its row and its stage
+    in a point by point run (p1's tiers, p1 at zeta, p2's tiers, p2 at
+    zeta), and the least is raised: a batch raises what a point by point
+    run meets first, and evaluates each row once.
     """
     count = len(xs)
-    unwanted = (None,) * 6
     if count == 1:
-        point = (xs[0], ys[0], zetas[0], epss[0])
-        x, y, zeta, eps = point
+        x, y, zeta, eps = point = (xs[0], ys[0], zetas[0], epss[0])
         ones = (_p1_at_zeta(_p1_zeta_free(x, y, eps, _p1_x_factors(x)), point)
-                if want_p1 else unwanted)
+                if want_p1 else (None,) * 6)
         twos = (_p2_at_zeta(_p2_zeta_free(x, _p2_ybar_factors(y, eps)), point)
-                if want_p2 and zeta < 1.0 else unwanted)
+                if want_p2 and zeta < 1.0 else (None,) * 6)
         return [[cell] for cell in ones], [[cell] for cell in twos]
     import numpy as np
 
     batch, errors = (xs, ys, zetas, epss), {}
     halves1, halves2, p1_end = _zeta_free_halves(batch, want_p1, want_p2, errors)
-    zeta = np.fromiter(zetas, float, count)
+    zeta = np.array(zetas)
     ones = twos = [[None] * count] * 6
     # Overflow and 0 * inf happen where the scalar meets them too, and leave
     # the same infinities and NaNs in the same rows.
@@ -527,13 +503,13 @@ def closed_rows(xs, ys, zetas, epss, want_p1: bool, want_p2: bool) -> tuple:
             rows = np.arange(p1_end)
             ones = _p1_at_zeta_rows(_factor_columns(halves1, rows), zeta[rows], batch,
                                     rows, errors)
-        if want_p2:
-            rows = np.flatnonzero(zeta[:min(errors, default=(count,))[0]] < 1.0)
-            twos = (_p2_at_zeta_rows(_factor_columns(halves2, rows), zeta[rows], batch,
-                                     rows, errors) if rows.size else [[]] * 6)
+        rows = np.flatnonzero(zeta[:min(errors, default=(count,))[0]] < 1.0)
+        if want_p2 and rows.size:
+            twos = _p2_at_zeta_rows(_factor_columns(halves2, rows), zeta[rows], batch, rows,
+                                    errors)
     if errors:
         raise errors[min(errors)]
-    if want_p2 and rows.size < count:  # None at the rows where zeta >= 1
+    if want_p2 and 0 < rows.size < count:  # None at the rows where zeta >= 1
         spread = np.full((6, count), None)
         spread[:, rows] = twos
         twos = spread.tolist()

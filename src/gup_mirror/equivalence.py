@@ -122,20 +122,18 @@ def q_rows(epss: list[float], zetas: list[float]) -> tuple[list[float], ValueErr
     none)."""
     import numpy as np
 
-    count = len(zetas)
     try:  # math.pow(zeta, 2.0) is the same libm pow call as zeta**2
-        squares = np.fromiter(map(math.pow, zetas, repeat(2.0)), float, count)
+        squares = list(map(math.pow, zetas, repeat(2.0)))
     except OverflowError:  # where q_parameter takes Q as NaN
-        squares = np.fromiter(map(_square_or_nan, zetas), float, count)
-    eps = epss[0] if epss.count(epss[0]) == count else np.array(epss)
+        squares = list(map(_square_or_nan, zetas))
+    eps = np.array(epss)
     with np.errstate(all="ignore"):
-        q_value = _q_formula(eps, np.fromiter(zetas, float, count), squares,
-                             np.fromiter(map(math.log, zetas), float, count))
+        q_value = _q_formula(eps, np.array(zetas), np.array(squares),
+                             np.fromiter(map(math.log, zetas), float, len(zetas)))
     bad = ~np.isfinite(q_value)
-    failing = np.flatnonzero(bad & (eps != 0.0))[:1].tolist()
+    end = (np.flatnonzero(bad & (eps != 0.0)).tolist() or [len(zetas)])[0]
     q_value[bad] = 0.0  # eps = 0 at such a row before the first failing one
-    end = failing[0] if failing else count
-    return q_value[:end].tolist(), _q_error(epss[end], zetas[end]) if failing else None
+    return q_value[:end].tolist(), _q_error(epss[end], zetas[end]) if end < len(zetas) else None
 
 
 def violation_parameter(d: DimensionlessConfig) -> ViolationReport:
