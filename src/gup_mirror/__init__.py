@@ -43,9 +43,8 @@ _HOMES = {
     "amplitude": ("AmplitudeResult", "QuadratureConvergenceError", "VerifyRecord",
                   "p1_numeric", "p2_numeric", "verify_pair"),
     "closed_form": ("ProbabilityBreakdown", "TemperaturePair", "p1_closed", "p2_closed",
-                    "temperatures"),
-    "equivalence": ("BetaBound", "ViolationReport", "beta_bound", "q_parameter",
-                    "violation_parameter"),
+                    "q_parameter", "temperatures"),
+    "equivalence": ("BetaBound", "ViolationReport", "beta_bound", "violation_parameter"),
     "runner": ("ConfigError", "RunConfig", "SweepAxis", "parse_config", "run"),
     "special": ("gamma_phase_set", "log_gamma", "planck_factor"),
     "units": ("CODATA", "DimensionlessConfig", "PhysicalConfig", "PhysicalConstants",

@@ -63,32 +63,39 @@ log Gamma(i ybar), the Planck factor and psi(1 + i ybar), which L
 reads.  `p1_closed` and `p2_closed` compute the tiers and the at-zeta
 half for one point.
 
-`closed_rows` evaluates a batch of rows given as four columns, x, y,
-zeta and eps, and returns each probability's fields as columns.  A batch
-of one row is the one-point computation, on floats, so the one-point
-modes never load numpy.  A larger batch computes each zeta-free half
-once where all its rows share (x, y, eps), as a zeta sweep's do, and
-row by row otherwise, with p1's x factors computed once per run of
-equal x and p2's ybar factors once per run of equal (y, eps), so an
-omega0 sweep evaluates the Gamma values of ybar once.  It stops at the
-first row where a zeta-free half raises.  The at-zeta halves then run
-as columns over the rows before it (`_p1_at_zeta_rows`,
-`_p2_at_zeta_rows`): each + - * / is one IEEE operation on float64
-arrays, written once for numbers and arrays alike (`_p1_phase`,
-`_p2_gup_terms`, `_p2_phase`, `_product`), and each libm call (sin,
-pow, exp, log) is the scalar's own, mapped over the rows, so every row
-gets the bits the one-point functions give it.  The rows that need L
-(eta > 0 and zeta < 1) go to `special.gup_coefficient_batch`, which
-sums those on the convergent branch on float64 arrays, with one
-coefficient table where the rows share ybar, and hands back L's real
-and imaginary parts as columns; each row it does not sum is summed the
-scalar way.  Array masks find the rows whose L cannot be summed, whose
-damping overflows or whose total is not a finite double.  Each error
-is keyed by its row and by its stage in a point by point run (p1's
-zeta-free half, p1 at zeta, p2's zeta-free half, p2 at zeta), and p2's
-at-zeta half runs only over the rows before the first error found
-before it.  The least is raised: a batch raises what a point by point
-run meets first, and evaluates each row once.
+Q(zeta, eps), the spatial mismatch of `equivalence`, is computed here
+too (`q_parameter`), so that a batch's closed forms and Q come from one
+call.
+
+`closed_rows` is the one place that turns a batch of rows, given as
+four columns, x, y, zeta and eps, into the CSV's closed-form cells and
+Q: five lists, p1's total and phase, p2's total and phase, and Q.  It
+picks one of two paths from the batch itself.  A batch of two or more
+rows that share (x, y, eps), as a zeta sweep's do, runs as columns:
+each zeta-free half is computed once, and the at-zeta halves
+(`_p1_at_zeta_rows`, `_p2_at_zeta_rows`) and Q (`_q_rows`) run on
+float64 arrays in which every zeta-free factor is a single number.  Each
++ - * / there is one IEEE operation, written once for numbers and arrays
+alike (`_p1_phase`, `_p2_gup_terms`, `_p2_phase`, `_product`,
+`_q_formula`), and each libm call (sin, pow, exp, log) is the scalar's
+own, mapped over the rows, so every row gets the bits the one-point
+functions give it.  L is summed for those rows by
+`special.gup_coefficient_batch` with one coefficient table, and the
+scalar way at each row it does not sum.  Array masks find the rows whose
+L cannot be summed, whose damping overflows or whose total or Q is not a
+finite double.  Each error is keyed by its row and by its stage in a
+point by point run (p1's zeta-free half, p1 at zeta, p2's zeta-free
+half, p2 at zeta, Q), each stage runs over the rows before the least
+error known when it starts, and the least is raised.
+
+Every other batch, a one-row batch included, runs point by point through
+the one-point halves, on floats: p1's x factors once per run of equal x,
+p2's ybar factors once per run of equal (y, eps), so an omega0 sweep
+evaluates the Gamma values of ybar once, and Q once per run of equal
+(zeta, eps).  The rows before the first error that need L are handed to
+`special.gup_coefficient_batch` together, where two or more do, so a
+one-point run never loads numpy.  Either way a batch raises what a point
+by point run meets first, and evaluates each row once.
 
 Limits of the GUP terms:
 
@@ -120,7 +127,7 @@ grid.
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import compress, repeat
 from typing import NamedTuple
 
 from .special import (digamma, gamma_phase_set, gup_coefficient, gup_coefficient_batch,
@@ -140,6 +147,7 @@ __all__ = [
     "closed_rows",
     "p1_closed",
     "p2_closed",
+    "q_parameter",
     "temperatures",
 ]
 
@@ -342,67 +350,73 @@ def p2_closed(d: DimensionlessConfig) -> ProbabilityBreakdown:
     return ProbabilityBreakdown(*_p2_at_zeta(_p2_zeta_free(d.x, _p2_ybar_factors(d.y, d.eps)), d))
 
 
-def _zeta_free_halves(batch, want_p1: bool, want_p2: bool, errors: dict) -> tuple:
-    """Each closed form's zeta-free half at the rows of the batch
-    (x, y, zeta, eps), in point order, up to the first that raises: once
-    for all rows where they share (x, y, eps), else row by row, with p1's
-    x factors computed once per run of equal x and p2's ybar factors once
-    per run of equal (y, eps).
+def _q_formula(eps, zeta, zeta_squared, log_zeta):
+    """Q from zeta^2 and ln zeta; numbers, or arrays of one value per row."""
+    return eps / (2.0 * zeta_squared) + (eps / (2.0 * zeta)) * log_zeta
 
-    A row's p2 half, at a row with zeta < 1, comes after its p1 halves, as
-    p1_closed and then p2_closed meet them; one p2 half for all rows is met
-    at the first row with zeta < 1.  Returns p1's halves, p2's (None at a
-    row with zeta >= 1, or for all rows where none has zeta < 1), and the
-    number of rows whose p1 at-zeta half comes before the first error,
-    which goes into `errors` under (row, 0) for p1's half, (row, 2) for p2's.
+
+def _q_error(eps: float, zeta: float) -> ValueError:
+    return ValueError(f"zeta={zeta!r}, eps={eps!r}: Q is not a finite double")
+
+
+def q_parameter(eps: float, zeta: float) -> float:
+    """Spatial-mismatch parameter Q(zeta, eps) of `equivalence`; exactly
+    linear in eps.
+
+    Q is 0 at eps = 0 for every zeta, also where zeta^2 leaves the double
+    range.  For eps > 0, raises ValueError when Q is not a finite double:
+    below about zeta = 5e-155 sqrt(eps), where eps / (2 zeta^2) overflows,
+    and above about zeta = 1.3e154, where zeta^2 does.
     """
-    xs, ys, zetas, epss = batch
-    count = len(xs)
-    shared = xs.count(xs[0]) == ys.count(ys[0]) == epss.count(epss[0]) == count
-    halves1, halves2, x1, ybar_key = [], [], None, None
+    if not zeta > 0.0:
+        raise ValueError("zeta must be strictly positive")
+    if not eps >= 0.0:
+        raise ValueError("eps must be nonnegative")
     try:
-        for row in range(1 if shared else count):
-            x, y, eps = xs[row], ys[row], epss[row]
-            at, stage, half2 = row, 0, None  # where the next half is met, and its stage
-            if want_p1:
-                if x != x1:
-                    x_factors, x1 = _p1_x_factors(x), x
-                halves1.append(_p1_zeta_free(x, y, eps, x_factors))
-            inside = next((i for i in range(row, count if shared else row + 1)
-                           if zetas[i] < 1.0), None)
-            if want_p2 and inside is not None:
-                at, stage = inside, 2
-                if (y, eps) != ybar_key:
-                    ybar_factors, ybar_key = _p2_ybar_factors(y, eps), (y, eps)
-                half2 = _p2_zeta_free(x, ybar_factors)
-            halves2.append(half2)
-    except ValueError as error:
-        errors[at, stage] = error
-        return halves1, halves2, at + stage // 2
-    return halves1, halves2, count
+        q_value = _q_formula(eps, zeta, zeta**2, math.log(zeta))
+    except (ZeroDivisionError, OverflowError):  # zeta^2 underflows to 0 or overflows
+        q_value = math.nan
+    if math.isfinite(q_value):
+        return q_value
+    if eps == 0.0:
+        return 0.0
+    raise _q_error(eps, zeta)
 
 
-def _factor_columns(halves: list, rows):
-    """The zeta-free factors of `rows`, an index array, from
-    _zeta_free_halves: the one half itself where all rows share it, so that
-    each factor is one number for every row; else an array per factor."""
+def _square_or_nan(zeta: float) -> float:
+    try:
+        return zeta**2
+    except OverflowError:
+        return math.nan
+
+
+def _q_rows(epss: list[float], zetas: list[float]) -> tuple[list[float], ValueError | None]:
+    """q_parameter at each row of the columns eps and zeta, whose rows obey
+    its domain (zeta > 0, eps >= 0), as _q_formula on float64 arrays, with
+    zeta^2 (libm's pow) and ln zeta called row by row: the values before
+    the first row where q_parameter raises, and that row's error (None if
+    none)."""
     import numpy as np
 
-    return halves[0] if len(halves) == 1 else [
-        np.array(column) for column in zip(*map(halves.__getitem__, rows.tolist()))]
-
-
-def _cells(value, count: int) -> list:
-    """A factor of _factor_columns as a list of the cells of its `count` rows."""
-    return value.tolist() if hasattr(value, "tolist") else [value] * count
+    try:  # math.pow(zeta, 2.0) is the same libm pow call as zeta**2
+        squares = list(map(math.pow, zetas, repeat(2.0)))
+    except OverflowError:  # where q_parameter takes Q as NaN
+        squares = list(map(_square_or_nan, zetas))
+    eps = np.array(epss)
+    q_value = _q_formula(eps, np.array(zetas), np.array(squares),
+                         np.fromiter(map(math.log, zetas), float, len(zetas)))
+    bad = ~np.isfinite(q_value)
+    end = (np.flatnonzero(bad & (eps != 0.0)).tolist() or [len(zetas)])[0]
+    q_value[bad] = 0.0  # eps = 0 at such a row before the first failing one
+    return q_value[:end].tolist(), _q_error(epss[end], zetas[end]) if end < len(zetas) else None
 
 
 def _assemble_rows(name: str, stage: int, prefactor, damping, planck, phase, batch, rows,
                    errors: dict) -> list:
-    """_assemble at `rows`, an index array of the batch, from arrays or
-    numbers of one value per row: the six fields as lists.  The first row
-    whose total is not a finite double puts its error into `errors` under
-    (row, stage), unless an error is there already."""
+    """_assemble at `rows`, an index array of the batch, from numbers and
+    arrays of one value per row: the total and the phase as lists.  The
+    first row whose total is not a finite double puts its error into
+    `errors` under (row, stage), unless an error is there already."""
     import numpy as np
 
     # sin, then libm's pow as s ** 2 calls it, row by row; sin(NaN) is NaN
@@ -411,109 +425,164 @@ def _assemble_rows(name: str, stage: int, prefactor, damping, planck, phase, bat
     total = _product(prefactor, damping, planck, np.array(sin2))
     for row in rows[~np.isfinite(total)][:1].tolist():
         errors.setdefault((row, stage), _not_finite(name, [column[row] for column in batch]))
-    return [total.tolist(), *(_cells(value, rows.size) for value in (prefactor, damping, planck)),
-            phase.tolist(), sin2]
+    return [total.tolist(), phase.tolist()]
 
 
 def _p1_at_zeta_rows(factors, zeta, batch, rows, errors: dict) -> list:
-    """_p1_at_zeta at `rows`, an index array of the batch, from their
-    factors (_factor_columns) and zeta: the six fields as lists.  The first
-    error goes into `errors` under (row, 1)."""
+    """_p1_at_zeta at `rows`, an index array of the batch, from the one
+    _p1_zeta_free half of their (x, y, eps) and their zeta: the total and
+    the phase as lists.  The first error goes into `errors` under (row, 1)."""
     return _assemble_rows("p1", 1, *factors[:3], _p1_phase(factors, zeta), batch, rows, errors)
 
 
 def _p2_at_zeta_rows(factors, zeta, batch, rows, errors: dict) -> list:
     """_p2_at_zeta at `rows`, an index array of the batch with zeta < 1,
-    from their factors (_factor_columns) and zeta: the six fields as lists.
+    from the one _p2_zeta_free half of their (x, y, eps) and their zeta:
+    the total and the phase as lists.
 
-    L is summed at once for the rows that need it, where eta > 0
-    (gup_coefficient_batch), and the scalar way at each of them that the
-    batch does not sum, up to the first that raises.  Elsewhere L is taken
-    as 0, where the formulas give the scalar's bits without it: a damping
-    of exp(0) = 1 and a GUP phase of +-0, which leaves the phase sum as it
-    is, since x zeta + ybar ln x is never -0.  The first error of each kind
-    goes into `errors` under (row, 3), where L's comes before the damping's
-    overflow, and that before a total that is not a finite double.
+    Where eta > 0, L is summed at once for the rows (gup_coefficient_batch),
+    and the scalar way at each row that the batch does not sum, up to the
+    first that raises.  The first error of each kind goes into `errors`
+    under (row, 3), where L's comes before the damping's overflow, and that
+    before a total that is not a finite double.
     """
     import numpy as np
 
     x, ybar, eta, log_gamma_iy, prefactor, planck, log_term, psi = factors
-    l_re = l_im = np.zeros(rows.size)  # L = 0, until it is summed
-    if (positive := np.broadcast_to(eta > 0.0, rows.shape)).any():
-        # r = 0 where eta = 0, a row that the batch declines and no sum reads
-        rs = np.where(positive, _radius(x, zeta), 0.0).tolist()
-        ybars, log_gammas, psis = (_cells(value, rows.size) for value in (ybar, log_gamma_iy, psi))
-        summed, l_re, l_im = gup_coefficient_batch(ybars, rs, log_gammas, psis)
-        for i in np.flatnonzero(positive & ~summed).tolist():
+    damping, gup_phase = 1.0, 0.0  # no L where eta = 0, as in _p2_at_zeta
+    if eta > 0.0:
+        rs = _radius(x, zeta).tolist()
+        summed, l_re, l_im = gup_coefficient_batch([ybar] * len(rs), rs,
+                                                   [log_gamma_iy] * len(rs), [psi] * len(rs))
+        for i in np.flatnonzero(~summed).tolist():
             try:
-                value = gup_coefficient(ybars[i], rs[i], log_gammas[i], psis[i])
+                value = gup_coefficient(ybar, rs[i], log_gamma_iy, psi)
             except ValueError as error:  # no later row is read
                 errors.setdefault((int(rows[i]), 3), error)
                 break
             l_re[i], l_im[i] = value.real, value.imag
-    log_two_zeta = np.fromiter(map(math.log, (2.0 * zeta).tolist()), float, rows.size)
-    exponent, gup_phase = _p2_gup_terms(eta, log_two_zeta, l_re, l_im)
-    damping = np.fromiter(map(math.exp, np.minimum(exponent, 709.0).tolist()), float, rows.size)
-    for i in np.flatnonzero(exponent > 709.0).tolist():  # where exp may overflow
-        try:
-            damping[i] = math.exp(exponent[i])
-        except OverflowError:  # no later row is read
-            row = int(rows[i])
-            errors.setdefault((row, 3), _damping_overflow([column[row] for column in batch],
-                                                          float(l_im[i])))
-            break
+        log_two_zeta = np.fromiter(map(math.log, (2.0 * zeta).tolist()), float, len(rs))
+        exponent, gup_phase = _p2_gup_terms(eta, log_two_zeta, l_re, l_im)
+        damping = np.fromiter(map(math.exp, np.minimum(exponent, 709.0).tolist()), float, len(rs))
+        for i in np.flatnonzero(exponent > 709.0).tolist():  # where exp may overflow
+            try:
+                damping[i] = math.exp(exponent[i])
+            except OverflowError:  # no later row is read
+                row = int(rows[i])
+                errors.setdefault((row, 3), _damping_overflow([column[row] for column in batch],
+                                                              float(l_im[i])))
+                break
     phase = _p2_phase(x, zeta, log_term, gup_phase, log_gamma_iy.imag)
     return _assemble_rows("p2", 3, prefactor, damping, planck, phase, batch, rows, errors)
 
 
-def closed_rows(xs, ys, zetas, epss, want_p1: bool, want_p2: bool) -> tuple:
-    """The closed forms at every row of the columns x, y, zeta and eps:
-    (p1's fields, p2's fields), each the six ProbabilityBreakdown fields as
-    lists.  A probability's cells are None where it is not wanted, and
-    p2's at the rows where zeta >= 1.
-
-    One row is computed on floats, as p1_closed and then p2_closed compute
-    it, without numpy.  More rows are columns: each zeta-free half is
-    computed once where all rows share (x, y, eps) (_zeta_free_halves), up
-    to the first row where one raises, and each at-zeta half runs on
-    float64 arrays over the rows before it, p2's only over rows before
-    p1's first error.  Each error found is keyed by its row and its stage
-    in a point by point run (p1's tiers, p1 at zeta, p2's tiers, p2 at
-    zeta), and the least is raised: a batch raises what a point by point
-    run meets first, and evaluates each row once.
-    """
-    count = len(xs)
-    if count == 1:
-        x, y, zeta, eps = point = (xs[0], ys[0], zetas[0], epss[0])
-        ones = (_p1_at_zeta(_p1_zeta_free(x, y, eps, _p1_x_factors(x)), point)
-                if want_p1 else (None,) * 6)
-        twos = (_p2_at_zeta(_p2_zeta_free(x, _p2_ybar_factors(y, eps)), point)
-                if want_p2 and zeta < 1.0 else (None,) * 6)
-        return [[cell] for cell in ones], [[cell] for cell in twos]
+def _shared_rows(xs, ys, zetas, epss, want_p1: bool, want_p2: bool) -> list:
+    """closed_rows at a batch of two or more rows that share (x, y, eps):
+    each zeta-free half computed once, the rest as float64 columns."""
     import numpy as np
 
+    count, x, y, eps = len(xs), xs[0], ys[0], epss[0]
     batch, errors = (xs, ys, zetas, epss), {}
-    halves1, halves2, p1_end = _zeta_free_halves(batch, want_p1, want_p2, errors)
+    inside = next((row for row, zeta in enumerate(zetas) if zeta < 1.0), count)
+    at = stage = 0  # where the next zeta-free half is met, and its stage
+    try:
+        if want_p1:
+            half1 = _p1_zeta_free(x, y, eps, _p1_x_factors(x))
+        if want_p2 and inside < count:
+            at, stage = inside, 2
+            half2 = _p2_zeta_free(x, _p2_ybar_factors(y, eps))
+    except ValueError as error:
+        errors[at, stage] = error
     zeta = np.array(zetas)
-    ones = twos = [[None] * count] * 6
+    cells = [[None] * count] * 4
     # Overflow and 0 * inf happen where the scalar meets them too, and leave
     # the same infinities and NaNs in the same rows.
     with np.errstate(all="ignore"):
-        if want_p1 and p1_end:
-            rows = np.arange(p1_end)
-            ones = _p1_at_zeta_rows(_factor_columns(halves1, rows), zeta[rows], batch,
-                                    rows, errors)
-        rows = np.flatnonzero(zeta[:min(errors, default=(count,))[0]] < 1.0)
+        # p1 at zeta runs at the rows before the first zeta-free error, and
+        # at p2's failing row too
+        end = at + stage // 2 if errors else count
+        if want_p1 and end:
+            cells[:2] = _p1_at_zeta_rows(half1, zeta[:end], batch, np.arange(end), errors)
+        end = min(errors, default=(count,))[0]
+        q_values, q_error = _q_rows(epss[:end], zetas[:end])
+        if q_error is not None:
+            errors[len(q_values), 4] = q_error
+        # p2 at zeta runs at the rows before the first error, and at Q's row
+        end, stage = min(errors, default=(count, 0))
+        rows = np.flatnonzero(zeta[:end + stage // 4] < 1.0)
         if want_p2 and rows.size:
-            twos = _p2_at_zeta_rows(_factor_columns(halves2, rows), zeta[rows], batch, rows,
-                                    errors)
+            twos = _p2_at_zeta_rows(half2, zeta[rows], batch, rows, errors)
+            if rows.size < count:  # None at the rows where zeta >= 1
+                spread = np.full((2, count), None)
+                spread[:, rows] = twos
+                twos = spread.tolist()
+            cells[2:] = twos
     if errors:
         raise errors[min(errors)]
-    if want_p2 and 0 < rows.size < count:  # None at the rows where zeta >= 1
-        spread = np.full((6, count), None)
-        spread[:, rows] = twos
-        twos = spread.tolist()
-    return ones, twos
+    return [*cells, q_values]
+
+
+def closed_rows(xs, ys, zetas, epss, want_p1: bool, want_p2: bool) -> list:
+    """The closed forms and Q at every row of the columns x, y, zeta and
+    eps, as five lists: p1's total, p1's phase, p2's total, p2's phase and
+    Q.  A probability's cells are None where it is not wanted, and p2's at
+    the rows where zeta >= 1.
+
+    A batch of two or more rows that share (x, y, eps), as a zeta sweep's
+    do, runs as columns (_shared_rows).  Any other batch, one row
+    included, runs point by point through the one-point halves, on floats:
+    p1's x factors once per run of equal x, p2's ybar factors once per run
+    of equal (y, eps) and the rest of each zeta-free half once per run of
+    equal (x, y, eps), Q once per run of equal (zeta, eps).  The rows that
+    need L before the first error are summed by gup_coefficient_batch,
+    which loads numpy, where two or more do, and the rest the scalar way.
+
+    Either way each row is evaluated once, and the error raised is the
+    one a point by point run (p1's tiers, p1 at zeta, p2's tiers, p2 at
+    zeta, then Q) meets first.
+    """
+    if len(xs) > 1 and xs.count(xs[0]) == ys.count(ys[0]) == epss.count(epss[0]) == len(xs):
+        return _shared_rows(xs, ys, zetas, epss, want_p1, want_p2)
+    ones, halves2, q_values = [], [], []
+    x0 = y0 = eps0 = q_zeta = q_eps = stop = None
+    try:
+        for point in zip(xs, ys, zetas, epss):
+            x, y, zeta, eps = point
+            if x != x0 or y != y0 or eps != eps0:  # a new run of (x, y, eps)
+                if want_p1:
+                    if x != x0:
+                        x_factors = _p1_x_factors(x)
+                    half1 = _p1_zeta_free(x, y, eps, x_factors)
+                if y != y0 or eps != eps0:
+                    ybar_factors = None  # computed at the run's first row with zeta < 1
+                x0, y0, eps0, half2 = x, y, eps, None
+            ones.append(_p1_at_zeta(half1, point) if want_p1 else (None,) * 6)
+            if want_p2 and zeta < 1.0 and half2 is None:
+                if ybar_factors is None:
+                    ybar_factors = _p2_ybar_factors(y, eps)
+                half2 = _p2_zeta_free(x, ybar_factors)
+            halves2.append(half2 if zeta < 1.0 else None)
+            if zeta != q_zeta or eps != q_eps:
+                q_value, q_zeta, q_eps = q_parameter(eps, zeta), zeta, eps
+            q_values.append(q_value)
+    except ValueError as error:
+        stop = error
+    coefficients = [None] * len(halves2)
+    # (row, ybar, r, log Gamma(i ybar), psi) of each row that needs L
+    chosen = [(row, half[1], _radius(half[0], zeta), half[3], half[7]) for row, (half, zeta)
+              in enumerate(zip(halves2, zetas)) if half and half[2] > 0.0]
+    if len(chosen) > 1:
+        rows, *columns = zip(*chosen)
+        summed, l_re, l_im = gup_coefficient_batch(*columns)
+        for row, re, im in compress(zip(rows, l_re.tolist(), l_im.tolist()), summed.tolist()):
+            coefficients[row] = complex(re, im)
+    twos = [(None,) * 6 if half is None else _p2_at_zeta(half, point, coefficient)
+            for half, point, coefficient in zip(halves2, zip(xs, ys, zetas, epss), coefficients)]
+    if stop is not None:
+        raise stop
+    # the fields of each row are (total, ..., phase_argument, sin2)
+    (total1, *_, phase1, _), (total2, *_, phase2, _) = zip(*ones), zip(*twos)
+    return [list(total1), list(phase1), list(total2), list(phase2), q_values]
 
 
 def temperatures(p: PhysicalConfig) -> TemperaturePair:

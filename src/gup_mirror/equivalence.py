@@ -8,6 +8,9 @@ oscillations differ; the mismatch of the spatial parts is measured by
 
 and the ratio R = 1 + Q.  Q is strictly positive and strictly decreasing
 in zeta for eps > 0 (the two terms never cancel: 1/zeta + ln zeta >= 1).
+Q itself is computed by `closed_form.q_parameter`, beside the closed
+forms, so that `closed_form.closed_rows` gives a batch's closed forms
+and Q in one call; this module reads it for its report.
 
 Requiring the damping correction eps y / (x zeta) to stay small bounds
 the GUP parameter:  beta < eta0 * a z0 omega0 / (hbar^2 nu^3).  For
@@ -24,17 +27,14 @@ abstract in PAPER.md does not settle which of the two to use.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from typing import NamedTuple
 
-from .closed_form import p1_closed, p2_closed
+from .closed_form import p1_closed, p2_closed, q_parameter
 from .units import CODATA, DimensionlessConfig
 
 __all__ = [
     "ViolationReport",
     "BetaBound",
-    "q_parameter",
-    "q_rows",
     "violation_parameter",
     "beta_bound",
 ]
@@ -73,67 +73,6 @@ class BetaBound(NamedTuple):
     beta_max_si: float
     beta_max_planck_units: float
     tolerance_factor: float
-
-
-def _q_formula(eps, zeta, zeta_squared, log_zeta):
-    """Q from zeta^2 and ln zeta; numbers, or arrays of one value per row."""
-    return eps / (2.0 * zeta_squared) + (eps / (2.0 * zeta)) * log_zeta
-
-
-def _q_error(eps: float, zeta: float) -> ValueError:
-    return ValueError(f"zeta={zeta!r}, eps={eps!r}: Q is not a finite double")
-
-
-def q_parameter(eps: float, zeta: float) -> float:
-    """Spatial-mismatch parameter Q(zeta, eps); exactly linear in eps.
-
-    Q is 0 at eps = 0 for every zeta, also where zeta^2 leaves the double
-    range.  For eps > 0, raises ValueError when Q is not a finite double:
-    below about zeta = 5e-155 sqrt(eps), where eps / (2 zeta^2) overflows,
-    and above about zeta = 1.3e154, where zeta^2 does.
-    """
-    if not zeta > 0.0:
-        raise ValueError("zeta must be strictly positive")
-    if not eps >= 0.0:
-        raise ValueError("eps must be nonnegative")
-    try:
-        q_value = _q_formula(eps, zeta, zeta**2, math.log(zeta))
-    except (ZeroDivisionError, OverflowError):  # zeta^2 underflows to 0 or overflows
-        q_value = math.nan
-    if math.isfinite(q_value):
-        return q_value
-    if eps == 0.0:
-        return 0.0
-    raise _q_error(eps, zeta)
-
-
-def _square_or_nan(zeta: float) -> float:
-    try:
-        return zeta**2
-    except OverflowError:
-        return math.nan
-
-
-def q_rows(epss: list[float], zetas: list[float]) -> tuple[list[float], ValueError | None]:
-    """q_parameter at each row of the columns eps and zeta, whose rows obey
-    its domain (zeta > 0, eps >= 0), as _q_formula on float64 arrays, with
-    zeta^2 (libm's pow) and ln zeta called row by row: the values before
-    the first row where q_parameter raises, and that row's error (None if
-    none)."""
-    import numpy as np
-
-    try:  # math.pow(zeta, 2.0) is the same libm pow call as zeta**2
-        squares = list(map(math.pow, zetas, repeat(2.0)))
-    except OverflowError:  # where q_parameter takes Q as NaN
-        squares = list(map(_square_or_nan, zetas))
-    eps = np.array(epss)
-    with np.errstate(all="ignore"):
-        q_value = _q_formula(eps, np.array(zetas), np.array(squares),
-                             np.fromiter(map(math.log, zetas), float, len(zetas)))
-    bad = ~np.isfinite(q_value)
-    end = (np.flatnonzero(bad & (eps != 0.0)).tolist() or [len(zetas)])[0]
-    q_value[bad] = 0.0  # eps = 0 at such a row before the first failing one
-    return q_value[:end].tolist(), _q_error(epss[end], zetas[end]) if end < len(zetas) else None
 
 
 def violation_parameter(d: DimensionlessConfig) -> ViolationReport:

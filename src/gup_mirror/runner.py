@@ -28,18 +28,16 @@ swept value against the sign rule and reduces the five inputs with
 `units.dimensionless_groups`, the formulas `to_dimensionless` uses.
 
 The runner computes no route of its own.  The closed-form modes (p1,
-p2, compare, sweep, and the default grid) take each batch's columns
-from `closed_form.closed_rows`, which owns how the pieces of each closed
-form are reused from row to row and which rows have L summed together
-(see `closed_form`; `special` sums L).  Q and R are computed once per
-batch where zeta and eps are constant, and otherwise as columns over
-the batch (`equivalence.q_rows`).  Where Q is not a finite double, the
-closed forms run up to that row only, and their error there or before
-it comes first: a run raises the error that point by point evaluation
-(p1, then p2, then Q) meets first.  The CSV columns are taken straight
-from those columns.  The one-point modes never load numpy.  Each
-`verify` row is read from one `amplitude.verify_pair` record, the one
-place where the closed forms meet the quadrature oracle.
+p2, compare, sweep, and the default grid) make one
+`closed_form.closed_rows` call per batch, which gives p1's and p2's
+totals and phases and Q, and owns how the pieces of each closed form and
+Q are reused from row to row, which rows run as columns and which rows
+have L summed together (see `closed_form`; `special` sums L).  Its error
+is the one point by point evaluation (p1, then p2, then Q) meets first.
+The runner adds only R = 1 + Q, and takes the CSV columns straight from
+those lists.  The one-point modes never load numpy.  Each `verify` row
+is read from one `amplitude.verify_pair` record, the one place where
+the closed forms meet the quadrature oracle.
 
 All rows are computed before the output file is opened, so a run that
 fails writes nothing.  The writer takes the output as columns.  Each
@@ -65,8 +63,8 @@ import sys
 from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING, NamedTuple
 
-from .closed_form import closed_rows, temperatures
-from .equivalence import beta_bound, q_parameter, q_rows
+from .closed_form import closed_rows, q_parameter, temperatures
+from .equivalence import beta_bound
 from .units import (
     DimensionlessConfig,
     PhysicalConfig,
@@ -572,26 +570,11 @@ def _physics_rows(cfg: RunConfig) -> tuple[tuple[str, ...], list]:
     want_p1 = cfg.mode in ("p1", "compare", "sweep")
     want_p2 = cfg.mode in ("p2", "compare", "sweep")
     columns = [[] for _ in ROW_COLUMNS]
-    for xs, ys, zetas, epss in batches:
-        count = len(xs)
-        # Q once for the batch where zeta and eps are the same on every row
-        if zetas.count(zetas[0]) == count == epss.count(epss[0]):
-            try:
-                q_values, q_error = [q_parameter(epss[0], zetas[0])] * count, None
-            except ValueError as error:
-                q_values, q_error = [], error
-        else:
-            q_values, q_error = q_rows(epss, zetas)
-        if q_error is not None:  # the closed forms come first at Q's failing row
-            end = len(q_values) + 1
-            closed_rows(xs[:end], ys[:end], zetas[:end], epss[:end], want_p1, want_p2)
-            raise q_error
-        ones, twos = closed_rows(xs, ys, zetas, epss, want_p1, want_p2)
-        empty = [None] * count
-        # the fields columns are (total, ..., phase_argument, sin2)
-        for column, cells in zip(columns, (xs, ys, zetas, epss, ones[0], twos[0], empty, empty,
-                                           ones[4], twos[4], q_values,
-                                           [1.0 + q_value for q_value in q_values])):
+    for batch in batches:
+        total1, phase1, total2, phase2, q_values = closed_rows(*batch, want_p1, want_p2)
+        empty = [None] * len(q_values)
+        for column, cells in zip(columns, (*batch, total1, total2, empty, empty, phase1, phase2,
+                                           q_values, [1.0 + q_value for q_value in q_values])):
             column.extend(cells)
     return ROW_COLUMNS, columns
 

@@ -55,10 +55,11 @@ gup_coefficient, never load it.
 
 Nothing here is memoised.  Every function is pure, so a caller that
 needs one value for many rows computes it once: closed_form.closed_rows
-computes each closed form's zeta-free factors once where a batch's rows
-share their inputs, and once per run of rows with equal inputs to the
-Gamma values otherwise, so a sweep evaluates each Gamma value it needs
-once per run of rows that share those inputs.
+computes each closed form's zeta-free factors once for a batch of two or
+more rows that share (x, y, eps), and otherwise p1's once per run of
+rows with equal x and p2's once per run with equal (y, eps), so a sweep
+evaluates each Gamma value it needs once per run of rows that share
+its inputs.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from gup_mirror import (
     p2_closed,
     p2_numeric,
     planck_factor,
+    q_parameter,
     temperatures,
     to_dimensionless,
 )
@@ -436,14 +437,16 @@ def _sweep_points(draw):
 
 
 def _point_by_point(points, want_p1, want_p2):
-    """closed_rows' rows from one p1_closed and p2_closed call per point,
-    up to the first ValueError, and that error's message (None if none)."""
+    """closed_rows' rows, (d, p1's total and phase, p2's total and phase,
+    Q), from one p1_closed, p2_closed and q_parameter call per point, up to
+    the first ValueError, and that error's message (None if none)."""
     rows = []
     try:
         for d in points:
-            one = tuple(p1_closed(d)) if want_p1 else None
-            two = tuple(p2_closed(d)) if want_p2 and d.zeta < 1.0 else None
-            rows.append((d, one, two))
+            one = p1_closed(d) if want_p1 else None
+            two = p2_closed(d) if want_p2 and d.zeta < 1.0 else None
+            rows.append((d, one and one.total, one and one.phase_argument, two and two.total,
+                         two and two.phase_argument, q_parameter(d.eps, d.zeta)))
     except ValueError as exc:
         return rows, str(exc)
     return rows, None
@@ -456,23 +459,15 @@ _SQUARING_POINT = DimensionlessConfig(1.071531034993657, 0.8460787794657127, 0.4
 
 
 def _closed_rows_by_point(points, wanted, batch_rows, rows):
-    """Append to `rows` closed_rows' columns turned into (d, p1's fields,
-    p2's fields) per point, the points taken batch_rows at a time, as the
-    runner takes them."""
+    """Append to `rows` closed_rows' five lists turned into (d, p1's total
+    and phase, p2's total and phase, Q) per point, the points taken
+    batch_rows at a time, as the runner takes them."""
     for start in range(0, len(points), batch_rows):
         batch = points[start:start + batch_rows]
-        ones, twos = closed_rows(*map(list, zip(*batch)), *wanted)
-        for fields, want in ((ones, wanted[0]), (twos, wanted[1])):
-            assert len(fields) == 6 and all(len(column) == len(batch) for column in fields)
-            # an unwanted probability's cells are empty, and p2's from zeta = 1
-            assert all(cell is None for column in fields for cell in column) or want
-        for i, d in enumerate(batch):
-            one = tuple(column[i] for column in ones) if wanted[0] else None
-            two = tuple(column[i] for column in twos) if wanted[1] else None
-            if two is not None and not d.zeta < 1.0:
-                assert two == (None,) * 6
-                two = None
-            rows.append((d, one, two))
+        columns = closed_rows(*map(list, zip(*batch)), *wanted)
+        assert len(columns) == 5
+        assert all(type(column) is list and len(column) == len(batch) for column in columns)
+        rows.extend((d, *cells) for d, cells in zip(batch, zip(*columns)))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -485,8 +480,9 @@ def _closed_rows_by_point(points, wanted, batch_rows, rows):
 @example([DimensionlessConfig(x, 1.0, 0.5, 0.01) for x in np.geomspace(0.5, 60.0, 40).tolist()],
          (True, True), 4096)
 def test_closed_rows_match_point_by_point_calls(points, wanted, batch_rows):
-    # every point's fields bit for bit, or the first error a point by point
-    # run meets, whatever the batch size
+    # every point's totals, phases and Q bit for bit, with empty cells where
+    # a probability is not wanted and p2's from zeta = 1, or the first error
+    # a point by point run meets, whatever the batch size
     expected, message = _point_by_point(points, *wanted)
     rows = []
     try:
@@ -502,6 +498,6 @@ def test_squaring_is_libm_pow():
     # the batch's p2 at this point is p2_closed's to the bit, and sin ** 2
     # gives 0.010349319315828685 where sin * sin gives ...684
     sweep = [_SQUARING_POINT._replace(zeta=zeta) for zeta in (0.4, 0.4372351970710474, 0.5)]
-    _, twos = closed_rows(*map(list, zip(*sweep)), False, True)
-    assert [repr(total) for total in twos[0]] == [repr(p2_closed(d).total) for d in sweep]
-    assert twos[0][1] == p2_closed(_SQUARING_POINT).total == 0.010349319315828685
+    totals = closed_rows(*map(list, zip(*sweep)), False, True)[2]
+    assert [repr(total) for total in totals] == [repr(p2_closed(d).total) for d in sweep]
+    assert totals[1] == p2_closed(_SQUARING_POINT).total == 0.010349319315828685

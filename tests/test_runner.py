@@ -407,9 +407,9 @@ def test_si_sweep_matches_uncached_scalar_calls(tmp_path, monkeypatch, param, lo
 def test_q_computed_once_where_zeta_and_eps_are_constant(tmp_path, monkeypatch, block, param,
                                                          lo, hi, calls):
     # each row Q is computed at: one per q_parameter call, and every row of
-    # a q_rows call, which evaluates a batch's rows as columns
+    # a _q_rows call, which evaluates a batch's rows as columns
     counted = []
-    original, original_rows = runner.q_parameter, runner.q_rows
+    original, original_rows = closed_form.q_parameter, closed_form._q_rows
 
     def counting(eps, zeta):
         counted.append((eps, zeta))
@@ -419,8 +419,8 @@ def test_q_computed_once_where_zeta_and_eps_are_constant(tmp_path, monkeypatch, 
         counted.extend(zip(epss, zetas))
         return original_rows(epss, zetas)
 
-    monkeypatch.setattr(runner, "q_parameter", counting)
-    monkeypatch.setattr(runner, "q_rows", counting_rows)
+    monkeypatch.setattr(closed_form, "q_parameter", counting)
+    monkeypatch.setattr(closed_form, "_q_rows", counting_rows)
     out = tmp_path / "q.csv"
     cfg = parse_config(f"mode = sweep\n{block}sweep_param = {param}\nsweep_min = {lo!r}\n"
                        f"sweep_max = {hi!r}\nsweep_count = 300\nout = {out}")
@@ -872,18 +872,23 @@ def _scalar_point(cfg, value):
 
 
 def _first_scalar_error(cfg):
-    """The message of the first ValueError the closed forms raise, row by
-    row and one scalar call at a time, as the runner once computed them."""
-    for value in cfg.sweep.values().tolist():
+    """The message of the first ValueError the closed forms and Q raise, row
+    by row and one scalar call at a time, as the runner once computed them;
+    a run with no sweep is its one point."""
+    for value in cfg.sweep.values().tolist() if cfg.sweep else [None]:
         try:
-            d = _scalar_point(cfg, value)
-            p1_closed(d)
-            if d.zeta < 1.0:
+            d = _scalar_point(cfg, value) if cfg.sweep else DimensionlessConfig(**cfg.dimensionless)
+            if cfg.mode != "p2":
+                p1_closed(d)
+            if cfg.mode != "p1" and d.zeta < 1.0:
                 p2_closed(d)
             q_parameter(d.eps, d.zeta)
         except ValueError as exc:
             return str(exc)
     return None
+
+
+_UNDERFLOW = "L(1 + i ybar, i r) at ybar=0.995, r=0.0: r = 2 zeta x underflows to zero"
 
 
 @pytest.mark.parametrize("block, first", [
@@ -920,6 +925,18 @@ def _first_scalar_error(cfg):
     pytest.param("x = 750\ny = 1000\nzeta = 0.5\neps = 0.001\nsweep_param = zeta\n"
                  "sweep_min = 1e-170\nsweep_max = 0.9\nsweep_count = 50\nsweep_spacing = log\n",
                  "zeta=1e-170, eps=0.001: Q is not a finite double", id="q-then-l"),
+    # p2's at-zeta half and Q fail at the first row, where r = 2 zeta x
+    # underflows and eps / (2 zeta^2) overflows: Q comes after p2, on rows
+    # that differ in x (point by point) as on rows that share it (columns)
+    pytest.param("x = 1e-100\ny = 1\nzeta = 1e-300\neps = 0.01\nsweep_param = x\n"
+                 "sweep_min = 1e-100\nsweep_max = 1e-99\nsweep_count = 5\n",
+                 _UNDERFLOW, id="p2-then-q-by-point"),
+    pytest.param("x = 1e-100\ny = 1\nzeta = 1e-300\neps = 0.01\nsweep_param = zeta\n"
+                 "sweep_min = 1e-300\nsweep_max = 0.5\nsweep_count = 5\nsweep_spacing = log\n",
+                 _UNDERFLOW, id="p2-then-q-as-columns"),
+    # ... and Q alone where p2 is not wanted
+    pytest.param("mode = p1\nx = 1e-100\ny = 1\nzeta = 1e-300\neps = 0.01\n",
+                 "zeta=1e-300, eps=0.01: Q is not a finite double", id="p1-then-q"),
 ])
 def test_sweep_reports_first_failing_row(tmp_path, capsys, block, first):
     # a sweep's L is summed for all rows before any row is assembled, yet
@@ -927,9 +944,10 @@ def test_sweep_reports_first_failing_row(tmp_path, capsys, block, first):
     config = tmp_path / "run.conf"
     out = tmp_path / "out.csv"
     config.write_text(block)
-    message = _first_scalar_error(parse_config("mode = sweep\n" + block))
+    cfg = parse_config(("" if block.startswith("mode = ") else "mode = sweep\n") + block)
+    message = _first_scalar_error(cfg)
     assert message.startswith(first)
-    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+    assert main([cfg.mode, "--config", str(config), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not out.exists()
 
@@ -1013,6 +1031,29 @@ def test_sweep_zeta_csv_keeps_its_sha256(tmp_path):
         pytest.skip(f"numpy's geomspace gives an axis with no pinned CSV here ({axis})")
     assert run(cfg) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _SEED_41_CSV[axis]
+
+
+# The sha256 of the CSV below, by the sha256 of its omega0 axis, as above.
+_SEED_41_SI_CSV = {
+    "e1afbca4eb75e58e": "85b5ece4873ed7f400ce0c923b444b2a50c4769e6ce847cd0df7d25b6cb4513a",
+}
+
+
+def test_sweep_si_csv_keeps_its_sha256(tmp_path):
+    # perfbench's first sweep-si text at seed 41, whose rows differ in x and
+    # run point by point: its CSV holds the bytes that the row-by-row closed
+    # forms wrote
+    out = tmp_path / "si.csv"
+    cfg = parse_config(
+        "mode = sweep\nfreq_convention = ordinary\na = 1.39015129942422e+19\n"
+        "omega0 = 12220524557.94276\nnu = 6244135248.271564\nz0 = 0.0025836207416595645\n"
+        "beta = 4.3054463277743965e+61\nsweep_param = omega0\nsweep_min = 12220524557.94276\n"
+        f"sweep_max = 31539785778.750874\nsweep_count = 500\nout = {out}\n")
+    axis = hashlib.sha256(cfg.sweep.values().tobytes()).hexdigest()[:16]
+    if axis not in _SEED_41_SI_CSV:
+        pytest.skip(f"numpy's linspace gives an axis with no pinned CSV here ({axis})")
+    assert run(cfg) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _SEED_41_SI_CSV[axis]
 
 
 @pytest.mark.parametrize("block, failing, summed", [
